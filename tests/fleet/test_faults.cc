@@ -446,6 +446,44 @@ TEST(Faults, CrashesDuringAutoscaleDrainsKeepTheBooks)
     expectSameFleetResult(a, b);
 }
 
+TEST(Faults, GoldenCombinedLifecycle)
+{
+    // Every lifecycle transition in one run — a crash and its
+    // rejoin, a degrade past the drain threshold (with migration),
+    // a whole-domain strike, autoscaling and retries — pinned to
+    // exact values. The other fault tests compare a run with its own
+    // double run; this one checks a change to the driver against
+    // the code it replaces.
+    FleetConfig fc;
+    fc.sim = baseSim();
+    fc.sim.workload.qps = 32.0;
+    fc.sim.numRequests = 128;
+    fc.instances = 2;
+    fc.policy = "healthy-first";
+    fc.scaling.enabled = true;
+    fc.scaling.minInstances = 1;
+    fc.scaling.maxInstances = 4;
+    fc.scaling.upQpsPerInstance = 6.0;
+    fc.scaling.downQpsPerInstance = 2.0;
+    fc.scaling.windowSec = 2.0;
+    fc.scaling.cooldownSec = 1.0;
+    fc.faults.numDomains = 2;
+    fc.faults.drainFactorThreshold = 2.0;
+    fc.faults.events = parseFaultList("crash@0.5:0:0.5; "
+                                      "degrade@1.0:1:1.0:4; "
+                                      "crash@2.5:domain=1:0.5");
+
+    const FleetResult r = FleetDriver(fc).run();
+    EXPECT_EQ(r.metrics.elapsed, 4743227377705);
+    EXPECT_EQ(r.requestsRouted, 146);
+    EXPECT_EQ(r.requestsRetired, 128);
+    EXPECT_EQ(r.requestsDropped, 0);
+    EXPECT_EQ(r.requestsMigrated, 6);
+    EXPECT_EQ(r.requestsLost, 12);
+    EXPECT_EQ(r.totalDowntime, 1484658973562);
+    EXPECT_EQ(r.faultEvents.size(), 8u);
+}
+
 // --- failure domains --------------------------------------------
 
 TEST(Faults, DomainTopologyStripesAndExplicitMapWins)
