@@ -1,6 +1,7 @@
 #include "fleet/fleet.hh"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 
 #include "common/log.hh"
@@ -9,22 +10,6 @@
 
 namespace duplex
 {
-
-namespace
-{
-
-/** The registry id the per-instance systems are built from. */
-const std::string &
-systemIdOf(const SimConfig &config)
-{
-    static std::string legacy;
-    if (!config.systemName.empty())
-        return config.systemName;
-    legacy = systemId(config.system);
-    return legacy;
-}
-
-} // namespace
 
 /**
  * Forwards one instance's engine callbacks to the fleet observers,
@@ -71,19 +56,46 @@ class InstanceObserver : public SimObserver
     std::int64_t retired_ = 0;
 };
 
-/** One serving instance: system + steppable loop + router-side
- *  accounting of routed-but-unadmitted KV commitments. */
+/**
+ * An instance's lifecycle: one state machine. Each transition is one
+ * FleetDriver method, which records its FaultEvent or ScaleEvent:
+ *
+ *   Serving      --crash-->       Down          --rejoin--> Serving
+ *   Serving      --faultDrain-->  FaultDrained  --closeWindow--> Serving
+ *   FaultDrained --crash-->       Down
+ *   Serving, FaultDrained --maybeScale (drain)--> Retiring
+ *   Down         --maybeScale (drain)-->  RetiringDown
+ *   Retiring     --crash-->       RetiringDown  --rejoin--> Retiring
+ *   Retiring, RetiringDown --retire (once idle)--> Retired
+ *
+ * A degrade window (Instance::degradeEnd) runs alongside any live
+ * state: it scales stage times and makes the instance report
+ * Degraded until closeWindow or a crash ends it. A heavy one calls
+ * faultDrain, which migrates the queue whatever the state but only
+ * moves a Serving instance to FaultDrained.
+ */
+enum class FleetDriver::Phase
+{
+    Serving,      //!< routable
+    FaultDrained, //!< heavy straggler: admits nothing until its
+                  //!< degrade window closes
+    Down,         //!< crashed, awaiting repair at rejoinAt
+    Retiring,     //!< scale-drained: finishes its work, then retires
+    RetiringDown, //!< scale-drained and crashed
+    Retired       //!< torn down (terminal)
+};
+
+/** One serving instance: system + steppable loop, its lifecycle
+ *  state, and router-side accounting of routed-but-unadmitted KV
+ *  commitments. */
 struct FleetDriver::Instance
 {
     int id = -1;
-    bool accepting = true;
-    bool retired = false;
+    Phase phase = Phase::Serving;
 
     // --- fault state (inert unless the fleet injects faults) ---
-    InstanceHealth health = InstanceHealth::Healthy;
-    bool down = false;       //!< crashed out, awaiting repair
     PicoSec downSince = -1;  //!< when the open downtime began
-    PicoSec rejoinAt = -1;   //!< repair time; -1 = never rejoins
+    PicoSec rejoinAt = -1;   //!< repair time while down; -1 = none
     PicoSec degradeEnd = -1; //!< straggler window close; -1 = none
     PicoSec downtime = 0;    //!< closed downtime accrued so far
     FaultPlan plan;          //!< this instance's fault timeline
@@ -91,15 +103,6 @@ struct FleetDriver::Instance
     /** Failure domain the fault topology places the instance in;
      *  -1 without a domain map. */
     int domain = -1;
-
-    /**
-     * Proactively draining: a degrade window crossed the drain
-     * threshold, so the instance stopped admitting (its queued
-     * requests were migrated) until the window closes or a crash
-     * supersedes it. Distinct from !accepting, which is the
-     * autoscaler's permanent drain-before-retire.
-     */
-    bool faultDrain = false;
 
     /** Correlated domain crashes fanned out to this instance but
      *  not yet due at its clock (time-ordered). */
@@ -118,7 +121,48 @@ struct FleetDriver::Instance
     std::deque<std::int64_t> queuedKv;
     std::int64_t queuedKvSum = 0;
 
-    std::int64_t routed = 0;
+    /** The router may hand it requests. */
+    bool routable() const { return phase == Phase::Serving; }
+
+    /** Counts toward the autoscaler's capacity (not scale-drained,
+     *  not retired), whatever its fault state. */
+    bool accepting() const { return live() && !retiring(); }
+
+    bool retiring() const
+    {
+        return phase == Phase::Retiring ||
+               phase == Phase::RetiringDown;
+    }
+
+    bool down() const
+    {
+        return phase == Phase::Down || phase == Phase::RetiringDown;
+    }
+
+    bool live() const { return phase != Phase::Retired; }
+
+    /** Its clock runs: live and not crashed out. */
+    bool steppable() const { return live() && !down(); }
+
+    InstanceHealth health() const
+    {
+        return degradeEnd >= 0 ? InstanceHealth::Degraded
+                               : InstanceHealth::Healthy;
+    }
+
+    /**
+     * When a scheduled transition makes this (accepting) instance
+     * routable again: its repair or its drain-window close; -1 when
+     * none is scheduled.
+     */
+    PicoSec routableAt() const
+    {
+        if (phase == Phase::Down)
+            return rejoinAt;
+        if (phase == Phase::FaultDrained)
+            return degradeEnd;
+        return -1;
+    }
 
     /** Drop the front entries the batcher admitted since last sync. */
     void syncQueuedKv()
@@ -147,13 +191,11 @@ FleetDriver::addObserver(FleetObserver *observer)
 }
 
 int
-FleetDriver::acceptingCount() const
+FleetDriver::count(bool (Instance::*is)() const) const
 {
-    int n = 0;
-    for (const auto &inst : instances_)
-        if (!inst->retired && inst->accepting)
-            ++n;
-    return n;
+    return static_cast<int>(std::count_if(
+        instances_.begin(), instances_.end(),
+        [is](const auto &inst) { return ((*inst).*is)(); }));
 }
 
 std::vector<InstanceStatus>
@@ -162,16 +204,14 @@ FleetDriver::snapshot() const
     std::vector<InstanceStatus> out;
     out.reserve(instances_.size());
     for (const auto &inst : instances_) {
-        // Crashed (down) and proactively draining instances are
-        // ejected outright — the policy never sees one, the
-        // failure-semantics mirror of the draining rule.
-        if (inst->retired || !inst->accepting || inst->down ||
-            inst->faultDrain)
+        // Only routable instances: down, draining and retired ones
+        // are ejected outright — the policy never sees one.
+        if (!inst->routable())
             continue;
         InstanceStatus s;
         s.id = inst->id;
         s.domain = inst->domain;
-        s.health = inst->health;
+        s.health = inst->health();
         s.queueDepth = inst->loop->queueDepth();
         s.activeCount = inst->loop->activeCount();
         s.maxKvTokens = inst->loop->maxKvTokens();
@@ -194,8 +234,8 @@ FleetDriver::spawn(PicoSec now)
     // bare engine's seed, the golden-equivalence anchor.
     opts.seed = config_.sim.seed +
                 static_cast<std::uint64_t>(inst->id);
-    inst->system =
-        makeSystem(systemIdOf(config_.sim), config_.sim.model, opts);
+    inst->system = makeSystem(config_.sim.systemRegistryId(),
+                              config_.sim.model, opts);
     inst->observer = std::make_unique<InstanceObserver>(
         *this, observers_, inst->id);
     // Push-fed arrivals: the router delivers requests as their
@@ -242,8 +282,7 @@ FleetDriver::observedUnavailability(PicoSec now) const
     for (const auto &inst : instances_) {
         down += inst->downtime;
         // Open downtime interval: count what has accrued so far.
-        if (inst->down && inst->downSince >= 0 &&
-            inst->downSince < now)
+        if (inst->down() && inst->downSince < now)
             down += now - inst->downSince;
     }
     const double frac =
@@ -262,7 +301,7 @@ FleetDriver::maybeScale(PicoSec now)
     const double qps = observedQps(now);
     if (now - lastScaleTime_ < secToPs(spec.cooldownSec))
         return;
-    const int accepting = acceptingCount();
+    const int accepting = count(&Instance::accepting);
     // Availability-aware mode: thresholds act on effective capacity
     // accepting x (1 - observed unavailability) — the MTTR/MTBF
     // share the fleet is losing gets provisioned as spare headroom.
@@ -281,7 +320,7 @@ FleetDriver::maybeScale(PicoSec now)
         event.kind = ScaleEvent::Kind::Up;
         event.instance = inst.id;
         event.acceptingAfter = accepting + 1;
-        ++scaleUps_;
+        ++result_.scaleUps;
     } else if (qps < spec.downQpsPerInstance * capacity &&
                accepting > spec.minInstances) {
         // Drain the highest-id accepting instance: stop routing to
@@ -289,58 +328,42 @@ FleetDriver::maybeScale(PicoSec now)
         // retires (the drain-retires-nothing-in-flight guarantee).
         Instance *victim = nullptr;
         for (const auto &inst : instances_)
-            if (!inst->retired && inst->accepting)
+            if (inst->accepting())
                 victim = inst.get();
-        victim->accepting = false;
+        // Never drain the last routable instance while the rest are
+        // down or fault-drained: the request in hand would have
+        // nowhere to go.
+        if (victim->routable() && count(&Instance::routable) == 1)
+            return;
+        victim->phase =
+            victim->down() ? Phase::RetiringDown : Phase::Retiring;
         event.kind = ScaleEvent::Kind::Drain;
         event.instance = victim->id;
         event.acceptingAfter = accepting - 1;
-        ++scaleDowns_;
+        ++result_.scaleDowns;
     } else {
         return;
     }
     lastScaleTime_ = now;
-    scaleEvents_.push_back(event);
-    for (FleetObserver *o : observers_)
-        o->onScaleEvent(event);
+    recordScale(event);
 }
 
 void
-FleetDriver::retireInstance(Instance &inst, FleetResult &result)
+FleetDriver::retire(Instance &inst)
 {
     panicIf(!inst.loop->idle(),
             "retiring a fleet instance with in-flight requests");
-    inst.retired = true;
     // A draining instance can crash out (its work already evicted
     // and re-routed); retirement closes the downtime interval.
-    if (inst.down) {
-        const PicoSec d = std::max<PicoSec>(
-            0, inst.loop->now() - inst.downSince);
-        totalDowntime_ += d;
-        inst.downtime += d;
-        inst.down = false;
-        inst.downSince = -1;
-        inst.rejoinAt = -1;
-    }
+    if (inst.down())
+        closeDowntime(inst, inst.loop->now());
+    inst.phase = Phase::Retired;
     ScaleEvent event;
     event.kind = ScaleEvent::Kind::Retire;
     event.time = inst.loop->now();
     event.instance = inst.id;
-    event.acceptingAfter = acceptingCount();
-    scaleEvents_.push_back(event);
-    for (FleetObserver *o : observers_)
-        o->onScaleEvent(event);
-    (void)result; // folding happens once at end, in id order
-}
-
-bool
-FleetDriver::anyRoutable() const
-{
-    for (const auto &inst : instances_)
-        if (!inst->retired && inst->accepting && !inst->down &&
-            !inst->faultDrain)
-            return true;
-    return false;
+    event.acceptingAfter = count(&Instance::accepting);
+    recordScale(event);
 }
 
 /**
@@ -356,60 +379,70 @@ FleetDriver::anyRoutable() const
 bool
 FleetDriver::serviceFaults(Instance &inst, PicoSec horizon)
 {
+    const auto due = [horizon](PicoSec t) {
+        return t >= 0 && t <= horizon ? t : -1;
+    };
     bool fired = false;
     for (;;) {
-        const PicoSec rejoin =
-            inst.down && inst.rejoinAt >= 0 &&
-                    inst.rejoinAt <= horizon
-                ? inst.rejoinAt
-                : -1;
-        const PicoSec degradeEnd =
-            !inst.down && inst.degradeEnd >= 0 &&
-                    inst.degradeEnd <= horizon
-                ? inst.degradeEnd
-                : -1;
+        const PicoSec rejoinAt = due(inst.rejoinAt);
+        const PicoSec windowEnd = due(inst.degradeEnd);
         const PicoSec fault =
-            inst.plan.pending() && inst.plan.nextAt() <= horizon
-                ? inst.plan.nextAt()
-                : -1;
-        const PicoSec domain =
-            !inst.domainPending.empty() &&
-                    inst.domainPending.front().at <= horizon
-                ? inst.domainPending.front().at
-                : -1;
+            inst.plan.pending() ? due(inst.plan.nextAt()) : -1;
+        const PicoSec domain = inst.domainPending.empty()
+                                   ? -1
+                                   : due(inst.domainPending.front().at);
         PicoSec next = -1;
-        for (PicoSec t : {rejoin, degradeEnd, fault, domain})
+        for (PicoSec t : {rejoinAt, windowEnd, fault, domain})
             if (t >= 0 && (next < 0 || t < next))
                 next = t;
         if (next < 0)
             return fired;
         fired = true;
-        if (next == rejoin) {
-            rejoinInstance(inst, rejoin);
-        } else if (next == degradeEnd) {
-            inst.loop->setTimeScale(1.0);
-            inst.health = InstanceHealth::Healthy;
-            inst.degradeEnd = -1;
-            // The window that drove a proactive drain closed: the
-            // instance admits again.
-            inst.faultDrain = false;
+        if (next == rejoinAt) {
+            rejoin(inst, rejoinAt);
+        } else if (next == windowEnd) {
+            closeWindow(inst);
         } else if (next == fault) {
             const FaultEvent e = inst.plan.pop();
-            if (inst.down || inst.retired)
+            if (inst.down())
                 continue;
             if (e.kind == FaultKind::Crash)
-                applyCrash(inst, e);
+                crash(inst, e);
             else
-                applyDegrade(inst, e);
+                degrade(inst, e);
         } else {
             // A correlated domain crash fanned out to this member.
             const FaultEvent e = inst.domainPending.front();
             inst.domainPending.pop_front();
-            if (inst.down || inst.retired)
-                continue;
-            applyCrash(inst, e);
+            if (!inst.down())
+                crash(inst, e);
         }
     }
+}
+
+/**
+ * Fire every fault due by routing time @p at fleet-wide: domain
+ * plans pump first (their draws are interleaving-free, so the
+ * furthest clock is a safe horizon), then each live member applies
+ * what is due by @p at or its own clock, whichever is later — faults
+ * strike at stage boundaries. Returns true when anything fired.
+ */
+bool
+FleetDriver::serviceFaults(PicoSec at)
+{
+    if (!domainPlans_.empty()) {
+        PicoSec horizon = at;
+        for (const auto &inst : instances_)
+            if (inst->live())
+                horizon = std::max(horizon, inst->loop->now());
+        serviceDomainFaults(horizon);
+    }
+    bool changed = false;
+    for (auto &inst : instances_)
+        if (inst->live() &&
+            serviceFaults(*inst, std::max(at, inst->loop->now())))
+            changed = true;
+    return changed;
 }
 
 /**
@@ -427,14 +460,14 @@ FleetDriver::serviceDomainFaults(PicoSec horizon)
         while (plan.pending() && plan.nextAt() <= horizon) {
             const FaultEvent e = plan.pop();
             for (auto &inst : instances_)
-                if (!inst->retired && inst->domain == e.domain)
+                if (inst->live() && inst->domain == e.domain)
                     inst->domainPending.push_back(e);
         }
     }
 }
 
 void
-FleetDriver::applyCrash(Instance &inst, const FaultEvent &event)
+FleetDriver::crash(Instance &inst, const FaultEvent &event)
 {
     // Fail-stop at the stage boundary: when a stage ran past the
     // scheduled strike, the crash takes effect at the instance's
@@ -454,68 +487,54 @@ FleetDriver::applyCrash(Instance &inst, const FaultEvent &event)
         inst.loop->setTimeScale(1.0);
         inst.degradeEnd = -1;
     }
-    inst.faultDrain = false;
-    inst.health = InstanceHealth::Healthy;
-    inst.down = true;
+    inst.phase =
+        inst.retiring() ? Phase::RetiringDown : Phase::Down;
     inst.downSince = now;
     inst.rejoinAt = event.duration < 0
                         ? -1
                         : std::max(now, event.at + event.duration);
-    ++crashes_;
+    ++result_.crashes;
     if (inst.domain >= 0)
-        ++domainCrashes_[static_cast<std::size_t>(inst.domain)];
-    FaultEvent rec = event;
-    rec.instance = inst.id;
-    rec.at = now;
-    faultRecords_.push_back(rec);
-    for (FleetObserver *o : observers_)
-        o->onFault(inst.id, rec, now);
+        ++result_.perDomain[static_cast<std::size_t>(inst.domain)]
+              .crashes;
+    recordFault(event, inst.id, now);
     for (Request &r : lost)
         scheduleRetry(std::move(r), inst.id, now);
 }
 
 void
-FleetDriver::applyDegrade(Instance &inst, const FaultEvent &event)
+FleetDriver::degrade(Instance &inst, const FaultEvent &event)
 {
     const PicoSec now = std::max(event.at, inst.loop->now());
-    inst.health = InstanceHealth::Degraded;
     inst.loop->setTimeScale(event.factor);
     // The window closes at its scheduled end even when a stage ran
     // past the start; a window fully consumed mid-stage is cleared
     // by the next serviceFaults pass without scaling anything.
     inst.degradeEnd = event.at + event.duration;
-    ++degradeWindows_;
-    FaultEvent rec = event;
-    rec.instance = inst.id;
-    rec.at = now;
-    faultRecords_.push_back(rec);
-    for (FleetObserver *o : observers_)
-        o->onFault(inst.id, rec, now);
+    ++result_.degradeWindows;
+    recordFault(event, inst.id, now);
     // Proactive drain: a straggler this heavy is served around, not
     // through — stop admitting and hand the queued requests back to
     // the router instead of waiting for a crash to retry them.
     if (config_.faults.drainFactorThreshold > 0.0 &&
         event.factor >= config_.faults.drainFactorThreshold)
-        applyDrain(inst, event, now);
+        faultDrain(inst, event, now);
 }
 
 void
-FleetDriver::applyDrain(Instance &inst, const FaultEvent &event,
+FleetDriver::faultDrain(Instance &inst, const FaultEvent &event,
                         PicoSec now)
 {
-    inst.faultDrain = true;
+    if (inst.phase == Phase::Serving)
+        inst.phase = Phase::FaultDrained;
     std::vector<Request> queued;
     inst.loop->evictQueued(queued);
     inst.queuedKv.clear();
     inst.queuedKvSum = 0;
-    ++drains_;
+    ++result_.drains;
     FaultEvent rec = event;
     rec.kind = FaultKind::Drain;
-    rec.instance = inst.id;
-    rec.at = now;
-    faultRecords_.push_back(rec);
-    for (FleetObserver *o : observers_)
-        o->onFault(inst.id, rec, now);
+    recordFault(rec, inst.id, now);
     // Migration, not retry: the queued requests were never
     // admitted, so no work is lost and no retry budget is spent.
     // They re-enter the router through the pending heap at the
@@ -525,54 +544,132 @@ FleetDriver::applyDrain(Instance &inst, const FaultEvent &event,
     // a *different* instance whose queue may already sit past the
     // original stamp.
     for (Request &r : queued) {
-        ++requestsMigrated_;
-        const PicoSec at = std::max(now, r.arrival);
-        r.arrival = at;
-        retries_.push_back({at, retrySeq_++, std::move(r)});
-        std::push_heap(
-            retries_.begin(), retries_.end(),
-            [](const PendingRetry &a, const PendingRetry &b) {
-                return a.at > b.at ||
-                       (a.at == b.at && a.seq > b.seq);
-            });
+        ++result_.requestsMigrated;
+        r.arrival = std::max(now, r.arrival);
+        pushRetry(std::move(r));
     }
 }
 
 void
-FleetDriver::rejoinInstance(Instance &inst, PicoSec at)
+FleetDriver::closeWindow(Instance &inst)
 {
-    panicIf(!inst.down, "rejoining an instance that is not down");
-    const PicoSec d = std::max<PicoSec>(0, at - inst.downSince);
-    totalDowntime_ += d;
-    inst.downtime += d;
-    inst.down = false;
-    inst.downSince = -1;
-    inst.rejoinAt = -1;
+    inst.loop->setTimeScale(1.0);
+    inst.degradeEnd = -1;
+    // The window that drove a proactive drain closed: the instance
+    // admits again.
+    if (inst.phase == Phase::FaultDrained)
+        inst.phase = Phase::Serving;
+}
+
+void
+FleetDriver::rejoin(Instance &inst, PicoSec at)
+{
+    panicIf(!inst.down(), "rejoining an instance that is not down");
+    closeDowntime(inst, at);
+    inst.phase =
+        inst.retiring() ? Phase::Retiring : Phase::Serving;
     // Empty batch, clock resumed at the repair time (no-op when the
     // crash-frozen clock already sits past it).
     inst.loop->advanceTo(at);
     FaultEvent rec;
     rec.kind = FaultKind::Rejoin;
-    rec.instance = inst.id;
-    rec.at = at;
-    faultRecords_.push_back(rec);
+    recordFault(rec, inst.id, at);
+}
+
+/**
+ * The one rule for a fleet with nothing routable: apply the earliest
+ * scheduled transition that makes an accepting instance routable —
+ * a repair (rejoin) or a drain-window close. Ties go to the repair,
+ * then to the lowest id. A window close fires everything due on the
+ * instance by then, and an idle instance's clock moves up to it so
+ * it admits AT the close, like a rejoin. Returns false when no such
+ * transition is scheduled.
+ */
+bool
+FleetDriver::advanceToEarliestTransition()
+{
+    Instance *best = nullptr;
+    for (const auto &inst : instances_) {
+        const PicoSec at = inst->routableAt();
+        if (at < 0)
+            continue;
+        if (best == nullptr || at < best->routableAt() ||
+            (at == best->routableAt() && inst->down() &&
+             !best->down()))
+            best = inst.get();
+    }
+    if (best == nullptr)
+        return false;
+    const PicoSec at = best->routableAt();
+    if (best->down()) {
+        rejoin(*best, at);
+    } else {
+        serviceFaults(*best, at);
+        if (!best->down() && best->loop->idle())
+            best->loop->advanceTo(at);
+    }
+    return true;
+}
+
+void
+FleetDriver::closeDowntime(Instance &inst, PicoSec end)
+{
+    const PicoSec d = std::max<PicoSec>(0, end - inst.downSince);
+    result_.totalDowntime += d;
+    inst.downtime += d;
+    inst.downSince = -1;
+    inst.rejoinAt = -1;
+}
+
+/** Record @p event as applied to @p instance at effective time
+ *  @p at, and notify the observers. */
+void
+FleetDriver::recordFault(FaultEvent event, int instance, PicoSec at)
+{
+    event.instance = instance;
+    event.at = at;
+    result_.faultEvents.push_back(event);
     for (FleetObserver *o : observers_)
-        o->onFault(inst.id, rec, at);
+        o->onFault(instance, event, at);
+}
+
+void
+FleetDriver::recordScale(const ScaleEvent &event)
+{
+    result_.scaleEvents.push_back(event);
+    for (FleetObserver *o : observers_)
+        o->onScaleEvent(event);
+}
+
+void
+FleetDriver::pushRetry(Request request)
+{
+    retries_.push_back({retrySeq_++, std::move(request)});
+    std::push_heap(retries_.begin(), retries_.end(), std::greater<>());
+}
+
+Request
+FleetDriver::popRetry()
+{
+    std::pop_heap(retries_.begin(), retries_.end(), std::greater<>());
+    Request r = std::move(retries_.back().req);
+    retries_.pop_back();
+    return r;
 }
 
 void
 FleetDriver::scheduleRetry(Request request, int instance,
                            PicoSec now)
 {
-    ++requestsLost_;
-    lostWorkTokens_ += request.generated;
+    ++result_.requestsLost;
+    result_.lostWorkTokens += request.generated;
     const int dom =
         instances_[static_cast<std::size_t>(instance)]->domain;
     if (dom >= 0)
-        ++domainLost_[static_cast<std::size_t>(dom)];
+        ++result_.perDomain[static_cast<std::size_t>(dom)].lost;
     const int attempt = request.retries + 1;
     if (request.retries >= config_.retry.maxAttempts) {
-        ++requestsDropped_;
+        ++result_.requestsDropped;
         for (FleetObserver *o : observers_)
             o->onRetry(instance, request, attempt, true, now);
         return;
@@ -586,66 +683,12 @@ FleetDriver::scheduleRetry(Request request, int instance,
     request.firstToken = -1;
     request.finished = -1;
     request.tokenTimes.clear();
-    const PicoSec at = now + config_.retry.backoffFor(attempt);
-    request.arrival = at;
-    ++retriesScheduled_;
+    request.arrival = now + config_.retry.backoffFor(attempt);
+    ++result_.retriesScheduled;
     for (FleetObserver *o : observers_)
-        o->onRetry(instance, request, attempt, false, at);
-    retries_.push_back({at, retrySeq_++, std::move(request)});
-    std::push_heap(retries_.begin(), retries_.end(),
-                   [](const PendingRetry &a, const PendingRetry &b) {
-                       return a.at > b.at ||
-                              (a.at == b.at && a.seq > b.seq);
-                   });
-}
-
-/**
- * When every accepting instance is down, the fleet only makes
- * progress by waiting out the earliest repair: rejoin that instance
- * at its repair time (lowest id on ties) and route there. Returns
- * false when no down accepting instance ever rejoins.
- */
-bool
-FleetDriver::forceRejoinEarliest()
-{
-    Instance *best = nullptr;
-    for (const auto &inst : instances_)
-        if (!inst->retired && inst->accepting && inst->down &&
-            inst->rejoinAt >= 0 &&
-            (best == nullptr || inst->rejoinAt < best->rejoinAt))
-            best = inst.get();
-    if (best == nullptr)
-        return false;
-    rejoinInstance(*best, best->rejoinAt);
-    return true;
-}
-
-/**
- * When nothing is routable and nothing is down-with-a-repair, the
- * blockers are proactive drains: close the earliest draining
- * instance's degrade window (firing everything chronologically due
- * by then) so routing can resume — the drain-window mirror of
- * forceRejoinEarliest. Returns false when no instance is draining.
- */
-bool
-FleetDriver::forceDrainEndEarliest()
-{
-    Instance *best = nullptr;
-    for (const auto &inst : instances_)
-        if (!inst->retired && inst->accepting &&
-            inst->faultDrain && inst->degradeEnd >= 0 &&
-            (best == nullptr ||
-             inst->degradeEnd < best->degradeEnd))
-            best = inst.get();
-    if (best == nullptr)
-        return false;
-    const PicoSec end = best->degradeEnd;
-    serviceFaults(*best, end);
-    // An idle drained instance's clock may sit before the window
-    // close; it becomes routable AT the close, like a rejoin.
-    if (!best->down && best->loop->idle())
-        best->loop->advanceTo(end);
-    return true;
+        o->onRetry(instance, request, attempt, false,
+                   request.arrival);
+    pushRetry(std::move(request));
 }
 
 FleetResult
@@ -686,20 +729,15 @@ FleetDriver::run()
         fatalIf(config_.retry.multiplier <= 0.0,
                 "RetrySpec: multiplier must be positive");
     }
-    // Failure-domain topology: per-domain counters whenever a
-    // domain map exists (domain-aware routing works without any
-    // fault process), correlated-crash plans only under faults.
+    // Failure-domain topology: per-domain books whenever a domain
+    // map exists (domain-aware routing works without any fault
+    // process), correlated-crash plans only under faults.
     const int numDomains = config_.faults.domainCount();
-    if (numDomains > 0) {
-        domainRouted_.assign(static_cast<std::size_t>(numDomains),
-                             0);
-        domainLost_.assign(static_cast<std::size_t>(numDomains), 0);
-        domainCrashes_.assign(static_cast<std::size_t>(numDomains),
-                              0);
+    for (int d = 0; d < numDomains; ++d) {
+        result_.perDomain.emplace_back().domain = d;
         if (faultsEnabled_)
-            for (int d = 0; d < numDomains; ++d)
-                domainPlans_.emplace_back(config_.faults, d,
-                                          config_.sim.seed);
+            domainPlans_.emplace_back(config_.faults, d,
+                                      config_.sim.seed);
     }
 
     for (int i = 0; i < initial; ++i)
@@ -711,37 +749,21 @@ FleetDriver::run()
             "fleet autoscaling needs an open-loop workload "
             "(qps > 0)");
 
-    FleetResult result;
-    result.peakInstances = initial;
+    result_.peakInstances = initial;
 
     for (;;) {
         // Retire drained instances the moment they go idle, so they
         // stop participating in the min-clock scan.
         for (auto &inst : instances_)
-            if (!inst->retired && !inst->accepting &&
-                inst->loop->idle())
-                retireInstance(*inst, result);
+            if (inst->retiring() && inst->loop->idle())
+                retire(*inst);
 
         // Fire faults due at each instance's own clock before any
-        // routing or stepping decision reads fleet state — faults
-        // strike at stage boundaries, and the last step may have
-        // carried an instance's clock past a scheduled strike.
-        // Domain plans pump first (draws are interleaving-free, so
-        // the furthest clock is a safe horizon); each member then
-        // applies its share at its own stage boundary.
-        if (faultsEnabled_) {
-            if (!domainPlans_.empty()) {
-                PicoSec horizon = 0;
-                for (const auto &inst : instances_)
-                    if (!inst->retired)
-                        horizon = std::max(horizon,
-                                           inst->loop->now());
-                serviceDomainFaults(horizon);
-            }
-            for (auto &inst : instances_)
-                if (!inst->retired)
-                    serviceFaults(*inst, inst->loop->now());
-        }
+        // routing or stepping decision reads fleet state — the last
+        // step may have carried an instance's clock past a
+        // scheduled strike.
+        if (faultsEnabled_)
+            serviceFaults(0);
 
         // Route every arrival no BUSY instance is still behind: a
         // busy instance's state at the arrival time is not yet
@@ -759,22 +781,17 @@ FleetDriver::run()
             const bool haveShared = !shared.empty();
             if (!haveShared && retries_.empty())
                 break;
-            if (faultsEnabled_ && !anyRoutable()) {
-                // The whole fleet is down (or draining): wait out
-                // the earliest repair — or, when nothing is down
-                // with a repair scheduled, close the earliest
-                // proactive-drain window — then route there.
-                if (!forceRejoinEarliest())
-                    fatalIf(!forceDrainEndEarliest(),
-                            "fleet: every instance is down or "
-                            "draining with no rejoin scheduled and "
-                            "requests still pending");
+            if (faultsEnabled_ && count(&Instance::routable) == 0) {
+                fatalIf(!advanceToEarliestTransition(),
+                        "fleet: every instance is down or draining "
+                        "with no rejoin scheduled and requests still "
+                        "pending");
                 continue;
             }
             PicoSec busyMin = std::numeric_limits<PicoSec>::max();
             PicoSec allMin = std::numeric_limits<PicoSec>::max();
             for (const auto &inst : instances_) {
-                if (inst->retired || inst->down)
+                if (!inst->steppable())
                     continue;
                 allMin = std::min(allMin, inst->loop->now());
                 if (!inst->loop->idle())
@@ -789,9 +806,9 @@ FleetDriver::run()
             if (haveShared && !retries_.empty() &&
                 !shared.closedLoop())
                 fromRetry =
-                    retries_.front().at < shared.front().arrival;
+                    retries_.front().req.arrival < shared.front().arrival;
             const PicoSec arrival = fromRetry
-                                        ? retries_.front().at
+                                        ? retries_.front().req.arrival
                                         : shared.front().arrival;
             if ((fromRetry || !shared.closedLoop()) &&
                 arrival > busyMin)
@@ -799,51 +816,19 @@ FleetDriver::run()
             const PicoSec at =
                 !fromRetry && shared.closedLoop() ? allMin
                                                   : arrival;
-            if (faultsEnabled_) {
-                // Fire anything due by the routing time (rejoins
-                // included), then re-evaluate: a crash changes who
-                // is busy and may have queued earlier retries.
-                if (!domainPlans_.empty()) {
-                    PicoSec horizon = at;
-                    for (const auto &inst : instances_)
-                        if (!inst->retired)
-                            horizon = std::max(horizon,
-                                               inst->loop->now());
-                    serviceDomainFaults(horizon);
-                }
-                bool changed = false;
-                for (auto &inst : instances_)
-                    if (!inst->retired)
-                        changed =
-                            serviceFaults(
-                                *inst,
-                                std::max(at, inst->loop->now())) ||
-                            changed;
-                if (changed)
-                    continue;
-            }
-            Request r;
-            if (fromRetry) {
-                std::pop_heap(
-                    retries_.begin(), retries_.end(),
-                    [](const PendingRetry &a,
-                       const PendingRetry &b) {
-                        return a.at > b.at ||
-                               (a.at == b.at && a.seq > b.seq);
-                    });
-                r = std::move(retries_.back().req);
-                retries_.pop_back();
-            } else {
-                r = shared.pop(allMin);
-            }
+            // Fire anything due by the routing time (rejoins
+            // included), then re-evaluate: a crash changes who is
+            // busy and may have queued earlier retries.
+            if (faultsEnabled_ && serviceFaults(at))
+                continue;
+            Request r = fromRetry ? popRetry() : shared.pop(allMin);
             // March idle instances up to the arrival so the
             // policy's clock snapshot is consistent, and so the
             // chosen instance admits at the arrival time exactly
             // as the bare engine would.
             if (fromRetry || !shared.closedLoop())
                 for (auto &inst : instances_)
-                    if (!inst->retired && !inst->down &&
-                        inst->loop->idle())
+                    if (inst->steppable() && inst->loop->idle())
                         inst->loop->advanceTo(at);
             if (config_.scaling.enabled) {
                 arrivalWindow_.push_back(at);
@@ -856,9 +841,7 @@ FleetDriver::run()
             panicIf(target < 0 ||
                         target >= static_cast<int>(
                                       instances_.size()) ||
-                        instances_[target]->retired ||
-                        instances_[target]->down ||
-                        !instances_[target]->accepting,
+                        !instances_[target]->routable(),
                     "routing policy '" + config_.policy +
                         "' picked an unroutable instance");
             Instance &inst = *instances_[target];
@@ -868,24 +851,19 @@ FleetDriver::run()
             inst.loop->pushArrival(std::move(r));
             inst.queuedKv.push_back(kv);
             inst.queuedKvSum += kv;
-            ++inst.routed;
             if (inst.domain >= 0)
-                ++domainRouted_[
-                    static_cast<std::size_t>(inst.domain)];
-            ++result.requestsRouted;
+                ++result_.perDomain[
+                    static_cast<std::size_t>(inst.domain)].routed;
+            ++result_.requestsRouted;
         }
-        result.peakInstances = std::max(
-            result.peakInstances,
-            static_cast<int>(std::count_if(
-                instances_.begin(), instances_.end(),
-                [](const auto &i) { return !i->retired; })));
+        result_.peakInstances =
+            std::max(result_.peakInstances, count(&Instance::live));
 
         // Step the live instance furthest behind in simulated time
         // (lowest id on ties) — the deterministic interleaving.
         Instance *next = nullptr;
         for (const auto &inst : instances_) {
-            if (inst->retired || inst->down ||
-                inst->loop->done())
+            if (!inst->steppable() || inst->loop->done())
                 continue;
             if (next == nullptr ||
                 inst->loop->now() < next->loop->now())
@@ -903,20 +881,20 @@ FleetDriver::run()
         // work still queued ends the run (engine stage-cap
         // semantics); otherwise all are idle — march them to the
         // next arrival (or pending retry) and route it.
-        bool capped = false;
-        for (const auto &inst : instances_)
-            capped = capped || (!inst->retired &&
-                                inst->loop->stageCapped() &&
-                                !inst->loop->idle());
+        const bool capped = std::any_of(
+            instances_.begin(), instances_.end(), [](const auto &i) {
+                return i->live() && i->loop->stageCapped() &&
+                       !i->loop->idle();
+            });
         if (capped)
             break;
         PicoSec t = std::numeric_limits<PicoSec>::max();
         if (!shared.empty())
             t = shared.front().arrival;
         if (!retries_.empty())
-            t = std::min(t, retries_.front().at);
+            t = std::min(t, retries_.front().req.arrival);
         for (auto &inst : instances_)
-            if (!inst->retired && !inst->down)
+            if (inst->steppable())
                 inst->loop->advanceTo(t);
     }
 
@@ -925,92 +903,58 @@ FleetDriver::run()
     // Fold per-instance results in id order (retired instances'
     // loops are finished here too — their state froze at
     // retirement).
-    result.perInstance.reserve(instances_.size());
+    result_.perInstance.reserve(instances_.size());
     PicoSec makespan = 0;
     for (const auto &inst : instances_)
         makespan = std::max(makespan, inst->loop->now());
-    // Close downtime intervals still open at the end of the run: an
-    // instance whose repair lands inside the makespan counts down
-    // to its repair, one still dead at the end counts to the
-    // makespan (availability is measured over the run window).
-    for (auto &inst : instances_)
-        if (inst->down) {
-            const PicoSec end =
-                inst->rejoinAt >= 0 && inst->rejoinAt < makespan
-                    ? inst->rejoinAt
-                    : makespan;
-            const PicoSec d =
-                std::max<PicoSec>(0, end - inst->downSince);
-            totalDowntime_ += d;
-            inst->downtime += d;
-        }
     for (auto &inst : instances_) {
-        result.perInstanceDowntime.push_back(inst->downtime);
+        // Close downtime still open at the end of the run: an
+        // instance whose repair lands inside the makespan counts
+        // down to its repair, one still dead at the end counts to
+        // the makespan (availability is measured over the run
+        // window).
+        if (inst->down())
+            closeDowntime(*inst, inst->rejoinAt >= 0 &&
+                                         inst->rejoinAt < makespan
+                                     ? inst->rejoinAt
+                                     : makespan);
+        result_.perInstanceDowntime.push_back(inst->downtime);
         SimResult sr = inst->loop->finish();
-        result.metrics.tbtMs.merge(sr.metrics.tbtMs);
-        result.metrics.t2ftMs.merge(sr.metrics.t2ftMs);
-        result.metrics.e2eMs.merge(sr.metrics.e2eMs);
-        result.metrics.totalTokens += sr.metrics.totalTokens;
-        result.metrics.decodingOnlyStages +=
-            sr.metrics.decodingOnlyStages;
-        result.metrics.mixedStages += sr.metrics.mixedStages;
-        result.totals += sr.totals;
-        result.generatedTokens += sr.generatedTokens;
-        result.peakBatch = std::max(result.peakBatch, sr.peakBatch);
-        result.prefixCache.merge(sr.prefixCache);
-        result.requestsRetired += inst->observer->retired();
-        result.perInstance.push_back(std::move(sr));
-    }
-    result.metrics.elapsed = makespan;
-    result.scaleEvents = scaleEvents_;
-    result.scaleUps = scaleUps_;
-    result.scaleDowns = scaleDowns_;
-    result.crashes = crashes_;
-    result.degradeWindows = degradeWindows_;
-    result.drains = drains_;
-    result.requestsLost = requestsLost_;
-    result.lostWorkTokens = lostWorkTokens_;
-    result.retriesScheduled = retriesScheduled_;
-    result.requestsDropped = requestsDropped_;
-    result.requestsMigrated = requestsMigrated_;
-    result.totalDowntime = totalDowntime_;
-    result.faultEvents = faultRecords_;
-
-    // Per-domain availability: counters folded with per-instance
-    // downtime, both measures (time-based and request-weighted)
-    // over the run window.
-    if (numDomains > 0) {
-        result.perDomain.resize(
-            static_cast<std::size_t>(numDomains));
-        for (int d = 0; d < numDomains; ++d) {
-            DomainAvailability &da =
-                result.perDomain[static_cast<std::size_t>(d)];
-            da.domain = d;
-            da.crashes =
-                domainCrashes_[static_cast<std::size_t>(d)];
-            da.routed = domainRouted_[static_cast<std::size_t>(d)];
-            da.lost = domainLost_[static_cast<std::size_t>(d)];
+        ServingMetrics &m = result_.metrics;
+        m.tbtMs.merge(sr.metrics.tbtMs);
+        m.t2ftMs.merge(sr.metrics.t2ftMs);
+        m.e2eMs.merge(sr.metrics.e2eMs);
+        m.totalTokens += sr.metrics.totalTokens;
+        m.decodingOnlyStages += sr.metrics.decodingOnlyStages;
+        m.mixedStages += sr.metrics.mixedStages;
+        result_.totals += sr.totals;
+        result_.generatedTokens += sr.generatedTokens;
+        result_.peakBatch = std::max(result_.peakBatch, sr.peakBatch);
+        result_.prefixCache.merge(sr.prefixCache);
+        result_.requestsRetired += inst->observer->retired();
+        result_.perInstance.push_back(std::move(sr));
+        if (inst->domain >= 0) {
+            DomainAvailability &da = result_.perDomain[
+                static_cast<std::size_t>(inst->domain)];
+            ++da.instances;
+            da.downtime += inst->downtime;
         }
-        for (const auto &inst : instances_)
-            if (inst->domain >= 0) {
-                DomainAvailability &da = result.perDomain[
-                    static_cast<std::size_t>(inst->domain)];
-                ++da.instances;
-                da.downtime += inst->downtime;
-            }
-        for (DomainAvailability &da : result.perDomain)
-            if (makespan > 0 && da.instances > 0) {
-                const double frac =
-                    static_cast<double>(da.downtime) /
-                    (static_cast<double>(makespan) *
-                     static_cast<double>(da.instances));
-                da.availability = frac >= 1.0 ? 0.0 : 1.0 - frac;
-            }
     }
+    result_.metrics.elapsed = makespan;
+
+    // Per-domain availability, time-based, over the run window.
+    for (DomainAvailability &da : result_.perDomain)
+        if (makespan > 0 && da.instances > 0) {
+            const double frac =
+                static_cast<double>(da.downtime) /
+                (static_cast<double>(makespan) *
+                 static_cast<double>(da.instances));
+            da.availability = frac >= 1.0 ? 0.0 : 1.0 - frac;
+        }
 
     for (FleetObserver *o : observers_)
-        o->onFleetEnd(result);
-    return result;
+        o->onFleetEnd(result_);
+    return std::move(result_);
 }
 
 // ------------------------------------------------ FleetUtilization

@@ -2,9 +2,9 @@
  * @file
  * Fleet-scale serving: N registry-built instances behind a router.
  *
- * PRs 1-5 evaluate a single serving instance; the ROADMAP north
- * star ("heavy traffic from millions of users") is a fleet of them
- * behind a load balancer. FleetDriver is that composition: it owns
+ * The engine evaluates a single serving instance; a production
+ * deployment is a fleet of them behind a load balancer.
+ * FleetDriver is that composition: it owns
  * N independent instances — each a registry-built ServingSystem
  * with its own ContinuousBatcher, RNG stream (seed + instance id)
  * and KV budget, driven by the same DriverLoop the engine runs — and
@@ -24,9 +24,10 @@
  * rate over a sliding window; sustained load above
  * upQpsPerInstance x fleet spins up a fresh instance (its clock
  * starts at the provisioning time), load below downQpsPerInstance x
- * fleet drains the highest-id instance — no new admissions, active
- * requests finish — before retiring it. Scale events surface
- * through FleetObserver.
+ * fleet drains the highest-id accepting instance — no new
+ * admissions, queued and active requests finish — before retiring
+ * it. The last routable instance is never drained. Scale events
+ * surface through FleetObserver.
  *
  * Fault injection (FleetConfig::faults, fleet/faults.hh): scheduled
  * or seeded crashes evict an instance's queued and active requests
@@ -47,6 +48,13 @@
  * draws live on dedicated RNG streams, so a fleet with faults
  * disabled is byte-identical to one that never heard of them, and
  * every faulted run double-runs byte-identical.
+ *
+ * Each instance is in one lifecycle state at a time (fleet.cc
+ * draws the state machine). When no instance is routable, the
+ * driver applies the earliest scheduled transition that makes one
+ * routable again — a repair or a drain-window close, repairs first
+ * on ties, then the lowest id — and fails the run with a fatal
+ * error when none is scheduled.
  */
 
 #ifndef DUPLEX_FLEET_FLEET_HH
@@ -393,6 +401,7 @@ class FleetDriver
     FleetResult run();
 
   private:
+    enum class Phase;
     struct Instance;
 
     /** Per-instance SimObserver shim (fleet.cc); reaches back into
@@ -418,69 +427,69 @@ class FleetDriver
      */
     ArrivalQueue *shared_ = nullptr;
 
+    /** The run's outcome, accumulated as the run goes: counters,
+     *  timelines and per-domain books are written here directly. */
+    FleetResult result_;
+
     // --- autoscaling state -------------------------------------
     std::deque<PicoSec> arrivalWindow_;
     PicoSec lastScaleTime_ = 0;
-    std::vector<ScaleEvent> scaleEvents_;
-    int scaleUps_ = 0;
-    int scaleDowns_ = 0;
 
     // --- fault-injection state ---------------------------------
     bool faultsEnabled_ = false;
 
-    /** A crashed-out request waiting out its retry backoff. */
+    /** A crashed-out or migrated request waiting to be routed. */
     struct PendingRetry
     {
-        PicoSec at = 0;       //!< when the retry becomes routable
         std::int64_t seq = 0; //!< FIFO tiebreak among equal times
-        Request req;
+        Request req;          //!< routable from req.arrival on
+
+        /** Heap order: std::greater makes the heap a min-heap on
+         *  (arrival, seq). */
+        bool operator>(const PendingRetry &o) const
+        {
+            return req.arrival > o.req.arrival ||
+                   (req.arrival == o.req.arrival && seq > o.seq);
+        }
     };
 
-    /** Min-heap on (at, seq) via std::push_heap/pop_heap with the
-     *  retryLater comparator (fleet.cc). front() = earliest. */
+    /** Min-heap on (arrival, seq), kept by pushRetry/popRetry;
+     *  front() is the earliest. */
     std::vector<PendingRetry> retries_;
     std::int64_t retrySeq_ = 0;
-
-    int crashes_ = 0;
-    int degradeWindows_ = 0;
-    int drains_ = 0;
-    std::int64_t requestsLost_ = 0;
-    std::int64_t lostWorkTokens_ = 0;
-    std::int64_t retriesScheduled_ = 0;
-    std::int64_t requestsDropped_ = 0;
-    std::int64_t requestsMigrated_ = 0;
-    PicoSec totalDowntime_ = 0;
-    std::vector<FaultEvent> faultRecords_;
 
     /** One correlated-crash timeline per failure domain (empty
      *  without a domain map or with faults disabled). */
     std::vector<DomainFaultPlan> domainPlans_;
 
-    // Per-domain availability counters, indexed by domain id (all
-    // empty without a domain map).
-    std::vector<std::int64_t> domainRouted_;
-    std::vector<std::int64_t> domainLost_;
-    std::vector<int> domainCrashes_;
-
-    int acceptingCount() const;
+    /** Instances for which the Instance predicate @p is holds. */
+    int count(bool (Instance::*is)() const) const;
     std::vector<InstanceStatus> snapshot() const;
-    Instance &spawn(PicoSec now);
-    void maybeScale(PicoSec now);
-    void retireInstance(Instance &inst, FleetResult &result);
     double observedQps(PicoSec now);
     double observedUnavailability(PicoSec now) const;
 
-    bool anyRoutable() const;
+    // Lifecycle transitions (the state machine is documented at
+    // FleetDriver::Phase in fleet.cc).
+    Instance &spawn(PicoSec now);
+    void maybeScale(PicoSec now);
+    void retire(Instance &inst);
+    void crash(Instance &inst, const FaultEvent &event);
+    void degrade(Instance &inst, const FaultEvent &event);
+    void faultDrain(Instance &inst, const FaultEvent &event,
+                    PicoSec now);
+    void closeWindow(Instance &inst);
+    void rejoin(Instance &inst, PicoSec at);
+    bool advanceToEarliestTransition();
+
+    bool serviceFaults(PicoSec at);
     bool serviceFaults(Instance &inst, PicoSec horizon);
     void serviceDomainFaults(PicoSec horizon);
-    void applyCrash(Instance &inst, const FaultEvent &event);
-    void applyDegrade(Instance &inst, const FaultEvent &event);
-    void applyDrain(Instance &inst, const FaultEvent &event,
-                    PicoSec now);
-    void rejoinInstance(Instance &inst, PicoSec at);
+    void closeDowntime(Instance &inst, PicoSec end);
+    void recordFault(FaultEvent event, int instance, PicoSec at);
+    void recordScale(const ScaleEvent &event);
     void scheduleRetry(Request request, int instance, PicoSec now);
-    bool forceRejoinEarliest();
-    bool forceDrainEndEarliest();
+    void pushRetry(Request request);
+    Request popRetry();
 };
 
 /**

@@ -99,9 +99,10 @@ class RoutingPolicy
     virtual ~RoutingPolicy() = default;
 
     /**
-     * Choose among @p instances (non-empty; only accepting
-     * instances are offered — draining ones never appear). Returns
-     * the chosen InstanceStatus.id.
+     * Choose among @p instances (non-empty; only routable
+     * instances are offered — down, draining and retiring ones
+     * never appear). Returns the chosen InstanceStatus.id; an id
+     * that was not offered is a panic.
      */
     virtual int route(const Request &request,
                       const std::vector<InstanceStatus> &instances)

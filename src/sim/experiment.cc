@@ -1,3 +1,14 @@
-// Experiment structs are header-only; this translation unit anchors
-// the target.
 #include "sim/experiment.hh"
+
+#include "sim/registry.hh"
+
+namespace duplex
+{
+
+std::string
+SimConfig::systemRegistryId() const
+{
+    return systemName.empty() ? systemId(system) : systemName;
+}
+
+} // namespace duplex

@@ -31,6 +31,10 @@ struct SimConfig
     /** @deprecated Use systemName; kept for the old entry points. */
     SystemKind system = SystemKind::Gpu;
 
+    /** The registry id the drivers build the system from: systemName,
+     *  or the legacy SystemKind's id when systemName is empty. */
+    std::string systemRegistryId() const;
+
     ModelConfig model;
 
     /**

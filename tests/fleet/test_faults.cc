@@ -36,6 +36,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -452,7 +453,7 @@ TEST(Faults, GoldenCombinedLifecycle)
     // rejoin, a degrade past the drain threshold (with migration),
     // a whole-domain strike, autoscaling and retries — pinned to
     // exact values. The other fault tests compare a run with its own
-    // double run; this one checks a change to the driver against
+    // double run; this one checks a change to FleetDriver against
     // the code it replaces.
     FleetConfig fc;
     fc.sim = baseSim();
@@ -799,6 +800,135 @@ TEST(Faults, CrashDuringProactiveDrainKeepsTheBooks)
 
     const FleetResult r2 = FleetDriver(fc).run();
     expectSameFleetResult(r, r2);
+}
+
+TEST(Faults, NothingRoutableAdvancesToTheEarliestTransition)
+{
+    // Instance 0 crashes with a 5 s repair while instance 1 drains
+    // for a 1 s window: nothing is routable from ~0.5 s. The
+    // earliest transition that restores routing is instance 1's
+    // window close at 1.5 s, not instance 0's repair at 5.5 s, so
+    // nothing that arrives meanwhile may land on instance 0.
+    FleetConfig fc;
+    fc.sim = baseSim();
+    fc.sim.workload.qps = 16.0;
+    fc.sim.numRequests = 48;
+    fc.instances = 2;
+    fc.policy = "least-loaded";
+    fc.faults.drainFactorThreshold = 2.0;
+    fc.faults.events =
+        parseFaultList("crash@0.5:0:5; degrade@0.5:1:1:4");
+
+    class EarlyRoutes : public FleetObserver
+    {
+      public:
+        void onFault(int instance, const FaultEvent &event,
+                     PicoSec) override
+        {
+            if (instance == 0 && event.kind == FaultKind::Crash)
+                crashed = true;
+        }
+        void onRequestRouted(int instance, const Request &request,
+                             PicoSec) override
+        {
+            if (crashed && instance == 0 &&
+                request.arrival < secToPs(1.5))
+                ++toCrashed;
+        }
+        bool crashed = false;
+        int toCrashed = 0;
+    } routes;
+
+    FleetDriver driver(fc);
+    driver.addObserver(&routes);
+    const FleetResult r = driver.run();
+
+    EXPECT_EQ(r.crashes, 1);
+    EXPECT_EQ(r.drains, 1);
+    EXPECT_EQ(routes.toCrashed, 0)
+        << "requests arriving before the drain window closed were "
+           "held for the crashed instance's repair";
+    EXPECT_EQ(r.requestsRetired + r.requestsDropped,
+              fc.sim.numRequests);
+    EXPECT_EQ(r.requestsRouted,
+              fc.sim.numRequests + r.retriesScheduled +
+                  r.requestsMigrated);
+}
+
+TEST(Faults, RoutingToADrainingInstanceIsCaught)
+{
+    // A policy that keeps picking instance 1 after it fault-drains
+    // must trip the driver's routability check, like one picking a
+    // down or retired instance.
+    EXPECT_DEATH(
+        {
+            class PinnedPolicy : public RoutingPolicy
+            {
+              public:
+                int route(const Request &,
+                          const std::vector<InstanceStatus> &) override
+                {
+                    return 1;
+                }
+                const std::string &name() const override
+                {
+                    static const std::string kName = "test-pinned-1";
+                    return kName;
+                }
+                std::string describe() const override
+                {
+                    return "always instance 1 (test only)";
+                }
+            };
+            registerRoutingPolicy(
+                "test-pinned-1", "always instance 1 (test only)",
+                [] { return std::make_unique<PinnedPolicy>(); });
+            FleetConfig fc;
+            fc.sim = baseSim();
+            fc.sim.workload.qps = 16.0;
+            fc.instances = 2;
+            fc.policy = "test-pinned-1";
+            fc.faults.drainFactorThreshold = 2.0;
+            fc.faults.events = parseFaultList("degrade@0.5:1:2:4");
+            FleetDriver(fc).run();
+        },
+        "picked an unroutable instance");
+}
+
+TEST(Faults, ScaleDownNeverDrainsTheLastRoutableInstance)
+{
+    // Instance 0 is down for 3 s while arrivals run well below the
+    // scale-down threshold. Draining the highest-id accepting
+    // instance — instance 1, the only one serving — would leave the
+    // request in hand nowhere to go, so the drain waits until
+    // instance 0 is back.
+    FleetConfig fc;
+    fc.sim = baseSim();
+    fc.sim.workload.qps = 2.0;
+    fc.sim.numRequests = 16;
+    fc.instances = 2;
+    fc.policy = "least-loaded";
+    fc.scaling.enabled = true;
+    fc.scaling.minInstances = 1;
+    fc.scaling.maxInstances = 2;
+    fc.scaling.upQpsPerInstance = 100.0;
+    fc.scaling.downQpsPerInstance = 2.0;
+    fc.scaling.windowSec = 2.0;
+    fc.scaling.cooldownSec = 1.0;
+    fc.faults.events = parseFaultList("crash@0.1:0:3");
+
+    const FleetResult r = FleetDriver(fc).run();
+    EXPECT_EQ(r.crashes, 1);
+    EXPECT_EQ(r.scaleDowns, 1);
+    ASSERT_FALSE(r.scaleEvents.empty());
+    ASSERT_EQ(r.faultEvents.size(), 2u);
+    EXPECT_EQ(r.faultEvents[1].kind, FaultKind::Rejoin);
+    EXPECT_EQ(r.scaleEvents.front().kind, ScaleEvent::Kind::Drain);
+    EXPECT_GE(r.scaleEvents.front().time, r.faultEvents[1].at);
+    EXPECT_EQ(r.requestsRetired + r.requestsDropped,
+              fc.sim.numRequests);
+    EXPECT_EQ(r.requestsRouted,
+              fc.sim.numRequests + r.retriesScheduled);
 }
 
 // --- sessions + prefix cache under faults -----------------------

@@ -15,12 +15,15 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "fleet/fleet.hh"
 #include "sim/engine.hh"
 #include "sim/registry.hh"
+#include "sim/sweep.hh"
 
 namespace duplex
 {
@@ -410,6 +413,38 @@ TEST(Fleet, MoreInstancesRetireEverything)
     for (const FleetUtilization::InstanceStats &s :
          util.instances())
         EXPECT_EQ(s.routed, 16) << "instance " << s.id;
+}
+
+TEST(Fleet, LegacySystemKindFleetsRunConcurrently)
+{
+    // Fleets that name their system by the legacy SystemKind resolve
+    // the registry id per config, with no shared buffer, so they can
+    // spawn instances on several sweep workers at once and still
+    // match serial runs of the same configs.
+    std::vector<FleetConfig> configs(4);
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        configs[i].sim = baseSim();
+        configs[i].sim.systemName.clear();
+        configs[i].sim.system =
+            i % 2 ? SystemKind::DuplexPE : SystemKind::Gpu;
+        configs[i].sim.numRequests = 8;
+        configs[i].instances = 4;
+    }
+    std::vector<FleetResult> parallel(configs.size());
+    std::vector<std::function<void()>> tasks;
+    for (std::size_t i = 0; i < configs.size(); ++i)
+        tasks.push_back(
+            [&, i] { parallel[i] = FleetDriver(configs[i]).run(); });
+    SweepRunner(4).runTasks(tasks);
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        const FleetResult serial = FleetDriver(configs[i]).run();
+        EXPECT_EQ(parallel[i].metrics.elapsed, serial.metrics.elapsed)
+            << "config " << i;
+        EXPECT_EQ(parallel[i].generatedTokens, serial.generatedTokens)
+            << "config " << i;
+    }
+    EXPECT_NE(parallel[0].metrics.elapsed, parallel[1].metrics.elapsed)
+        << "gpu and duplex-pe fleets should differ";
 }
 
 TEST(Fleet, ScalingRequiresOpenLoop)
