@@ -18,7 +18,10 @@
  *    draws on the driver loop's critical path);
  *  - prefix cache: acquire+install ops/sec of a PrefixCachePool
  *    under eviction churn (the kvcache probe sits on every
- *    admission and retirement of a cache-enabled run).
+ *    admission and retirement of a cache-enabled run);
+ *  - MoE expert draw: tokens/sec of ExpertSelector::sampleInto for
+ *    the Mixtral (8-expert) and GLaM (64-expert) top-2 gates at a
+ *    decode-sized and a prefill-sized MoE layer.
  */
 
 #include <chrono>
@@ -26,6 +29,7 @@
 
 #include "bench_util.hh"
 #include "kvcache/prefix_cache.hh"
+#include "workload/experts.hh"
 #include "workload/registry.hh"
 
 using namespace duplex;
@@ -180,6 +184,26 @@ probePrefixCache()
     return sink >= 0 && sec > 0.0 ? iters / sec : 0.0;
 }
 
+/** Tokens/sec one uniform top-2 gate draws, @p tokens per call. */
+double
+probeMoeDraw(int experts, std::int64_t tokens)
+{
+    const ExpertSelector selector(experts, 2);
+    Rng rng(7);
+    std::vector<std::int64_t> hist;
+    // Warm up once (histogram allocation).
+    selector.sampleInto(rng, tokens, hist);
+    std::int64_t sink = hist[0];
+    const std::int64_t calls = (std::int64_t{1} << 24) / tokens;
+    const auto t0 = Clock::now();
+    for (std::int64_t i = 0; i < calls; ++i) {
+        selector.sampleInto(rng, tokens, hist);
+        sink += hist[0];
+    }
+    const double sec = secondsSince(t0);
+    return sink >= 0 && sec > 0.0 ? calls * tokens / sec : 0.0;
+}
+
 } // namespace
 
 int
@@ -235,6 +259,21 @@ main()
     std::printf("prefix cache %25.0f acquire+install/s\n",
                 prefix_cache_ops);
 
+    struct MoeDrawProbe
+    {
+        const char *name;
+        double tokensPerSec;
+    };
+    const MoeDrawProbe draw_probes[] = {
+        {"mixtral_256", probeMoeDraw(8, 256)},
+        {"mixtral_4096", probeMoeDraw(8, 4096)},
+        {"glam_256", probeMoeDraw(64, 256)},
+        {"glam_4096", probeMoeDraw(64, 4096)},
+    };
+    for (const MoeDrawProbe &p : draw_probes)
+        std::printf("moe draw %-16s %12.0f tokens/s\n", p.name,
+                    p.tokensPerSec);
+
     const SweepProbe sweeps[] = {
         timeSweep("fig11-throughput", fig11SweepConfigs()),
         timeSweep("fig12-glam-latency", fig12SweepConfigs())};
@@ -275,6 +314,12 @@ main()
     std::fprintf(json,
                  "  \"prefix_cache\": {\"ops_per_sec\": %.3f},\n",
                  prefix_cache_ops);
+    std::fprintf(json, "  \"moe_draw\": {");
+    for (std::size_t i = 0; i < std::size(draw_probes); ++i)
+        std::fprintf(json, "%s\"%s\": %.3f", i ? ", " : "",
+                     draw_probes[i].name,
+                     draw_probes[i].tokensPerSec);
+    std::fprintf(json, "},\n");
     std::fprintf(json, "  \"figure_sweeps\": [");
     for (std::size_t i = 0; i < std::size(sweeps); ++i) {
         const SweepProbe &s = sweeps[i];

@@ -54,10 +54,20 @@ class ExpertSelector
      * Allocation-free sample(): resets and fills @p hist (resized
      * to numExperts). Same draws as sample(), so the two can be
      * mixed without perturbing the stream; the simulators call this
-     * once per MoE layer with a reused scratch histogram.
+     * once per MoE layer with a reused scratch histogram. The
+     * uniform top-2 gate runs a kernel specialised on the expert
+     * count (8 and 64, the paper models' gates).
      */
     void sampleInto(Rng &rng, std::int64_t tokens,
                     std::vector<std::int64_t> &hist) const;
+
+    /**
+     * Per-token reference implementation of sample(), retained to
+     * pin sampleInto's kernels in the equivalence tests (same
+     * histogram, same draws). Not used on any simulation path.
+     */
+    std::vector<std::int64_t> sampleReference(Rng &rng,
+                                              std::int64_t tokens) const;
 
   private:
     int numExperts_;

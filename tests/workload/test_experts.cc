@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <iterator>
 #include <numeric>
 
 #include "workload/experts.hh"
@@ -103,6 +106,97 @@ TEST(ExpertSelector, DeterministicGivenRngState)
     Rng a(21);
     Rng b(21);
     EXPECT_EQ(sel.sample(a, 100), sel.sample(b, 100));
+}
+
+/** Expert counts around the specialised top-2 kernels (8, 64). */
+constexpr int kTop2Experts[] = {2, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65, 128};
+constexpr std::int64_t kTop2Tokens[] = {0, 1, 2, 3, 255, 256, 4097};
+
+TEST(ExpertSelector, Top2KernelsMatchPerTokenReference)
+{
+    for (int n : kTop2Experts) {
+        const ExpertSelector sel(n, 2);
+        for (std::int64_t tokens : kTop2Tokens) {
+            SCOPED_TRACE(::testing::Message()
+                         << "n=" << n << " tokens=" << tokens);
+            Rng fast(1000 + n);
+            Rng ref(1000 + n);
+            std::vector<std::int64_t> hist{-1};
+            sel.sampleInto(fast, tokens, hist);
+            EXPECT_EQ(hist, sel.sampleReference(ref, tokens));
+            EXPECT_EQ(fast.next(), ref.next());
+        }
+    }
+}
+
+TEST(ExpertSelector, Top2KernelsInterleavedOnOneStream)
+{
+    // Layers of different gates drawing from one generator (a
+    // mixed sweep) must leave the stream exactly where the
+    // per-token loop leaves it after every call.
+    Rng fast(77);
+    Rng ref(77);
+    std::vector<std::int64_t> hist;
+    int call = 0;
+    for (int round = 0; round < 3; ++round) {
+        for (int n : kTop2Experts) {
+            const ExpertSelector sel(n, 2);
+            const std::int64_t tokens =
+                kTop2Tokens[call++ % std::size(kTop2Tokens)];
+            SCOPED_TRACE(::testing::Message()
+                         << "call=" << call << " n=" << n);
+            sel.sampleInto(fast, tokens, hist);
+            ASSERT_EQ(hist, sel.sampleReference(ref, tokens));
+        }
+    }
+    EXPECT_EQ(fast.next(), ref.next());
+}
+
+/** The Zipf gate as the linear CDF scan it replaced. */
+std::vector<std::int64_t>
+zipfLinearScan(int n, int top_k, double s, Rng &rng,
+               std::int64_t tokens)
+{
+    std::vector<double> cum(n);
+    double total = 0.0;
+    for (int i = 0; i < n; ++i) {
+        total += 1.0 / std::pow(static_cast<double>(i + 1), s);
+        cum[i] = total;
+    }
+    for (auto &w : cum)
+        w /= total;
+    std::vector<std::int64_t> hist(n, 0);
+    for (std::int64_t t = 0; t < tokens; ++t) {
+        std::vector<int> chosen;
+        while (static_cast<int>(chosen.size()) < top_k) {
+            const double u = rng.uniform();
+            int e = 0;
+            while (e < n - 1 && cum[e] < u)
+                ++e;
+            if (std::find(chosen.begin(), chosen.end(), e) ==
+                chosen.end())
+                chosen.push_back(e);
+        }
+        for (int e : chosen)
+            ++hist[e];
+    }
+    return hist;
+}
+
+TEST(ExpertSelector, ZipfBinarySearchMatchesLinearScan)
+{
+    for (int n : {8, 64}) {
+        for (double s : {0.5, 1.0, 2.0}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "n=" << n << " s=" << s);
+            const ExpertSelector sel(n, 2, GatePolicy::Zipf, s);
+            Rng fast(n);
+            Rng ref(n);
+            EXPECT_EQ(sel.sample(fast, 4096),
+                      zipfLinearScan(n, 2, s, ref, 4096));
+            EXPECT_EQ(fast.next(), ref.next());
+        }
+    }
 }
 
 /** Parameterized: all paper gate configurations stay consistent. */

@@ -58,6 +58,8 @@ def tracked_metrics(perf):
         metrics[f"stage_exec.{name}"] = value
     for name, value in perf.get("workload_gen", {}).items():
         metrics[f"workload_gen.{name}"] = value
+    for name, value in perf.get("moe_draw", {}).items():
+        metrics[f"moe_draw.{name}"] = value
     for sweep in perf.get("figure_sweeps", []):
         key = f"figure_sweeps.{sweep['name']}.stages_per_sec"
         metrics[key] = sweep["stages_per_sec"]
