@@ -479,7 +479,8 @@ main(int argc, char **argv)
     // determinism job runs this path twice and diffs stdout.
     if (fleet_size > 0) {
         FleetConfig fc;
-        fc.sim.systemName = requested.empty() ? "gpu" : requested;
+        if (!requested.empty())
+            fc.sim.systemName = requested;
         fc.sim.model = model;
         fc.sim.workloadName = workload;
         fc.sim.maxBatch = batch;

@@ -1,5 +1,7 @@
 #include "common/argparse.hh"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -94,13 +96,27 @@ ArgParser::getString(const std::string &name) const
 std::int64_t
 ArgParser::getInt(const std::string &name) const
 {
-    return std::strtoll(getString(name).c_str(), nullptr, 10);
+    const std::string v = getString(name);
+    char *end = nullptr;
+    errno = 0;
+    const long long x = std::strtoll(v.c_str(), &end, 10);
+    fatalIf(v.empty() || *end != '\0' || errno == ERANGE,
+            "flag --" + name + ": '" + v +
+                "' is not a 64-bit integer");
+    return x;
 }
 
 double
 ArgParser::getDouble(const std::string &name) const
 {
-    return std::strtod(getString(name).c_str(), nullptr);
+    const std::string v = getString(name);
+    char *end = nullptr;
+    errno = 0;
+    const double x = std::strtod(v.c_str(), &end);
+    fatalIf(v.empty() || *end != '\0' || errno == ERANGE ||
+                !std::isfinite(x),
+            "flag --" + name + ": '" + v + "' is not a finite number");
+    return x;
 }
 
 bool

@@ -34,10 +34,12 @@ class ArgParser
     /** String value of a flag (default if unset). */
     std::string getString(const std::string &name) const;
 
-    /** Integer value of a flag. */
+    /** Integer value of a flag; fatal unless the whole value parses
+     *  and fits. */
     std::int64_t getInt(const std::string &name) const;
 
-    /** Floating-point value of a flag. */
+    /** Floating-point value of a flag; fatal unless the whole value
+     *  parses to a finite number. */
     double getDouble(const std::string &name) const;
 
     /** Boolean value: true/1/yes are true. */

@@ -1,6 +1,7 @@
 #include "fleet/fleet.hh"
 
 #include <algorithm>
+#include <cstdio>
 #include <functional>
 #include <limits>
 
@@ -179,6 +180,21 @@ FleetDriver::FleetDriver(FleetConfig config)
 {
     fatalIf(config_.instances < 1,
             "FleetDriver: need at least one instance");
+    // Without autoscaling the ids are 0..instances-1 for the whole
+    // run, so an event aimed past them could never fire.
+    if (config_.scaling.enabled)
+        return;
+    for (const FaultEvent &e : config_.faults.events) {
+        if (e.domain >= 0 || e.instance < config_.instances)
+            continue;
+        char at[32];
+        std::snprintf(at, sizeof(at), "%g", psToSec(e.at));
+        fatal(std::string("FleetDriver: fault event ") +
+              faultKindName(e.kind) + "@" + at + ":" +
+              std::to_string(e.instance) +
+              " targets an instance the fleet never has (ids 0.." +
+              std::to_string(config_.instances - 1) + ")");
+    }
 }
 
 FleetDriver::~FleetDriver() = default;
@@ -234,8 +250,8 @@ FleetDriver::spawn(PicoSec now)
     // bare engine's seed, the golden-equivalence anchor.
     opts.seed = config_.sim.seed +
                 static_cast<std::uint64_t>(inst->id);
-    inst->system = makeSystem(config_.sim.systemRegistryId(),
-                              config_.sim.model, opts);
+    inst->system =
+        makeSystem(config_.sim.systemName, config_.sim.model, opts);
     inst->observer = std::make_unique<InstanceObserver>(
         *this, observers_, inst->id);
     // Push-fed arrivals: the router delivers requests as their

@@ -69,8 +69,8 @@ SimulationEngine::run()
 {
     SystemOptions opts;
     opts.seed = config_.seed;
-    const std::unique_ptr<ServingSystem> system = makeSystem(
-        config_.systemRegistryId(), config_.model, opts);
+    const std::unique_ptr<ServingSystem> system =
+        makeSystem(config_.systemName, config_.model, opts);
     return run(*system);
 }
 

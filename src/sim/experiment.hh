@@ -1,6 +1,6 @@
 /**
  * @file
- * Experiment configuration shared by the simulator entry points.
+ * Experiment configuration shared by the engine and fleet drivers.
  */
 
 #ifndef DUPLEX_SIM_EXPERIMENT_HH
@@ -23,17 +23,9 @@ struct SimConfig
 {
     /**
      * Registry id of the serving system to build ("gpu",
-     * "duplex-pe-et", ... — see sim/registry.hh). When empty, the
-     * deprecated SystemKind enum below picks the system instead.
+     * "duplex-pe-et", ... — see sim/registry.hh).
      */
-    std::string systemName;
-
-    /** @deprecated Use systemName; kept for the old entry points. */
-    SystemKind system = SystemKind::Gpu;
-
-    /** The registry id the drivers build the system from: systemName,
-     *  or the legacy SystemKind's id when systemName is empty. */
-    std::string systemRegistryId() const;
+    std::string systemName = "gpu";
 
     ModelConfig model;
 

@@ -1,37 +1,55 @@
 #include "sim/presets.hh"
 
-#include <utility>
-
 #include "common/log.hh"
 
 namespace duplex
 {
 
-const char *
-systemName(SystemKind kind)
+namespace
 {
-    switch (kind) {
-      case SystemKind::Gpu:
-        return "GPU";
-      case SystemKind::Gpu2x:
-        return "2xGPU";
-      case SystemKind::Duplex:
-        return "Duplex";
-      case SystemKind::DuplexPE:
-        return "Duplex+PE";
-      case SystemKind::DuplexPEET:
-        return "Duplex+PE+ET";
-      case SystemKind::BankPim:
-        return "Bank-PIM";
-      case SystemKind::BankGroupPim:
-        return "BankGroup-PIM";
-      case SystemKind::Hetero:
-        return "Hetero";
-      case SystemKind::DuplexSplit:
-        return "Duplex-Split";
-      default:
-        return "?";
-    }
+
+const ClusterPreset kClusterPresets[] = {
+    {"gpu", "GPU", "H100-class baseline, 4-8 devices per node",
+     h100DeviceSpec, false, false},
+    {"gpu-2x", "2xGPU", "GPU baseline with twice the devices",
+     h100DeviceSpec, true, false},
+    {"duplex", "Duplex", "Logic-PIM low engine, Op/B-driven selection",
+     [](const HbmTiming &timing, const DramCalibration &cal) {
+         return duplexDeviceSpec(timing, cal, false);
+     },
+     false, false},
+    {"duplex-pe", "Duplex+PE", "Duplex + expert/attention co-processing",
+     [](const HbmTiming &timing, const DramCalibration &cal) {
+         return duplexDeviceSpec(timing, cal, true);
+     },
+     false, false},
+    {"duplex-pe-et", "Duplex+PE+ET",
+     "Duplex + co-processing + tensor-parallel experts",
+     [](const HbmTiming &timing, const DramCalibration &cal) {
+         return duplexDeviceSpec(timing, cal, true);
+     },
+     false, true},
+    {"bank-pim", "Bank-PIM", "hybrid device with a Bank-PIM low engine",
+     [](const HbmTiming &timing, const DramCalibration &cal) {
+         return pimVariantDeviceSpec(PimVariant::BankPim, timing, cal,
+                                     true);
+     },
+     false, true},
+    {"bankgroup-pim", "BankGroup-PIM",
+     "hybrid device with a BankGroup-PIM low engine",
+     [](const HbmTiming &timing, const DramCalibration &cal) {
+         return pimVariantDeviceSpec(PimVariant::BankGroupPim, timing,
+                                     cal, true);
+     },
+     false, true},
+};
+
+} // namespace
+
+std::span<const ClusterPreset>
+clusterPresets()
+{
+    return kClusterPresets;
 }
 
 SystemTopology
@@ -51,71 +69,24 @@ defaultTopology(const ModelConfig &model, bool doubled)
 }
 
 ClusterConfig
-makeClusterConfig(SystemKind kind, const ModelConfig &model,
-                  std::uint64_t seed)
-{
-    const HbmTiming timing = hbm3Timing();
-    const DramCalibration &cal = cachedCalibration();
-
-    ClusterConfig cfg;
-    cfg.model = model;
-    cfg.seed = seed;
-    cfg.topo = defaultTopology(model, kind == SystemKind::Gpu2x);
-    cfg.expertPlacement = ExpertPlacement::ExpertParallel;
-
-    switch (kind) {
-      case SystemKind::Gpu:
-      case SystemKind::Gpu2x:
-        cfg.deviceSpec = h100DeviceSpec(timing, cal);
-        break;
-      case SystemKind::Duplex:
-        cfg.deviceSpec = duplexDeviceSpec(timing, cal, false);
-        break;
-      case SystemKind::DuplexPE:
-        cfg.deviceSpec = duplexDeviceSpec(timing, cal, true);
-        break;
-      case SystemKind::DuplexPEET:
-        cfg.deviceSpec = duplexDeviceSpec(timing, cal, true);
-        if (model.numExperts > 0)
-            cfg.expertPlacement =
-                ExpertPlacement::ExpertTensorParallel;
-        break;
-      case SystemKind::BankPim:
-        cfg.deviceSpec = pimVariantDeviceSpec(PimVariant::BankPim,
-                                              timing, cal, true);
-        if (model.numExperts > 0)
-            cfg.expertPlacement =
-                ExpertPlacement::ExpertTensorParallel;
-        break;
-      case SystemKind::BankGroupPim:
-        cfg.deviceSpec = pimVariantDeviceSpec(
-            PimVariant::BankGroupPim, timing, cal, true);
-        if (model.numExperts > 0)
-            cfg.expertPlacement =
-                ExpertPlacement::ExpertTensorParallel;
-        break;
-      default:
-        fatal("makeClusterConfig: system needs a dedicated builder");
-    }
-    return cfg;
-}
-
-ClusterConfig
 makeClusterConfig(const std::string &system_id,
                   const ModelConfig &model, std::uint64_t seed)
 {
-    static const std::pair<const char *, SystemKind> kIdToKind[] = {
-        {"gpu", SystemKind::Gpu},
-        {"gpu-2x", SystemKind::Gpu2x},
-        {"duplex", SystemKind::Duplex},
-        {"duplex-pe", SystemKind::DuplexPE},
-        {"duplex-pe-et", SystemKind::DuplexPEET},
-        {"bank-pim", SystemKind::BankPim},
-        {"bankgroup-pim", SystemKind::BankGroupPim},
-    };
-    for (const auto &[id, kind] : kIdToKind)
-        if (system_id == id)
-            return makeClusterConfig(kind, model, seed);
+    for (const ClusterPreset &preset : clusterPresets()) {
+        if (system_id != preset.id)
+            continue;
+        ClusterConfig cfg;
+        cfg.model = model;
+        cfg.seed = seed;
+        cfg.topo = defaultTopology(model, preset.doubled);
+        cfg.deviceSpec =
+            preset.deviceSpec(hbm3Timing(), cachedCalibration());
+        cfg.expertPlacement =
+            preset.expertTensorParallel && model.numExperts > 0
+                ? ExpertPlacement::ExpertTensorParallel
+                : ExpertPlacement::ExpertParallel;
+        return cfg;
+    }
     fatal("makeClusterConfig: no homogeneous cluster config for '" +
           system_id + "'");
 }

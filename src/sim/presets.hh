@@ -8,17 +8,17 @@
  * 2xGPU comparison doubles devices by first filling nodes to eight,
  * then adding nodes.
  *
- * To *run* a system, prefer the string-keyed SystemRegistry
- * (sim/registry.hh) over the SystemKind enum: makeSystem("duplex")
- * builds a ready ServingSystem, and new systems register without
- * touching this enum. The builders below remain the config layer
- * the registry factories (and the ablation studies, which tweak
- * individual fields) are written against.
+ * Each homogeneous paper system is one clusterPresets() row; the
+ * SystemRegistry (sim/registry.hh) registers every row, and
+ * makeClusterConfig builds a row's config for callers that tweak
+ * individual fields (gate policy, ablation studies) before building
+ * the Cluster themselves.
  */
 
 #ifndef DUPLEX_SIM_PRESETS_HH
 #define DUPLEX_SIM_PRESETS_HH
 
+#include <span>
 #include <string>
 
 #include "cluster/cluster.hh"
@@ -26,41 +26,29 @@
 namespace duplex
 {
 
-/** Evaluated serving systems. */
-enum class SystemKind
+/** One homogeneous (Cluster-backed) paper system. */
+struct ClusterPreset
 {
-    Gpu,          //!< H100-class baseline
-    Gpu2x,        //!< twice the devices
-    Duplex,       //!< engine selection only (Fig. 10(a)/(b))
-    DuplexPE,     //!< + expert/attention co-processing
-    DuplexPEET,   //!< + tensor-parallel experts
-    BankPim,      //!< hybrid device with Bank-PIM low engine
-    BankGroupPim, //!< hybrid device with BankGroup-PIM low engine
-    Hetero,       //!< 2 GPUs + 2 Logic-PIM devices (Section III-B)
-    DuplexSplit,  //!< Splitwise-style prefill/decode split (Fig. 16)
+    const char *id;      //!< registry id ("duplex-pe-et")
+    const char *display; //!< table name ("Duplex+PE+ET")
+    const char *summary; //!< one line for --list-systems
+    HybridDeviceSpec (*deviceSpec)(const HbmTiming &,
+                                   const DramCalibration &);
+    bool doubled;              //!< twice the devices (2xGPU)
+    bool expertTensorParallel; //!< ET placement for MoE models
 };
 
-/** Name for reporting. */
-const char *systemName(SystemKind kind);
+/** The homogeneous paper systems, in registration order. */
+std::span<const ClusterPreset> clusterPresets();
 
 /** Device count defaults per model. */
 SystemTopology defaultTopology(const ModelConfig &model,
                                bool doubled = false);
 
 /**
- * Cluster configuration for a homogeneous system. Not valid for
- * Hetero / DuplexSplit (those have dedicated builders).
- */
-ClusterConfig makeClusterConfig(SystemKind kind,
-                                const ModelConfig &model,
-                                std::uint64_t seed = 7);
-
-/**
- * Registry-id flavor of makeClusterConfig ("gpu", "duplex-pe-et",
- * ...) for callers that tweak config fields (gate policy, ablation
- * studies) before building the Cluster themselves — everything
- * else should go through makeSystem. Fatal for ids without a
- * homogeneous cluster config (hetero, the split variants).
+ * Cluster configuration of the clusterPresets() row @p system_id
+ * ("gpu", "duplex-pe-et", ...). Fatal for ids without a homogeneous
+ * cluster config (hetero, the split variants).
  */
 ClusterConfig makeClusterConfig(const std::string &system_id,
                                 const ModelConfig &model,

@@ -11,18 +11,6 @@ namespace duplex
 namespace
 {
 
-/** Factory for the homogeneous (Cluster-backed) presets. */
-SystemFactory
-clusterFactory(SystemKind kind)
-{
-    return [kind](const ModelConfig &model,
-                  const SystemOptions &opts) {
-        return std::make_unique<ClusterSystem>(
-            systemName(kind),
-            makeClusterConfig(kind, model, opts.seed));
-    };
-}
-
 /** Factory for the Splitwise-style disaggregated variants. */
 SystemFactory
 splitFactory(std::string display, SplitSpec spec)
@@ -38,45 +26,26 @@ splitFactory(std::string display, SplitSpec spec)
 void
 registerPaperSystems(SystemRegistry &registry)
 {
-    registry.add("gpu", systemName(SystemKind::Gpu),
-                 "H100-class baseline, 4-8 devices per node",
-                 clusterFactory(SystemKind::Gpu));
-    registry.add("gpu-2x", systemName(SystemKind::Gpu2x),
-                 "GPU baseline with twice the devices",
-                 clusterFactory(SystemKind::Gpu2x));
-    registry.add("duplex", systemName(SystemKind::Duplex),
-                 "Logic-PIM low engine, Op/B-driven selection",
-                 clusterFactory(SystemKind::Duplex));
-    registry.add("duplex-pe", systemName(SystemKind::DuplexPE),
-                 "Duplex + expert/attention co-processing",
-                 clusterFactory(SystemKind::DuplexPE));
-    registry.add("duplex-pe-et",
-                 systemName(SystemKind::DuplexPEET),
-                 "Duplex + co-processing + tensor-parallel experts",
-                 clusterFactory(SystemKind::DuplexPEET));
-    registry.add("bank-pim", systemName(SystemKind::BankPim),
-                 "hybrid device with a Bank-PIM low engine",
-                 clusterFactory(SystemKind::BankPim));
-    registry.add("bankgroup-pim",
-                 systemName(SystemKind::BankGroupPim),
-                 "hybrid device with a BankGroup-PIM low engine",
-                 clusterFactory(SystemKind::BankGroupPim));
+    for (const ClusterPreset &preset : clusterPresets()) {
+        registry.add(preset.id, preset.display, preset.summary,
+                     [&preset](const ModelConfig &model,
+                               const SystemOptions &opts) {
+                         return std::make_unique<ClusterSystem>(
+                             preset.display,
+                             makeClusterConfig(preset.id, model,
+                                               opts.seed));
+                     });
+    }
     registry.add(
-        "hetero", systemName(SystemKind::Hetero),
+        "hetero", "Hetero",
         "2 GPUs + 2 Logic-PIM devices over NVLink (Section III-B)",
         [](const ModelConfig &model, const SystemOptions &opts) {
             return std::make_unique<HeteroSystem>(
-                systemName(SystemKind::Hetero),
-                makeHeteroConfig(model, opts.seed));
+                "Hetero", makeHeteroConfig(model, opts.seed));
         });
-    registry.add(
-        "duplex-split", systemName(SystemKind::DuplexSplit),
-        "Splitwise-style prefill/decode split (Fig. 16)",
-        [](const ModelConfig &model, const SystemOptions &opts) {
-            return std::make_unique<SplitSystem>(
-                systemName(SystemKind::DuplexSplit), model,
-                opts.seed);
-        });
+    registry.add("duplex-split", "Duplex-Split",
+                 "Splitwise-style prefill/decode split (Fig. 16)",
+                 splitFactory("Duplex-Split", SplitSpec{}));
     registry.add(
         "duplex-split-contended", "Duplex-Split-C",
         "symmetric split, KV migrations contend FIFO for NVLink",
@@ -195,32 +164,6 @@ registerServingSystem(const std::string &id,
 {
     SystemRegistry::instance().add(id, display, summary,
                                    std::move(factory));
-}
-
-const char *
-systemId(SystemKind kind)
-{
-    switch (kind) {
-      case SystemKind::Gpu:
-        return "gpu";
-      case SystemKind::Gpu2x:
-        return "gpu-2x";
-      case SystemKind::Duplex:
-        return "duplex";
-      case SystemKind::DuplexPE:
-        return "duplex-pe";
-      case SystemKind::DuplexPEET:
-        return "duplex-pe-et";
-      case SystemKind::BankPim:
-        return "bank-pim";
-      case SystemKind::BankGroupPim:
-        return "bankgroup-pim";
-      case SystemKind::Hetero:
-        return "hetero";
-      case SystemKind::DuplexSplit:
-        return "duplex-split";
-    }
-    fatal("systemId: unknown SystemKind");
 }
 
 } // namespace duplex

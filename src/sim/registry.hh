@@ -5,11 +5,10 @@
  * Systems register an id ("duplex-pe"), a display name
  * ("Duplex+PE"), a one-line summary and a factory; callers build
  * instances with makeSystem(id, model, opts) and enumerate
- * everything registered with registeredSystems(). The registry
- * subsumes the old SystemKind enum + makeClusterConfig /
- * makeHeteroConfig special cases: the nine paper systems are
- * pre-registered, and a new system is one registerServingSystem
- * call — no enum edits, no new entry points.
+ * everything registered with registeredSystems(). The nine paper
+ * systems are pre-registered (the homogeneous ones from
+ * clusterPresets()), and a new system is one registerServingSystem
+ * call.
  */
 
 #ifndef DUPLEX_SIM_REGISTRY_HH
@@ -96,9 +95,6 @@ void registerServingSystem(const std::string &id,
                            const std::string &display,
                            const std::string &summary,
                            SystemFactory factory);
-
-/** Registry id of a legacy SystemKind ("duplex-pe-et", ...). */
-const char *systemId(SystemKind kind);
 
 } // namespace duplex
 

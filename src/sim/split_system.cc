@@ -31,7 +31,7 @@ SplitSystem::groupConfig(const ModelConfig &model,
             "split system modeled for single-node configurations");
     fatalIf(devices < 1, "split group needs at least one device");
     ClusterConfig group =
-        makeClusterConfig(SystemKind::DuplexPEET, model, seed);
+        makeClusterConfig("duplex-pe-et", model, seed);
     group.topo.numNodes = 1;
     group.topo.devicesPerNode = devices;
     if (model.numExperts > 0 && model.numExperts % devices != 0) {

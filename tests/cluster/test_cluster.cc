@@ -33,7 +33,7 @@ mixedStage(int batch, std::int64_t ctx, std::int64_t lin)
 
 TEST(Cluster, EmptyStageFree)
 {
-    Cluster c(makeClusterConfig(SystemKind::Gpu, mixtralConfig()));
+    Cluster c(makeClusterConfig("gpu", mixtralConfig()));
     const StageResult r = c.executeStage({});
     EXPECT_EQ(r.time, 0);
     EXPECT_DOUBLE_EQ(r.totalEnergyJ(), 0.0);
@@ -41,7 +41,7 @@ TEST(Cluster, EmptyStageFree)
 
 TEST(Cluster, DecodeStagePositiveEverything)
 {
-    Cluster c(makeClusterConfig(SystemKind::Gpu, mixtralConfig()));
+    Cluster c(makeClusterConfig("gpu", mixtralConfig()));
     const StageResult r = c.executeStage(decodeStage(32, 2048));
     EXPECT_GT(r.time, 0);
     EXPECT_GT(r.slice(LayerClass::Fc).time, 0);
@@ -56,7 +56,7 @@ TEST(Cluster, MoeAndAttentionDominateGpuDecode)
 {
     // The Fig. 4(a) observation: in decoding-only stages on GPUs,
     // MoE + attention take most of the time.
-    Cluster c(makeClusterConfig(SystemKind::Gpu, mixtralConfig()));
+    Cluster c(makeClusterConfig("gpu", mixtralConfig()));
     const StageResult r = c.executeStage(decodeStage(64, 2048));
     const double moe_attn = psToMs(
         r.slice(LayerClass::Moe).time +
@@ -66,9 +66,9 @@ TEST(Cluster, MoeAndAttentionDominateGpuDecode)
 
 TEST(Cluster, MixedStageAddsPrefillWork)
 {
-    Cluster c(makeClusterConfig(SystemKind::Gpu, mixtralConfig()));
+    Cluster c(makeClusterConfig("gpu", mixtralConfig()));
     const StageResult dec = c.executeStage(decodeStage(32, 2048));
-    Cluster c2(makeClusterConfig(SystemKind::Gpu, mixtralConfig()));
+    Cluster c2(makeClusterConfig("gpu", mixtralConfig()));
     const StageResult mix =
         c2.executeStage(mixedStage(32, 2048, 2048));
     EXPECT_GT(mix.time, dec.time);
@@ -77,9 +77,9 @@ TEST(Cluster, MixedStageAddsPrefillWork)
 
 TEST(Cluster, DuplexFasterThanGpuOnDecode)
 {
-    Cluster gpu(makeClusterConfig(SystemKind::Gpu, mixtralConfig()));
+    Cluster gpu(makeClusterConfig("gpu", mixtralConfig()));
     Cluster dup(
-        makeClusterConfig(SystemKind::Duplex, mixtralConfig()));
+        makeClusterConfig("duplex", mixtralConfig()));
     const StageShape s = decodeStage(64, 2048);
     EXPECT_LT(dup.executeStage(s).time, gpu.executeStage(s).time);
 }
@@ -87,9 +87,9 @@ TEST(Cluster, DuplexFasterThanGpuOnDecode)
 TEST(Cluster, CoProcessingHelpsMixedStage)
 {
     Cluster base(
-        makeClusterConfig(SystemKind::Duplex, mixtralConfig()));
+        makeClusterConfig("duplex", mixtralConfig()));
     Cluster pe(
-        makeClusterConfig(SystemKind::DuplexPE, mixtralConfig()));
+        makeClusterConfig("duplex-pe", mixtralConfig()));
     const StageShape s = mixedStage(64, 2048, 2048);
     EXPECT_LE(pe.executeStage(s).time, base.executeStage(s).time);
 }
@@ -97,9 +97,9 @@ TEST(Cluster, CoProcessingHelpsMixedStage)
 TEST(Cluster, EtIncreasesExpertsOnLowEngine)
 {
     Cluster pe(
-        makeClusterConfig(SystemKind::DuplexPE, mixtralConfig()));
+        makeClusterConfig("duplex-pe", mixtralConfig()));
     Cluster et(
-        makeClusterConfig(SystemKind::DuplexPEET, mixtralConfig()));
+        makeClusterConfig("duplex-pe-et", mixtralConfig()));
     const StageShape s = decodeStage(64, 1024);
     pe.executeStage(s);
     et.executeStage(s);
@@ -111,7 +111,7 @@ TEST(Cluster, EtIncreasesExpertsOnLowEngine)
 TEST(Cluster, DeterministicForSameSeed)
 {
     const auto cfg =
-        makeClusterConfig(SystemKind::DuplexPEET, glamConfig(), 42);
+        makeClusterConfig("duplex-pe-et", glamConfig(), 42);
     Cluster a(cfg);
     Cluster b(cfg);
     const StageShape s = decodeStage(64, 1024);
@@ -121,9 +121,9 @@ TEST(Cluster, DeterministicForSameSeed)
 TEST(Cluster, SeedChangesExpertDraw)
 {
     Cluster a(
-        makeClusterConfig(SystemKind::DuplexPEET, glamConfig(), 1));
+        makeClusterConfig("duplex-pe-et", glamConfig(), 1));
     Cluster b(
-        makeClusterConfig(SystemKind::DuplexPEET, glamConfig(), 2));
+        makeClusterConfig("duplex-pe-et", glamConfig(), 2));
     const StageShape s = decodeStage(64, 1024);
     // Different gate draws almost surely differ in time.
     EXPECT_NE(a.executeStage(s).time, b.executeStage(s).time);
@@ -131,11 +131,11 @@ TEST(Cluster, SeedChangesExpertDraw)
 
 TEST(Cluster, KvBudgetFitsModels)
 {
-    for (auto kind : {SystemKind::Gpu, SystemKind::Duplex}) {
-        Cluster c(makeClusterConfig(kind, mixtralConfig()));
+    for (const char *id : {"gpu", "duplex"}) {
+        Cluster c(makeClusterConfig(id, mixtralConfig()));
         EXPECT_GT(c.maxKvTokens(), 100000);
     }
-    Cluster g(makeClusterConfig(SystemKind::Gpu, grok1Config()));
+    Cluster g(makeClusterConfig("gpu", grok1Config()));
     EXPECT_GT(g.maxKvTokens(), 100000);
 }
 
@@ -143,9 +143,9 @@ TEST(Cluster, TimeScalesWithLayers)
 {
     ModelConfig small = mixtralConfig();
     small.numLayers = 8;
-    auto cfg_small = makeClusterConfig(SystemKind::Gpu, small);
+    auto cfg_small = makeClusterConfig("gpu", small);
     auto cfg_full =
-        makeClusterConfig(SystemKind::Gpu, mixtralConfig());
+        makeClusterConfig("gpu", mixtralConfig());
     Cluster a(cfg_small);
     Cluster b(cfg_full);
     const StageShape s = decodeStage(32, 1024);
@@ -160,9 +160,9 @@ TEST(Cluster, EnergySumsAcrossDevices)
 {
     // 2xGPU halves per-device work but doubles device count:
     // total energy stays in the same neighbourhood.
-    Cluster one(makeClusterConfig(SystemKind::Gpu, mixtralConfig()));
+    Cluster one(makeClusterConfig("gpu", mixtralConfig()));
     Cluster two(
-        makeClusterConfig(SystemKind::Gpu2x, mixtralConfig()));
+        makeClusterConfig("gpu-2x", mixtralConfig()));
     const StageShape s = decodeStage(64, 2048);
     const double j1 = one.executeStage(s).totalEnergyJ();
     const double j2 = two.executeStage(s).totalEnergyJ();
@@ -182,7 +182,7 @@ TEST(HeteroCluster, KvCapacityBelowHomogeneous)
 {
     // Fig. 5(c): the hetero system wastes capacity, shrinking the
     // maximum batch.
-    Cluster gpu(makeClusterConfig(SystemKind::Gpu, mixtralConfig()));
+    Cluster gpu(makeClusterConfig("gpu", mixtralConfig()));
     HeteroCluster h(makeHeteroConfig(mixtralConfig()));
     EXPECT_LT(h.maxKvTokens(), gpu.maxKvTokens());
 }
@@ -193,7 +193,7 @@ TEST(HeteroCluster, MixedStageMoeSuffers)
     // compute hurts the hetero system vs Duplex.
     HeteroCluster h(makeHeteroConfig(mixtralConfig()));
     Cluster dup(
-        makeClusterConfig(SystemKind::DuplexPE, mixtralConfig()));
+        makeClusterConfig("duplex-pe", mixtralConfig()));
     const StageShape s = mixedStage(32, 2048, 2048);
     EXPECT_GT(h.executeStage(s).time, dup.executeStage(s).time);
 }

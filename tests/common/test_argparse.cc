@@ -141,5 +141,55 @@ TEST(ArgParser, MultipleFlags)
     EXPECT_EQ(p.getInt("y"), 20);
 }
 
+TEST(ArgParser, NumericValuesMustParseInFull)
+{
+    // Each bad value is one fatal line naming the flag and value.
+    const std::vector<std::pair<std::string, std::string>> bad_ints = {
+        {"12k", "'12k' is not a 64-bit integer"},
+        {"16x", "'16x' is not a 64-bit integer"},
+        {"abc", "'abc' is not a 64-bit integer"},
+        {"", "'' is not a 64-bit integer"},
+        {"99999999999999999999", "'99999999999999999999' is not"},
+        {"1.5", "'1.5' is not a 64-bit integer"}};
+    for (const auto &[value, message] : bad_ints) {
+        SCOPED_TRACE(value);
+        ArgParser p;
+        p.addFlag("requests", "", "8");
+        std::string arg = "--requests=" + value;
+        std::vector<std::string> args{"prog", arg};
+        auto argv = argvOf(args);
+        p.parse(static_cast<int>(argv.size()), argv.data());
+        EXPECT_EXIT(p.getInt("requests"), ::testing::ExitedWithCode(1),
+                    "fatal: flag --requests: " + message);
+    }
+    for (const std::string value :
+         {"nan", "inf", "-inf", "1e999", "1e-999", "4qps", "", "abc"}) {
+        SCOPED_TRACE(value);
+        ArgParser p;
+        p.addFlag("qps", "", "0");
+        std::string arg = "--qps=" + value;
+        std::vector<std::string> args{"prog", arg};
+        auto argv = argvOf(args);
+        p.parse(static_cast<int>(argv.size()), argv.data());
+        EXPECT_EXIT(p.getDouble("qps"), ::testing::ExitedWithCode(1),
+                    "fatal: flag --qps: '" + value +
+                        "' is not a finite number");
+    }
+}
+
+TEST(ArgParser, NumericValuesInRangeParse)
+{
+    ArgParser p;
+    p.addFlag("n", "", "-7");
+    p.addFlag("x", "", "1e-3");
+    p.addFlag("big", "", "9223372036854775807");
+    std::vector<std::string> args{"prog"};
+    auto argv = argvOf(args);
+    p.parse(static_cast<int>(argv.size()), argv.data());
+    EXPECT_EQ(p.getInt("n"), -7);
+    EXPECT_DOUBLE_EQ(p.getDouble("x"), 1e-3);
+    EXPECT_EQ(p.getInt("big"), INT64_MAX);
+}
+
 } // namespace
 } // namespace duplex

@@ -1182,6 +1182,22 @@ TEST(Faults, ParseFaultListNamesTheBadItem)
                 ::testing::ExitedWithCode(1), "flood@3:1");
 }
 
+TEST(Faults, EventPastAFixedFleetIsFatal)
+{
+    // Without autoscaling instance 9 never exists in a fleet of 2,
+    // so the event would be dropped without a word.
+    FleetConfig fc;
+    fc.sim = baseSim();
+    fc.instances = 2;
+    fc.faults.events = parseFaultList("crash@1:0;crash@1:9");
+    EXPECT_EXIT(FleetDriver{fc}, ::testing::ExitedWithCode(1),
+                "fault event crash@1:9 targets an instance the fleet "
+                "never has \\(ids 0\\.\\.1\\)");
+    // Autoscaled ids have no upper bound: the check stays off.
+    fc.scaling.enabled = true;
+    FleetDriver scaled(fc);
+}
+
 TEST(Faults, NegativeRetryBudgetIsFatal)
 {
     EXPECT_EXIT(

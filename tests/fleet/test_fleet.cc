@@ -415,18 +415,15 @@ TEST(Fleet, MoreInstancesRetireEverything)
         EXPECT_EQ(s.routed, 16) << "instance " << s.id;
 }
 
-TEST(Fleet, LegacySystemKindFleetsRunConcurrently)
+TEST(Fleet, FleetsOfDifferentSystemsRunConcurrently)
 {
-    // Fleets that name their system by the legacy SystemKind resolve
-    // the registry id per config, with no shared buffer, so they can
-    // spawn instances on several sweep workers at once and still
-    // match serial runs of the same configs.
+    // Fleets resolve their system id per config, with no shared
+    // buffer, so they can spawn instances on several sweep workers
+    // at once and still match serial runs of the same configs.
     std::vector<FleetConfig> configs(4);
     for (std::size_t i = 0; i < configs.size(); ++i) {
         configs[i].sim = baseSim();
-        configs[i].sim.systemName.clear();
-        configs[i].sim.system =
-            i % 2 ? SystemKind::DuplexPE : SystemKind::Gpu;
+        configs[i].sim.systemName = i % 2 ? "duplex-pe" : "gpu";
         configs[i].sim.numRequests = 8;
         configs[i].instances = 4;
     }

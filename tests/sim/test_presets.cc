@@ -8,7 +8,7 @@
 
 #include <set>
 
-#include "sim/presets.hh"
+#include "sim/registry.hh"
 
 namespace duplex
 {
@@ -55,7 +55,7 @@ TEST(Presets, DoublingFillsNodesFirst)
 TEST(Presets, GpuHasNoLowEngine)
 {
     const auto cfg =
-        makeClusterConfig(SystemKind::Gpu, mixtralConfig());
+        makeClusterConfig("gpu", mixtralConfig());
     EXPECT_FALSE(cfg.deviceSpec.hasLowEngine);
     EXPECT_FALSE(cfg.deviceSpec.coProcessing);
 }
@@ -63,19 +63,19 @@ TEST(Presets, GpuHasNoLowEngine)
 TEST(Presets, DuplexVariantsWiring)
 {
     const auto base =
-        makeClusterConfig(SystemKind::Duplex, mixtralConfig());
+        makeClusterConfig("duplex", mixtralConfig());
     EXPECT_TRUE(base.deviceSpec.hasLowEngine);
     EXPECT_FALSE(base.deviceSpec.coProcessing);
     EXPECT_EQ(base.expertPlacement,
               ExpertPlacement::ExpertParallel);
 
     const auto pe =
-        makeClusterConfig(SystemKind::DuplexPE, mixtralConfig());
+        makeClusterConfig("duplex-pe", mixtralConfig());
     EXPECT_TRUE(pe.deviceSpec.coProcessing);
     EXPECT_EQ(pe.expertPlacement, ExpertPlacement::ExpertParallel);
 
     const auto et =
-        makeClusterConfig(SystemKind::DuplexPEET, mixtralConfig());
+        makeClusterConfig("duplex-pe-et", mixtralConfig());
     EXPECT_TRUE(et.deviceSpec.coProcessing);
     EXPECT_EQ(et.expertPlacement,
               ExpertPlacement::ExpertTensorParallel);
@@ -86,7 +86,7 @@ TEST(Presets, EtOnDenseModelStaysExpertParallel)
     // ET is meaningless without experts; the preset must not
     // request an expert placement the sharding layer would reject.
     const auto cfg =
-        makeClusterConfig(SystemKind::DuplexPEET, llama3Config());
+        makeClusterConfig("duplex-pe-et", llama3Config());
     EXPECT_EQ(cfg.expertPlacement,
               ExpertPlacement::ExpertParallel);
 }
@@ -94,7 +94,7 @@ TEST(Presets, EtOnDenseModelStaysExpertParallel)
 TEST(Presets, BankPimUsesBankPath)
 {
     const auto cfg =
-        makeClusterConfig(SystemKind::BankPim, mixtralConfig());
+        makeClusterConfig("bank-pim", mixtralConfig());
     EXPECT_TRUE(cfg.deviceSpec.hasLowEngine);
     EXPECT_EQ(cfg.deviceSpec.lowPath, DramPath::BankLocal);
     EXPECT_EQ(cfg.deviceSpec.lowCls, ComputeClass::BankPim);
@@ -102,7 +102,7 @@ TEST(Presets, BankPimUsesBankPath)
 
 TEST(Presets, BankGroupPimUsesBankGroupPath)
 {
-    const auto cfg = makeClusterConfig(SystemKind::BankGroupPim,
+    const auto cfg = makeClusterConfig("bankgroup-pim",
                                        mixtralConfig());
     EXPECT_EQ(cfg.deviceSpec.lowPath, DramPath::BankGroup);
 }
@@ -119,24 +119,53 @@ TEST(Presets, HeteroConfigShape)
 
 TEST(Presets, SystemNamesDistinct)
 {
-    const std::vector<SystemKind> kinds = {
-        SystemKind::Gpu,      SystemKind::Gpu2x,
-        SystemKind::Duplex,   SystemKind::DuplexPE,
-        SystemKind::DuplexPEET, SystemKind::BankPim,
-        SystemKind::BankGroupPim, SystemKind::Hetero,
-        SystemKind::DuplexSplit};
-    std::set<std::string> names;
-    for (auto k : kinds)
-        names.insert(systemName(k));
-    EXPECT_EQ(names.size(), kinds.size());
+    std::set<std::string> ids, names;
+    for (const ClusterPreset &preset : clusterPresets()) {
+        ids.insert(preset.id);
+        names.insert(preset.display);
+    }
+    EXPECT_EQ(ids.size(), clusterPresets().size());
+    EXPECT_EQ(names.size(), clusterPresets().size());
+}
+
+TEST(Presets, EveryClusterPresetMatchesItsRegisteredSystem)
+{
+    // The registry's factory and a hand-built ClusterSystem over the
+    // same row must price a mixed stage identically.
+    StageShape mixed;
+    for (int i = 0; i < 12; ++i)
+        mixed.decodeContexts.push_back(300 + 40 * i);
+    mixed.prefillLengths = {512, 96};
+    for (const ClusterPreset &preset : clusterPresets()) {
+        for (const ModelConfig &model :
+             {mixtralConfig(), glamConfig(), grok1Config(),
+              llama3Config()}) {
+            SCOPED_TRACE(std::string(preset.id) + " / " + model.name);
+            const StageResult registered =
+                makeSystem(preset.id, model)->executeStage(mixed);
+            ClusterSystem direct(preset.display,
+                                 makeClusterConfig(preset.id, model));
+            const StageResult built = direct.executeStage(mixed);
+            EXPECT_GT(registered.time, 0);
+            EXPECT_EQ(registered.time, built.time);
+            EXPECT_EQ(registered.totalEnergyJ(), built.totalEnergyJ());
+        }
+    }
+}
+
+TEST(Presets, ClusterConfigIsFatalWithoutAPreset)
+{
+    for (const char *id : {"hetero", "duplex-split", "no-such-system"})
+        EXPECT_EXIT(makeClusterConfig(id, mixtralConfig()),
+                    ::testing::ExitedWithCode(1),
+                    "no homogeneous cluster config for '" +
+                        std::string(id) + "'");
 }
 
 TEST(Presets, DeviceMemoryMatchesH100)
 {
-    for (auto kind : {SystemKind::Gpu, SystemKind::Duplex,
-                      SystemKind::BankPim}) {
-        const auto cfg =
-            makeClusterConfig(kind, mixtralConfig());
+    for (const char *id : {"gpu", "duplex", "bank-pim"}) {
+        const auto cfg = makeClusterConfig(id, mixtralConfig());
         EXPECT_EQ(cfg.deviceSpec.memCapacity, 80ull * kGiB);
     }
 }

@@ -1,8 +1,8 @@
 /**
  * @file
  * System-registry tests: every registered system builds and honors
- * the ServingSystem contract, legacy SystemKind values map onto
- * registered ids, and user systems can be added at runtime.
+ * the ServingSystem contract, the paper systems keep their ids and
+ * display names, and user systems can be added at runtime.
  */
 
 #include <gtest/gtest.h>
@@ -86,18 +86,30 @@ TEST(Registry, SeedReachesTheSystem)
     EXPECT_NE(a->executeStage(s).time, b->executeStage(s).time);
 }
 
-TEST(Registry, LegacyKindsMapOntoRegisteredIds)
+TEST(Registry, PaperSystemsKeepIdsAndDisplayNames)
 {
-    for (SystemKind kind :
-         {SystemKind::Gpu, SystemKind::Gpu2x, SystemKind::Duplex,
-          SystemKind::DuplexPE, SystemKind::DuplexPEET,
-          SystemKind::BankPim, SystemKind::BankGroupPim,
-          SystemKind::Hetero, SystemKind::DuplexSplit}) {
-        const std::string id = systemId(kind);
-        EXPECT_TRUE(SystemRegistry::instance().contains(id));
-        EXPECT_EQ(SystemRegistry::instance().displayName(id),
-                  systemName(kind));
+    // The bench tables print these display names; --list-systems
+    // prints the ids in this (sorted) order.
+    const std::vector<std::pair<std::string, std::string>> expected =
+        {{"bank-pim", "Bank-PIM"},
+         {"bankgroup-pim", "BankGroup-PIM"},
+         {"duplex", "Duplex"},
+         {"duplex-pe", "Duplex+PE"},
+         {"duplex-pe-et", "Duplex+PE+ET"},
+         {"duplex-split", "Duplex-Split"},
+         {"gpu", "GPU"},
+         {"gpu-2x", "2xGPU"},
+         {"hetero", "Hetero"}};
+    std::vector<std::pair<std::string, std::string>> listed;
+    const SystemRegistry &registry = SystemRegistry::instance();
+    for (const std::string &id : registry.ids()) {
+        const bool paper = std::any_of(
+            expected.begin(), expected.end(),
+            [&](const auto &e) { return e.first == id; });
+        if (paper)
+            listed.emplace_back(id, registry.displayName(id));
     }
+    EXPECT_EQ(listed, expected);
 }
 
 TEST(Registry, UnknownSystemIsFatal)
@@ -119,8 +131,7 @@ TEST(Registry, UserSystemsPlugIn)
                const SystemOptions &opts) {
                 return std::make_unique<ClusterSystem>(
                     "TestCustom",
-                    makeClusterConfig(SystemKind::Gpu, model,
-                                      opts.seed));
+                    makeClusterConfig("gpu", model, opts.seed));
             });
     }
     SimConfig c;
@@ -146,9 +157,8 @@ TEST(Registry, DuplicateRegistrationIsFatal)
                 [](const ModelConfig &model,
                    const SystemOptions &opts) {
                     return std::make_unique<ClusterSystem>(
-                        "GPU", makeClusterConfig(SystemKind::Gpu,
-                                                 model,
-                                                 opts.seed));
+                        "GPU",
+                        makeClusterConfig("gpu", model, opts.seed));
                 });
         },
         ::testing::ExitedWithCode(1), "duplicate system id");
