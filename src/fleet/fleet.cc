@@ -252,6 +252,10 @@ FleetDriver::spawn(PicoSec now)
                 static_cast<std::uint64_t>(inst->id);
     inst->system =
         makeSystem(config_.sim.systemName, config_.sim.model, opts);
+    fatalIf(inst->system->hasCustomLoop(),
+            "FleetDriver: system '" + config_.sim.systemName +
+                "' runs its own driver loop, which a fleet "
+                "instance cannot step");
     inst->observer = std::make_unique<InstanceObserver>(
         *this, observers_, inst->id);
     // Push-fed arrivals: the router delivers requests as their

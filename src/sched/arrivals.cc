@@ -88,11 +88,20 @@ ArrivalQueue::pop(PicoSec now)
 {
     refill();
     panicIf(pending_.empty(), "ArrivalQueue::pop on empty queue");
-    Request r = pending_.front();
+    Request r = std::move(pending_.front());
     pending_.pop_front();
     if (closedLoop_)
         r.arrival = now;
     return r;
+}
+
+void
+ArrivalQueue::popArrived(PicoSec now, std::deque<Request> &out)
+{
+    if (closedLoop_)
+        return;
+    while (hasAdmissible(now))
+        out.push_back(pop(now));
 }
 
 PicoSec

@@ -111,6 +111,15 @@ class ArrivalQueue
     Request pop(PicoSec now);
 
     /**
+     * Open loop: move every request whose arrival has passed at
+     * @p now into @p out (appending, in arrival order). Closed
+     * loop: no-op — pop() stamps a closed-loop draw's arrival at
+     * admission, so materializing it early would fork the
+     * timestamps.
+     */
+    void popArrived(PicoSec now, std::deque<Request> &out);
+
+    /**
      * Earliest arrival among pending requests (open loop); used to
      * advance an idle clock across arrival gaps. -1 when empty.
      */

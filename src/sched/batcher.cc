@@ -10,18 +10,8 @@ namespace duplex
 {
 
 ContinuousBatcher::ContinuousBatcher(const BatcherConfig &config,
-                                     std::vector<Request> requests,
-                                     SchedulingPolicy *policy)
-    : ContinuousBatcher(
-          config,
-          ArrivalQueue(std::move(requests), config.closedLoop),
-          policy)
-{
-}
-
-ContinuousBatcher::ContinuousBatcher(const BatcherConfig &config,
                                      ArrivalQueue arrivals,
-                                     SchedulingPolicy *policy,
+                                     SchedulingPolicy &policy,
                                      PrefixCachePool *pool)
     : config_(config), arrivals_(std::move(arrivals)),
       policy_(policy),
@@ -118,52 +108,7 @@ ContinuousBatcher::formStage(PicoSec now)
         }
     }
 
-    // Admit new requests while a slot and KV room exist. The KV
-    // headroom base is the incrementally maintained lifetime sum,
-    // so forming a stage costs O(admissions), not O(batch).
-    std::int64_t kv = activeLifetimeKv_;
-    if (policy_ == nullptr) {
-        // FCFS fast path — the seed's admission loop, preserved
-        // bit-for-bit when chunking is off (prefillSpan is then the
-        // whole prompt).
-        while (arrivals_.hasAdmissible(now) &&
-               static_cast<int>(stage.prefillLengths.size()) <
-                   config_.maxPrefillsPerStage &&
-               active_.size() <
-                   static_cast<std::size_t>(config_.maxBatch)) {
-            const Request &cand = arrivals_.front();
-            // Budget the candidate's full KV lifetime (prompt plus
-            // the tokens it will generate) against the active set's
-            // lifetime sum. Within one stage, earlier admissions
-            // contribute only their prompt to `kv` — the seed's
-            // admission rule, preserved bit-for-bit (a multi-admit
-            // stage can therefore still overshoot the cap late in
-            // generation, exactly as the original walk allowed).
-            const std::int64_t need =
-                kv + cand.inputLen + cand.outputLen +
-                static_cast<std::int64_t>(active_.size()) + 1;
-            if (need > kvCapacity()) {
-                // Live work wins over cache residency: ask the
-                // pool to give headroom back before giving up.
-                if (pool_ != nullptr)
-                    pool_->reclaim(need - kvCapacity());
-                if (need > kvCapacity())
-                    break;
-            }
-            Request admitted = arrivals_.pop(now);
-            applyPrefixCache(admitted);
-            kv += admitted.inputLen;
-            activeLifetimeKv_ +=
-                admitted.inputLen + admitted.outputLen;
-            ++admissions_;
-            const std::int64_t span = prefillSpan(admitted);
-            stage.prefillLengths.push_back(span);
-            stage.agg.addPrefill(span);
-            active_.push_back(std::move(admitted));
-        }
-    } else {
-        admitWithPolicy(now, stage, kv);
-    }
+    admit(now, stage);
 
     if (config_.exactStageView) {
         // Opt-in slow path: per-context values for consumers that
@@ -187,89 +132,77 @@ ContinuousBatcher::formStage(PicoSec now)
 }
 
 void
-ContinuousBatcher::admitWithPolicy(PicoSec now, StageShape &stage,
-                                   std::int64_t &kv)
+ContinuousBatcher::admit(PicoSec now, StageShape &stage)
 {
-    // Open loop: materialize every due arrival into the ready pool
-    // so the policy can reorder among them. Closed-loop draws stay
-    // in the arrival queue — pop() stamps their arrival at
-    // admission time, so materializing early would fork the
-    // timestamps — and are offered FIFO after any requeued work.
-    if (!arrivals_.closedLoop())
-        while (arrivals_.hasAdmissible(now))
-            ready_.push_back(arrivals_.pop(now));
+    // Due open-loop arrivals join the ready pool so the policy can
+    // reorder among them; closed-loop draws stay in the arrival
+    // queue and are offered FIFO after any requeued work.
+    arrivals_.popArrived(now, ready_);
 
-    std::vector<const Request *> &queue_view = queueViewScratch_;
+    // KV headroom starts from the incrementally maintained lifetime
+    // sum, so forming a stage costs O(admissions), not O(batch).
+    // Within one stage, earlier admissions add only their prompt,
+    // so a multi-admit stage can still overshoot the cap late in
+    // generation.
+    std::int64_t kv = activeLifetimeKv_;
     for (;;) {
+        // Every policy call of one attempt sees the same state.
+        const SchedSnapshot snap = snapshot(now, stage);
         if (static_cast<int>(stage.prefillLengths.size()) >=
-            policy_->prefillBudget(snapshot(now, stage)))
+            policy_.prefillBudget(snap))
             break;
-
         const bool from_ready = !ready_.empty();
-        const Request *cand = nullptr;
         std::size_t pick = 0;
+        const Request *cand = nullptr;
         if (from_ready) {
-            queue_view.clear();
-            for (const Request &r : ready_)
-                queue_view.push_back(&r);
-            const int choice = policy_->nextAdmission(
-                queue_view, snapshot(now, stage));
+            const int choice = policy_.nextAdmission(ready_, snap);
             if (choice < 0)
                 break;
-            panicIf(choice >=
-                        static_cast<int>(queue_view.size()),
+            panicIf(static_cast<std::size_t>(choice) >= ready_.size(),
                     "SchedulingPolicy::nextAdmission index out of "
                     "range");
             pick = static_cast<std::size_t>(choice);
-            cand = queue_view[pick];
+            cand = &ready_[pick];
         } else if (arrivals_.hasAdmissible(now)) {
             cand = &arrivals_.front();
         } else {
             break;
         }
 
-        // The seed's admission formula: full-lifetime KV plus one
-        // slack slot per batch member.
-        auto fits = [&] {
-            const std::int64_t need =
-                kv + cand->inputLen + cand->outputLen +
-                static_cast<std::int64_t>(active_.size()) + 1;
-            return active_.size() <
-                       static_cast<std::size_t>(config_.maxBatch) &&
-                   need <= kvCapacity();
+        // The admission formula: the candidate's full KV
+        // lifetime (prompt plus the tokens it will generate) plus
+        // one slack slot per batch member.
+        auto need = [&] {
+            return kv + cand->inputLen + cand->outputLen +
+                   static_cast<std::int64_t>(active_.size()) + 1;
         };
-        if (pool_ != nullptr && !fits()) {
-            // Live work wins: reclaim cache residency before the
-            // policy considers preempting real decodes.
-            const std::int64_t need =
-                kv + cand->inputLen + cand->outputLen +
-                static_cast<std::int64_t>(active_.size()) + 1;
-            if (need > kvCapacity())
-                pool_->reclaim(need - kvCapacity());
-        }
-        if (!fits()) {
-            const std::int64_t need =
-                kv + cand->inputLen + cand->outputLen +
-                static_cast<std::int64_t>(active_.size()) + 1;
-            const std::int64_t need_kv = std::max<std::int64_t>(
-                0, need - kvCapacity());
-            const int need_slots =
-                active_.size() >=
-                        static_cast<std::size_t>(config_.maxBatch)
-                    ? 1
-                    : 0;
-            std::vector<const Request *> &active_view =
-                activeViewScratch_;
-            active_view.clear();
-            for (const Request &r : active_)
-                active_view.push_back(&r);
+        auto slotFree = [&] {
+            return active_.size() <
+                   static_cast<std::size_t>(config_.maxBatch);
+        };
+        // Live work wins over cache residency, but the cache gives
+        // way only to an admission it unblocks.
+        auto reclaim = [&] {
+            if (pool_ != nullptr && need() > kvCapacity())
+                pool_->reclaim(need() - kvCapacity());
+        };
+        if (slotFree())
+            reclaim();
+        if (!slotFree() || need() > kvCapacity()) {
+            // The KV shortfall is sized against the capacity a full
+            // reclaim would leave, so victims are chosen as if the
+            // cache were already gone; the cache goes only once a
+            // policy commits to preempting.
             std::vector<std::size_t> &victims = victimScratch_;
             victims.clear();
-            policy_->selectVictims(*cand, active_view, need_kv,
-                                   need_slots,
-                                   snapshot(now, stage), victims);
+            policy_.selectVictims(
+                *cand, active_,
+                std::max<std::int64_t>(0,
+                                       need() - config_.maxKvTokens),
+                slotFree() ? 0 : 1, snap, victims);
             if (victims.empty())
                 break;
+            reclaim();
             // Evict highest index first so the remaining indices
             // stay valid; duplicates would double-evict.
             std::sort(victims.begin(), victims.end(),
@@ -286,14 +219,13 @@ ContinuousBatcher::admitWithPolicy(PicoSec now, StageShape &stage,
                       active_[idx].outputLen;
                 preemptActive(idx);
             }
-            if (!fits())
+            if (!slotFree() || need() > kvCapacity())
                 break; // the evictions still do not make room
         }
 
         Request admitted;
         if (from_ready) {
-            admitted = std::move(
-                ready_[static_cast<std::ptrdiff_t>(pick)]);
+            admitted = std::move(ready_[pick]);
             ready_.erase(ready_.begin() +
                          static_cast<std::ptrdiff_t>(pick));
         } else {
@@ -403,7 +335,7 @@ void
 ContinuousBatcher::evictAll(std::vector<Request> &out)
 {
     panicIf(stageOpen_, "evictAll with a stage in flight");
-    // The ready pool holds the earliest arrivals (policy runs drain
+    // The ready pool holds the earliest arrivals (admission drains
     // due requests there), so it drains first to keep the
     // queued-in-arrival-order contract.
     for (auto &r : ready_)

@@ -44,21 +44,13 @@ struct BatcherConfig
         std::numeric_limits<std::int64_t>::max();
 
     /**
-     * Closed loop (paper default): a finished request is replaced
-     * immediately; arrivals in the request stream are ignored.
-     * Open loop: requests are admitted only after their Poisson
-     * arrival time (Fig. 13).
-     */
-    bool closedLoop = true;
-
-    /**
      * Opt-in exact stage view: fill StageShape.decodeContexts with
      * the per-sequence context lengths each stage (an O(batch)
      * walk). The default publishes only the O(1) StageAggregates —
-     * sufficient (and bit-identical) for every single-node cost
-     * path since PR 2. Systems whose executeStage truly consumes
-     * per-context values (multi-node nodeShare striping) request
-     * the walk via ServingSystem::needsExactStageView.
+     * sufficient for every single-node cost path. Systems whose
+     * executeStage truly consumes per-context values (multi-node
+     * nodeShare striping) request the walk via
+     * ServingSystem::needsExactStageView.
      */
     bool exactStageView = false;
 
@@ -69,8 +61,7 @@ struct BatcherConfig
      * worst-token-gap metric this bounds is exactly what the SLO
      * attainment observers judge. A request produces its first
      * token only in the stage that finishes its prompt. 0 (the
-     * default) runs whole prompts in one stage, bit-identical to
-     * the pre-chunking batcher.
+     * default) runs whole prompts in one stage.
      */
     std::int64_t prefillChunkTokens = 0;
 };
@@ -81,25 +72,13 @@ class ContinuousBatcher
   public:
     /**
      * @param config    Admission limits.
-     * @param requests  The request stream (pre-generated); gated
-     *                  per config.closedLoop.
-     * @param policy    Optional scheduling policy (sched/policy.hh;
-     *                  borrowed, must outlive the batcher). nullptr
-     *                  runs the built-in FCFS fast path —
-     *                  bit-identical to the pre-policy batcher, and
-     *                  to installing the registered "fcfs" policy.
-     */
-    ContinuousBatcher(const BatcherConfig &config,
-                      std::vector<Request> requests,
-                      SchedulingPolicy *policy = nullptr);
-
-    /**
-     * @param config    Admission limits (closedLoop ignored — the
-     *                  queue carries the discipline).
-     * @param arrivals  The shared arrival stream; build it with
+     * @param arrivals  The request stream and its closed/open-loop
+     *                  discipline; build it with
      *                  ArrivalQueue(workload, numRequests) so every
      *                  driver loop sees the identical contract.
-     * @param policy    As above.
+     * @param policy    The scheduling policy admission runs
+     *                  (sched/policy.hh; borrowed, must outlive the
+     *                  batcher) — "fcfs" for the paper's rule.
      * @param pool      Optional KV prefix cache (src/kvcache/;
      *                  borrowed, must outlive the batcher). nullptr
      *                  — or a disabled pool — leaves every
@@ -109,12 +88,15 @@ class ContinuousBatcher
      *                  cached length so only the suffix runs),
      *                  retirement installs the session's context,
      *                  and the pool's residentTokens() shrink the
-     *                  KV admission headroom — reclaimed
-     *                  live-work-first when admission would block.
+     *                  KV admission headroom. Live work wins:
+     *                  with a batch slot free the cache is
+     *                  reclaimed before the fit check; on a full
+     *                  batch, only once the policy names decode
+     *                  victims.
      */
     ContinuousBatcher(const BatcherConfig &config,
                       ArrivalQueue arrivals,
-                      SchedulingPolicy *policy = nullptr,
+                      SchedulingPolicy &policy,
                       PrefixCachePool *pool = nullptr);
 
     /** True when every request has finished. */
@@ -261,22 +243,17 @@ class ContinuousBatcher
     BatcherConfig config_;
     ArrivalQueue arrivals_; //!< shared closed/open-loop gating
 
-    /**
-     * Borrowed scheduling policy; nullptr is the FCFS fast path
-     * (the exact pre-policy admission loop, no ready_ pool).
-     */
-    SchedulingPolicy *policy_ = nullptr;
+    SchedulingPolicy &policy_; //!< borrowed
 
     /** Borrowed KV prefix cache; nullptr/disabled = no cache. */
     PrefixCachePool *pool_ = nullptr;
 
     /**
-     * Arrived-but-unadmitted requests the policy path reorders
-     * over: open-loop arrivals are drained here once due (closed
-     * loop draws stay queued — ArrivalQueue::pop stamps their
-     * arrival at admission, so materializing early would fork the
-     * timestamps), and preempted victims re-queue here. Always
-     * empty on the FCFS fast path.
+     * Arrived-but-unadmitted requests the policy reorders over:
+     * open-loop arrivals are drained here once due (closed loop
+     * draws stay queued — ArrivalQueue::pop stamps their arrival
+     * at admission, so materializing early would fork the
+     * timestamps), and preempted victims re-queue here.
      */
     std::deque<Request> ready_;
 
@@ -284,16 +261,13 @@ class ContinuousBatcher
     bool stageOpen_ = false;
     std::vector<Request> finished_;
     std::vector<Request> stillActiveScratch_; //!< completeStage reuse
-    std::vector<const Request *> queueViewScratch_;
-    std::vector<const Request *> activeViewScratch_;
     std::vector<std::size_t> victimScratch_;
     StageAggregates decodeAgg_; //!< active decode sequences
 
     /**
      * Incrementally maintained sum over active_ of
      * (inputLen + outputLen) — each request's full-lifetime KV
-     * budget. Replaces the former per-stage activeKvTokens() walk:
-     * admission adds the budget, retirement subtracts it, so
+     * budget: admission adds it, retirement subtracts it, so
      * formStage's KV headroom check is O(1).
      */
     std::int64_t activeLifetimeKv_ = 0;
@@ -314,9 +288,8 @@ class ContinuousBatcher
     /** Probe the prefix cache for a just-popped admission. */
     void applyPrefixCache(Request &r);
 
-    /** Policy-driven admission (formStage's non-FCFS arm). */
-    void admitWithPolicy(PicoSec now, StageShape &stage,
-                         std::int64_t &kv);
+    /** formStage's admission loop, driven by policy_. */
+    void admit(PicoSec now, StageShape &stage);
 
     /** Evict one active decode back into ready_ (preemption). */
     void preemptActive(std::size_t index);

@@ -17,8 +17,8 @@
  *    re-queue from prefill — the same lifecycle reset the fleet's
  *    crash-retry path applies (fleet/fleet.cc scheduleRetry).
  *
- * Policies see only read-only snapshots of the batcher's queue and
- * active set and must be pure functions of them: no RNG, no wall
+ * Policies read the batcher's queue and active set in place,
+ * read-only, and must be pure functions of them: no RNG, no wall
  * clock, no hidden mutable state beyond their own deterministic
  * counters. That purity is what lets every policy double-run
  * byte-identical in the CI determinism job, exactly like routing
@@ -36,6 +36,7 @@
 #define DUPLEX_SCHED_POLICY_HH
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -65,7 +66,7 @@ struct SchedSnapshot
     /** Requests currently in the batch (decode + admitted). */
     std::size_t activeCount = 0;
 
-    /** Arrived requests waiting for admission (the queue view
+    /** Arrived requests waiting for admission (the queue
      *  nextAdmission() indexes into). */
     std::size_t queuedCount = 0;
 
@@ -76,7 +77,7 @@ struct SchedSnapshot
 
 /**
  * Admission ordering/gating plus optional decode preemption.
- * Decisions must be deterministic in (snapshot, views, own past
+ * Decisions must be deterministic in (snapshot, queue, batch, own past
  * decisions) — the no-RNG contract above.
  */
 class SchedulingPolicy
@@ -98,9 +99,8 @@ class SchedulingPolicy
      * limits to the pick; a pick that does not fit triggers
      * selectVictims() and, failing that, ends admission.
      */
-    virtual int
-    nextAdmission(const std::vector<const Request *> &queue,
-                  const SchedSnapshot &snap) = 0;
+    virtual int nextAdmission(const std::deque<Request> &queue,
+                              const SchedSnapshot &snap) = 0;
 
     /**
      * Prefill entries (continuing chunks + new admissions) one
@@ -124,7 +124,7 @@ class SchedulingPolicy
      */
     virtual void
     selectVictims(const Request &cand,
-                  const std::vector<const Request *> &active,
+                  const std::vector<Request> &active,
                   std::int64_t need_kv, int need_slots,
                   const SchedSnapshot &snap,
                   std::vector<std::size_t> &victims)

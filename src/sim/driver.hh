@@ -182,9 +182,8 @@ class DriverLoop
 
     /**
      * The scheduling policy config_.schedPolicy names, built from
-     * the SchedulingPolicyRegistry; null for "fcfs" (the default),
-     * which runs the batcher's policy-free fast path. Declared
-     * before batcher_ — the batcher borrows the raw pointer.
+     * the SchedulingPolicyRegistry. Declared before batcher_ — the
+     * batcher borrows it.
      */
     std::unique_ptr<SchedulingPolicy> policy_;
 

@@ -76,19 +76,10 @@ struct SimConfig
     /**
      * Registry id of the batcher scheduling policy ("fcfs",
      * "ttft-protect", "priority", ... — see sched/policy.hh).
-     * Empty runs "fcfs", which takes the batcher's policy-free
-     * fast path — bit-identical to the pre-policy simulator.
      * Continuous-batching driver loops only; the split system's
      * custom loop ignores it.
      */
-    std::string schedPolicy;
-
-    /** The scheduling-policy id the driver loops should build. */
-    const std::string &schedPolicyOrDefault() const
-    {
-        static const std::string kDefault = "fcfs";
-        return schedPolicy.empty() ? kDefault : schedPolicy;
-    }
+    std::string schedPolicy = "fcfs";
 
     /**
      * Chunked prefill: max prompt tokens one request runs per

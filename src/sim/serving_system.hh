@@ -73,6 +73,13 @@ class ServingSystem
         (void)observer;
         return std::nullopt;
     }
+
+    /**
+     * True when runCustomLoop replaces the engine's loop. A fleet
+     * steps each instance through the engine's loop, so it refuses
+     * such a system rather than silently dropping its lifecycle.
+     */
+    virtual bool hasCustomLoop() const { return false; }
 };
 
 /** Homogeneous cluster behind the ServingSystem interface. */

@@ -76,6 +76,7 @@ class SplitSystem : public ServingSystem
     std::optional<SimResult>
     runCustomLoop(const SimConfig &config,
                   SimObserver &observer) override;
+    bool hasCustomLoop() const override { return true; }
 
     const SplitSpec &spec() const { return spec_; }
     int prefillDevices() const;

@@ -456,5 +456,22 @@ TEST(Fleet, ScalingRequiresOpenLoop)
         ::testing::ExitedWithCode(1), "open-loop");
 }
 
+TEST(Fleet, CustomLoopSystemIsFatal)
+{
+    // The split system's lifecycle lives in its own runCustomLoop;
+    // a fleet of DriverLoops would silently skip it.
+    EXPECT_EXIT(
+        {
+            FleetConfig fc;
+            fc.sim = baseSim();
+            fc.sim.systemName = "duplex-split";
+            fc.instances = 2;
+            FleetDriver(fc).run();
+        },
+        ::testing::ExitedWithCode(1),
+        "FleetDriver: system 'duplex-split' runs its own driver "
+        "loop");
+}
+
 } // namespace
 } // namespace duplex

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "sched/batcher.hh"
+#include "sched/policy.hh"
 
 namespace duplex
 {
@@ -28,11 +29,22 @@ makeRequests(int n, std::int64_t lin, std::int64_t lout,
     return reqs;
 }
 
+/** The paper's admission rule; stateless, so one instance serves
+ *  every batcher in this file. */
+SchedulingPolicy &
+fcfs()
+{
+    static const std::unique_ptr<SchedulingPolicy> policy =
+        makeSchedulingPolicy("fcfs");
+    return *policy;
+}
+
 TEST(ContinuousBatcher, FirstStageIsMixed)
 {
     BatcherConfig cfg;
     cfg.maxBatch = 4;
-    ContinuousBatcher b(cfg, makeRequests(4, 128, 4));
+    ContinuousBatcher b(
+        cfg, ArrivalQueue(makeRequests(4, 128, 4), true), fcfs());
     const StageShape s = b.formStage(0);
     EXPECT_EQ(s.prefillLengths.size(), 4u);
     EXPECT_EQ(s.decodeContexts.size(), 0u);
@@ -45,7 +57,8 @@ TEST(ContinuousBatcher, PrefillProducesFirstToken)
     BatcherConfig cfg;
     cfg.maxBatch = 2;
     cfg.exactStageView = true; // pin the per-context slow path
-    ContinuousBatcher b(cfg, makeRequests(2, 128, 4));
+    ContinuousBatcher b(
+        cfg, ArrivalQueue(makeRequests(2, 128, 4), true), fcfs());
     b.formStage(0);
     b.completeStage(1000);
     EXPECT_EQ(b.totalGenerated(), 2);
@@ -60,7 +73,8 @@ TEST(ContinuousBatcher, RunsToCompletion)
 {
     BatcherConfig cfg;
     cfg.maxBatch = 2;
-    ContinuousBatcher b(cfg, makeRequests(2, 16, 3));
+    ContinuousBatcher b(
+        cfg, ArrivalQueue(makeRequests(2, 16, 3), true), fcfs());
     PicoSec now = 0;
     while (!b.allDone()) {
         b.formStage(now);
@@ -81,7 +95,8 @@ TEST(ContinuousBatcher, ClosedLoopRefillsSlots)
     cfg.maxBatch = 2;
     // Four requests, two slots: the next request joins only after
     // one finishes.
-    ContinuousBatcher b(cfg, makeRequests(4, 16, 2));
+    ContinuousBatcher b(
+        cfg, ArrivalQueue(makeRequests(4, 16, 2), true), fcfs());
     PicoSec now = 0;
     int mixed_after_start = 0;
     b.formStage(now);
@@ -103,7 +118,8 @@ TEST(ContinuousBatcher, StageTypeCounting)
 {
     BatcherConfig cfg;
     cfg.maxBatch = 2;
-    ContinuousBatcher b(cfg, makeRequests(2, 16, 4));
+    ContinuousBatcher b(
+        cfg, ArrivalQueue(makeRequests(2, 16, 4), true), fcfs());
     PicoSec now = 0;
     while (!b.allDone()) {
         b.formStage(now);
@@ -121,7 +137,8 @@ TEST(ContinuousBatcher, KvCapacityBlocksAdmission)
     cfg.maxBatch = 8;
     cfg.maxKvTokens = 300;
     // Each prompt needs 128 tokens of KV; only two fit.
-    ContinuousBatcher b(cfg, makeRequests(8, 128, 4));
+    ContinuousBatcher b(
+        cfg, ArrivalQueue(makeRequests(8, 128, 4), true), fcfs());
     const StageShape s = b.formStage(0);
     EXPECT_EQ(s.prefillLengths.size(), 2u);
 }
@@ -130,9 +147,10 @@ TEST(ContinuousBatcher, OpenLoopHonorsArrivals)
 {
     BatcherConfig cfg;
     cfg.maxBatch = 8;
-    cfg.closedLoop = false;
     // Arrivals every 1 ms.
-    ContinuousBatcher b(cfg, makeRequests(4, 16, 4, kPsPerMs));
+    ContinuousBatcher b(
+        cfg, ArrivalQueue(makeRequests(4, 16, 4, kPsPerMs), false),
+        fcfs());
     const StageShape s0 = b.formStage(0);
     EXPECT_EQ(s0.prefillLengths.size(), 1u); // only id 0 arrived
     b.completeStage(100);
@@ -145,8 +163,8 @@ TEST(ContinuousBatcher, OpenLoopT2ftIncludesQueueing)
 {
     BatcherConfig cfg;
     cfg.maxBatch = 1;
-    cfg.closedLoop = false;
-    ContinuousBatcher b(cfg, makeRequests(2, 16, 1, 0));
+    ContinuousBatcher b(
+        cfg, ArrivalQueue(makeRequests(2, 16, 1, 0), false), fcfs());
     // Both arrive at 0 but only one slot exists.
     b.formStage(0);
     b.completeStage(5000);
@@ -163,7 +181,8 @@ TEST(ContinuousBatcher, ClosedLoopArrivalIsAdmission)
 {
     BatcherConfig cfg;
     cfg.maxBatch = 1;
-    ContinuousBatcher b(cfg, makeRequests(2, 16, 1));
+    ContinuousBatcher b(
+        cfg, ArrivalQueue(makeRequests(2, 16, 1), true), fcfs());
     b.formStage(0);
     b.completeStage(5000);
     b.formStage(5000);
@@ -176,7 +195,8 @@ TEST(ContinuousBatcher, MaxBatchHonored)
 {
     BatcherConfig cfg;
     cfg.maxBatch = 3;
-    ContinuousBatcher b(cfg, makeRequests(10, 16, 8));
+    ContinuousBatcher b(
+        cfg, ArrivalQueue(makeRequests(10, 16, 8), true), fcfs());
     PicoSec now = 0;
     while (!b.allDone()) {
         const StageShape s = b.formStage(now);
@@ -192,7 +212,8 @@ TEST(ContinuousBatcher, StagePublishesValidAggregates)
     BatcherConfig cfg;
     cfg.maxBatch = 4;
     cfg.exactStageView = true; // compare agg against the vectors
-    ContinuousBatcher b(cfg, makeRequests(8, 64, 4));
+    ContinuousBatcher b(
+        cfg, ArrivalQueue(makeRequests(8, 64, 4), true), fcfs());
     PicoSec now = 0;
     while (!b.allDone()) {
         const StageShape s = b.formStage(now);
@@ -220,7 +241,8 @@ TEST(ContinuousBatcher, IncrementalAggregatesSurviveChurn)
         r.outputLen = 1 + i % 5; // some retire after one token
         reqs.push_back(r);
     }
-    ContinuousBatcher b(cfg, std::move(reqs));
+    ContinuousBatcher b(cfg, ArrivalQueue(std::move(reqs), true),
+                        fcfs());
     PicoSec now = 0;
     std::int64_t stages = 0;
     while (!b.allDone()) {
@@ -268,8 +290,10 @@ TEST(ContinuousBatcher, AggregateOnlyViewMatchesExactView)
     BatcherConfig fast_cfg = exact_cfg;
     fast_cfg.exactStageView = false;
 
-    ContinuousBatcher exact(exact_cfg, churnRequests(24));
-    ContinuousBatcher fast(fast_cfg, churnRequests(24));
+    ContinuousBatcher exact(
+        exact_cfg, ArrivalQueue(churnRequests(24), true), fcfs());
+    ContinuousBatcher fast(
+        fast_cfg, ArrivalQueue(churnRequests(24), true), fcfs());
     PicoSec now = 0;
     while (!exact.allDone()) {
         ASSERT_FALSE(fast.allDone());
@@ -312,7 +336,8 @@ TEST(ContinuousBatcher, KvHeadroomMatchesWalkUnderChurn)
     BatcherConfig cfg;
     cfg.maxBatch = 8;
     cfg.maxKvTokens = 500;
-    ContinuousBatcher b(cfg, churnRequests(32));
+    ContinuousBatcher b(cfg, ArrivalQueue(churnRequests(32), true),
+                        fcfs());
     PicoSec now = 0;
     while (!b.allDone()) {
         const StageShape s = b.formStage(now);
@@ -332,8 +357,10 @@ TEST(ContinuousBatcher, DrainFinishedMatchesRetainedStream)
     // leave nothing behind.
     BatcherConfig cfg;
     cfg.maxBatch = 4;
-    ContinuousBatcher retained(cfg, churnRequests(16));
-    ContinuousBatcher streaming(cfg, churnRequests(16));
+    ContinuousBatcher retained(
+        cfg, ArrivalQueue(churnRequests(16), true), fcfs());
+    ContinuousBatcher streaming(
+        cfg, ArrivalQueue(churnRequests(16), true), fcfs());
     std::vector<Request> drained_all;
     std::vector<Request> scratch;
     PicoSec now = 0;
@@ -366,7 +393,8 @@ TEST(ContinuousBatcher, ContextGrowsEachStage)
     BatcherConfig cfg;
     cfg.maxBatch = 1;
     cfg.exactStageView = true; // pin the per-context slow path
-    ContinuousBatcher b(cfg, makeRequests(1, 100, 3));
+    ContinuousBatcher b(
+        cfg, ArrivalQueue(makeRequests(1, 100, 3), true), fcfs());
     PicoSec now = 0;
     b.formStage(now);
     b.completeStage(++now);

@@ -1,15 +1,17 @@
 /**
  * @file
- * Scheduling-policy tests: registry round-trips, the fcfs
- * policy-object == legacy-fast-path bit-identity, chunked-prefill
- * semantics, the preemption accounting invariant, and the
+ * Scheduling-policy tests: registry round-trips, pinned fcfs
+ * lifecycles, chunked-prefill semantics, the prefix-cache reclaim
+ * rule, the preemption accounting invariant, and the
  * priority-class trace-CSV round-trip.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <tuple>
 
+#include "kvcache/prefix_cache.hh"
 #include "sched/batcher.hh"
 #include "sched/policy.hh"
 #include "sim/engine.hh"
@@ -75,64 +77,79 @@ TEST(Policy, TtftProtectWidensPrefillCapUnderBacklog)
     EXPECT_EQ(policy->prefillBudget(snap), 8);
 }
 
-/** Drive two batchers through identical stage timestamps and
- *  require bit-identical stage shapes and finished lifecycles. */
-void
-expectBatchersIdentical(ContinuousBatcher &a, ContinuousBatcher &b)
+using Lifecycle = std::tuple<int, PicoSec, PicoSec>;
+
+/** Run @p b to completion, one formStage attempt every 1000 ps,
+ *  and return (id, firstToken, finished) per retired request. */
+std::vector<Lifecycle>
+runToCompletion(ContinuousBatcher &b, PicoSec now = 0)
 {
-    PicoSec now = 0;
     int guard = 0;
-    while (!a.allDone() || !b.allDone()) {
-        ASSERT_LT(++guard, 10000);
-        const StageShape sa = a.formStage(now);
-        const StageShape sb = b.formStage(now);
-        ASSERT_EQ(sa.prefillLengths, sb.prefillLengths);
-        ASSERT_EQ(sa.agg.numPrefill, sb.agg.numPrefill);
-        ASSERT_EQ(sa.agg.prefillSum, sb.agg.prefillSum);
-        ASSERT_EQ(sa.agg.numDecode, sb.agg.numDecode);
-        ASSERT_EQ(sa.agg.contextSum, sb.agg.contextSum);
+    while (!b.allDone()) {
+        if (++guard >= 10000) {
+            ADD_FAILURE() << "batcher never drained";
+            break;
+        }
+        const StageShape s = b.formStage(now);
         now += 1000;
-        if (sa.totalTokens() > 0)
-            a.completeStage(now);
-        if (sb.totalTokens() > 0)
+        if (s.totalTokens() > 0)
             b.completeStage(now);
-        if (sa.totalTokens() == 0 && sb.totalTokens() == 0)
-            break; // both idle forever: nothing left to compare
     }
-    const std::vector<Request> &fa = a.finished();
-    const std::vector<Request> &fb = b.finished();
-    ASSERT_EQ(fa.size(), fb.size());
-    for (std::size_t i = 0; i < fa.size(); ++i) {
-        EXPECT_EQ(fa[i].id, fb[i].id);
-        EXPECT_EQ(fa[i].firstToken, fb[i].firstToken);
-        EXPECT_EQ(fa[i].finished, fb[i].finished);
-        EXPECT_EQ(fa[i].tokenTimes, fb[i].tokenTimes);
-    }
+    std::vector<Lifecycle> out;
+    for (const Request &r : b.finished())
+        out.emplace_back(r.id, r.firstToken, r.finished);
+    return out;
 }
 
-TEST(Policy, FcfsObjectMatchesLegacyFastPathClosedLoop)
+BatcherConfig
+pinnedFcfsConfig()
 {
     BatcherConfig cfg;
     cfg.maxBatch = 3;
     cfg.maxPrefillsPerStage = 2;
-    const auto fcfs = makeSchedulingPolicy("fcfs");
-    ContinuousBatcher legacy(cfg, makeRequests(8, 64, 5));
-    ContinuousBatcher policied(cfg, makeRequests(8, 64, 5),
-                               fcfs.get());
-    expectBatchersIdentical(legacy, policied);
+    return cfg;
 }
 
-TEST(Policy, FcfsObjectMatchesLegacyFastPathOpenLoop)
+TEST(Policy, FcfsPinnedLifecyclesClosedLoop)
 {
-    BatcherConfig cfg;
-    cfg.maxBatch = 3;
-    cfg.maxPrefillsPerStage = 2;
-    cfg.closedLoop = false;
     const auto fcfs = makeSchedulingPolicy("fcfs");
-    ContinuousBatcher legacy(cfg, makeRequests(8, 64, 5, 1500));
-    ContinuousBatcher policied(cfg, makeRequests(8, 64, 5, 1500),
-                               fcfs.get());
-    expectBatchersIdentical(legacy, policied);
+    ContinuousBatcher b(pinnedFcfsConfig(),
+                        ArrivalQueue(makeRequests(8, 64, 5), true),
+                        *fcfs);
+    const std::vector<Lifecycle> want = {
+        {0, 1000, 5000},   {1, 1000, 5000},   {2, 2000, 6000},
+        {3, 6000, 10000},  {4, 6000, 10000},  {5, 7000, 11000},
+        {6, 11000, 15000}, {7, 11000, 15000}};
+    EXPECT_EQ(runToCompletion(b), want);
+}
+
+TEST(Policy, FcfsPinnedLifecyclesOpenLoop)
+{
+    const auto fcfs = makeSchedulingPolicy("fcfs");
+    ContinuousBatcher b(
+        pinnedFcfsConfig(),
+        ArrivalQueue(makeRequests(8, 64, 5, 1500), false), *fcfs);
+    const std::vector<Lifecycle> want = {
+        {0, 1000, 5000},   {1, 3000, 7000},   {2, 4000, 8000},
+        {3, 6000, 10000},  {4, 8000, 12000},  {5, 9000, 13000},
+        {6, 11000, 15000}, {7, 13000, 17000}};
+    EXPECT_EQ(runToCompletion(b), want);
+}
+
+TEST(Policy, FcfsPinnedLifecyclesChunkedPrefill)
+{
+    // 600-token prompts in 256-token chunks: three stages each.
+    BatcherConfig cfg = pinnedFcfsConfig();
+    cfg.prefillChunkTokens = 256;
+    const auto fcfs = makeSchedulingPolicy("fcfs");
+    ContinuousBatcher b(
+        cfg, ArrivalQueue(makeRequests(8, 600, 5, 1500), false),
+        *fcfs);
+    const std::vector<Lifecycle> want = {
+        {0, 3000, 7000},   {1, 5000, 9000},   {2, 6000, 10000},
+        {3, 10000, 14000}, {4, 12000, 16000}, {5, 13000, 17000},
+        {6, 17000, 21000}, {7, 19000, 23000}};
+    EXPECT_EQ(runToCompletion(b), want);
 }
 
 TEST(Policy, ChunkedPrefillSplitsPromptAcrossStages)
@@ -140,7 +157,9 @@ TEST(Policy, ChunkedPrefillSplitsPromptAcrossStages)
     BatcherConfig cfg;
     cfg.maxBatch = 1;
     cfg.prefillChunkTokens = 32;
-    ContinuousBatcher b(cfg, makeRequests(1, 100, 2));
+    const auto fcfs = makeSchedulingPolicy("fcfs");
+    ContinuousBatcher b(cfg, ArrivalQueue(makeRequests(1, 100, 2), true),
+                        *fcfs);
     // 100-token prompt in 32-token chunks: 32, 32, 32, 4 — and the
     // first token appears only when the last chunk completes.
     const std::int64_t spans[] = {32, 32, 32, 4};
@@ -204,7 +223,6 @@ TEST(Policy, PreemptionAccountingInvariantHolds)
     // admissions == retirements + preemptions.
     BatcherConfig cfg;
     cfg.maxBatch = 2;
-    cfg.closedLoop = false;
     const auto priority = makeSchedulingPolicy("priority");
     std::vector<Request> reqs = makeRequests(2, 16, 8);
     Request high;
@@ -214,7 +232,8 @@ TEST(Policy, PreemptionAccountingInvariantHolds)
     high.arrival = 500;
     high.priorityClass = 1;
     reqs.push_back(high);
-    ContinuousBatcher b(cfg, std::move(reqs), priority.get());
+    ContinuousBatcher b(cfg, ArrivalQueue(std::move(reqs), false),
+                        *priority);
 
     PicoSec now = 0;
     int guard = 0;
@@ -240,6 +259,88 @@ TEST(Policy, PreemptionAccountingInvariantHolds)
         }
     }
     EXPECT_EQ(victims_restarted, 1);
+}
+
+/** A cache holding one @p tokens-token entry at one byte per
+ *  token (the shared-prefix seed; session-less requests never
+ *  probe it, so only reclaim() can remove it). */
+PrefixCachePool
+cacheHolding(std::int64_t tokens)
+{
+    PrefixCacheSpec spec;
+    spec.budgetBytes = 100;
+    spec.sharedPrefixTokens = tokens;
+    return PrefixCachePool(spec, 1);
+}
+
+TEST(Policy, FullBatchWithoutVictimsLeavesCacheAlone)
+{
+    // One slot, 100 KV tokens, 60 of them cached: the first 20+10
+    // request fits beside the cache (31 <= 40). The second then
+    // meets a full batch; a policy that names no victims stops
+    // admitting, and reclaiming the cache would admit nothing.
+    for (const char *id : {"fcfs", "ttft-protect"}) {
+        BatcherConfig cfg;
+        cfg.maxBatch = 1;
+        cfg.maxKvTokens = 100;
+        PrefixCachePool pool = cacheHolding(60);
+        const auto policy = makeSchedulingPolicy(id);
+        ContinuousBatcher b(
+            cfg, ArrivalQueue(makeRequests(2, 20, 10), false),
+            *policy, &pool);
+        PicoSec now = 0;
+        for (std::size_t admitted : {1u, 0u}) {
+            const StageShape s = b.formStage(now);
+            EXPECT_EQ(s.prefillLengths.size(), admitted) << id;
+            now += 1000;
+            b.completeStage(now);
+        }
+        EXPECT_EQ(pool.residentTokens(), 60) << id;
+        EXPECT_EQ(pool.metrics().evictions, 0) << id;
+    }
+}
+
+TEST(Policy, PriorityReclaimsCacheBeforePreempting)
+{
+    // Class-0 decodes with lifetimes 50 and 70 fill two slots
+    // beside an 80-token cache entry; a class-1 candidate with
+    // lifetime 100 arrives. Its need is 120 + 100 + 2 + 1 = 223.
+    // Against the 120 tokens the cache leaves it would take both
+    // decodes; sized against the full 200 it is 23 tokens and one
+    // slot short, so the cache goes and only the larger decode
+    // (id 1) is evicted.
+    BatcherConfig cfg;
+    cfg.maxBatch = 2;
+    cfg.maxKvTokens = 200;
+    PrefixCachePool pool = cacheHolding(80);
+    std::vector<Request> reqs = {makeRequests(1, 30, 20)[0],
+                                 makeRequests(2, 40, 30)[1]};
+    Request high = makeRequests(3, 60, 40)[2];
+    high.arrival = 500;
+    high.priorityClass = 1;
+    reqs.push_back(high);
+    const auto priority = makeSchedulingPolicy("priority");
+    ContinuousBatcher b(cfg, ArrivalQueue(std::move(reqs), false),
+                        *priority, &pool);
+
+    b.formStage(0);
+    b.completeStage(1000);
+    EXPECT_EQ(b.activeCount(), 2u);
+    EXPECT_EQ(pool.residentTokens(), 80);
+
+    const StageShape s = b.formStage(1000);
+    EXPECT_EQ(s.prefillLengths.size(), 1u);
+    EXPECT_EQ(s.agg.numDecode, 1);
+    EXPECT_EQ(b.preemptions(), 1);
+    EXPECT_EQ(pool.residentTokens(), 0);
+    EXPECT_EQ(pool.metrics().evictions, 1);
+    b.completeStage(2000);
+
+    const std::vector<Lifecycle> want = {
+        {0, 1000, 20000}, {2, 2000, 41000}, {1, 21000, 50000}};
+    EXPECT_EQ(runToCompletion(b, 2000), want);
+    ASSERT_EQ(b.finished().size(), 3u);
+    EXPECT_EQ(b.finished()[2].retries, 1);
 }
 
 TEST(PolicyTrace, PriorityClassRoundTrips)

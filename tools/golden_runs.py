@@ -60,6 +60,9 @@ RUNS = [
     ("sched-priority-chunked",
      "quickstart --sched=priority --prefill-chunk=256 --qps=8"),
     ("sched-policy-sweep", "bench_policies --requests=48"),
+    ("sched-priority-session-cache",
+     "quickstart --workload=session --qps=4 --prefix-cache=512 "
+     "--sched=priority --priority-frac=0.3 --batch=8"),
     ("session-fleet-cache",
      "quickstart --workload=session --qps=4 --prefix-cache=512 "
      "--evict=lru --fleet=2 --policy=session-affinity"),
