@@ -29,19 +29,124 @@ StageResult::operator+=(const StageResult &other)
     return *this;
 }
 
+ExpertDraw::ExpertDraw(const LayerCosts &costs, GatePolicy policy,
+                       double zipf_s, std::uint64_t seed)
+    : numExperts_(costs.model().numExperts),
+      selector_(std::max(1, numExperts_),
+                std::max(1, costs.model().topK), policy, zipf_s),
+      rng_(seed)
+{
+    if (numExperts_ > 0)
+        expertCost_ = costs.expertFfnAffine();
+}
+
+const std::vector<std::int64_t> &
+ExpertDraw::draw(std::int64_t tokens, StageResult &out)
+{
+    selector_.sampleInto(rng_, tokens, hist_);
+    if (out.expertTokens.size() <
+        static_cast<std::size_t>(numExperts_))
+        out.expertTokens.resize(numExperts_, 0);
+    for (int e = 0; e < numExperts_; ++e)
+        out.expertTokens[e] += hist_[e];
+    return hist_;
+}
+
+namespace
+{
+
+/**
+ * One stage's layer-invariant pricing, filled by a cluster kind.
+ * The devices are stateless for these groups, so each is priced once
+ * per stage and re-added per layer, which keeps every energy sum in
+ * per-layer order.
+ */
+struct LayerTimings
+{
+    DeviceTiming embedding;
+    DeviceTiming qkv;
+    AttentionTiming attention;
+    DeviceTiming projection;
+    DeviceTiming elementwise;
+    DeviceTiming ffn; //!< dense layers only
+    DeviceTiming lmHead;
+    double devices = 1.0;       //!< energy multiplier of each group
+    double decodeDevices = 1.0; //!< ... except decode attention
+    PicoSec denseComm = 0;      //!< collectives of a dense layer
+    PicoSec moeComm = 0;        //!< collectives of an MoE layer
+};
+
+/** Add a group's time to @p slice and its energy times @p devices. */
+void
+addSlice(const DeviceTiming &t, double devices, ClassSlice &slice)
+{
+    slice.time += t.time;
+    slice.energy.dramJ += t.energy.dramJ * devices;
+    slice.energy.computeJ += t.energy.computeJ * devices;
+}
+
+/** addSlice into @p cls, and the group's time into the stage. */
+void
+addGroup(const DeviceTiming &t, double devices, LayerClass cls,
+         StageResult &out)
+{
+    out.time += t.time;
+    addSlice(t, devices, out.slice(cls));
+}
+
+/**
+ * The decoder-layer schedule every cluster kind prices a stage by.
+ * @p moe_step(hist, out) prices one MoE layer from the per-expert
+ * token counts that @p draw drew over @p moe_tokens tokens.
+ */
+template <class MoeStep>
+StageResult
+priceLayers(const ModelConfig &m, const LayerTimings t,
+            ExpertDraw &draw, std::int64_t moe_tokens,
+            MoeStep &&moe_step)
+{
+    StageResult out;
+    addGroup(t.embedding, t.devices, LayerClass::Fc, out);
+    for (int layer = 0; layer < m.numLayers; ++layer) {
+        addGroup(t.qkv, t.devices, LayerClass::Fc, out);
+
+        // Attention (decode + prefill groups, possibly co-processed).
+        out.time += t.attention.composed;
+        addSlice(t.attention.decode, t.decodeDevices,
+                 out.slice(LayerClass::AttentionDecode));
+        addSlice(t.attention.prefill, t.devices,
+                 out.slice(LayerClass::AttentionPrefill));
+
+        // Output projection + residual/layer norms.
+        addGroup(t.projection, t.devices, LayerClass::Fc, out);
+        addGroup(t.elementwise, t.devices, LayerClass::Fc, out);
+
+        // FFN or MoE (the expert draw is the only per-layer
+        // randomness), then the layer's collectives.
+        PicoSec comm = t.denseComm;
+        if (m.isMoeLayer(layer)) {
+            moe_step(draw.draw(moe_tokens, out), out);
+            comm = t.moeComm;
+        } else {
+            addGroup(t.ffn, t.devices, LayerClass::Fc, out);
+        }
+        out.time += comm;
+        out.slice(LayerClass::Communication).time += comm;
+    }
+    addGroup(t.lmHead, t.devices, LayerClass::Fc, out);
+    return out;
+}
+
+} // namespace
+
 Cluster::Cluster(const ClusterConfig &config)
     : cfg_(config),
       costs_(config.model),
       plan_(makeShardingPlan(config.model, config.topo,
                              config.expertPlacement)),
       device_(makeDevice(config.deviceSpec)),
-      selector_(std::max(1, config.model.numExperts),
-                std::max(1, config.model.topK), config.gatePolicy,
-                config.zipfS),
-      rng_(config.seed)
+      draw_(costs_, config.gatePolicy, config.zipfS, config.seed)
 {
-    if (cfg_.model.numExperts > 0)
-        expertCost_ = costs_.expertFfnAffine();
     if (cfg_.deviceSpec.hasLowEngine && cfg_.model.numExperts > 0) {
         const double shard = plan_.expertShardFraction();
         lut_ = std::make_unique<ExpertTimeLut>(
@@ -97,37 +202,10 @@ Cluster::nodeShare(const StageShape &stage)
 }
 
 void
-Cluster::addFc(const OpCost &cost, double scale, StageResult &out)
+Cluster::runMoeLayer(const std::vector<std::int64_t> &hist,
+                     const DeviceTiming &gate_t, StageResult &out)
 {
-    addFcTiming(device_->runHighOpb(cost.scaled(scale)), out);
-}
-
-void
-Cluster::addFcTiming(const DeviceTiming &t, StageResult &out)
-{
-    out.time += t.time;
-    auto &slice = out.slice(LayerClass::Fc);
-    slice.time += t.time;
-    const double devices =
-        static_cast<double>(plan_.tpDegree) * plan_.dpDegree;
-    slice.energy.dramJ += t.energy.dramJ * devices;
-    slice.energy.computeJ += t.energy.computeJ * devices;
-}
-
-void
-Cluster::runMoeLayer(std::int64_t global_tokens,
-                     const DeviceTiming &gate_t, PicoSec moe_comm,
-                     StageResult &out)
-{
-    selector_.sampleInto(rng_, global_tokens, histScratch_);
-    const std::vector<std::int64_t> &hist = histScratch_;
     const ModelConfig &m = cfg_.model;
-
-    if (out.expertTokens.size() <
-        static_cast<std::size_t>(m.numExperts))
-        out.expertTokens.resize(m.numExperts, 0);
-    for (int e = 0; e < m.numExperts; ++e)
-        out.expertTokens[e] += hist[e];
 
     // Group the experts the way the plan places them.
     int num_groups = 0;
@@ -142,9 +220,8 @@ Cluster::runMoeLayer(std::int64_t global_tokens,
         experts_per_group = m.numExperts / num_groups;
     }
 
-    // One device call for the whole layer: equivalent to runMoe
-    // per expert group, but the device shares its per-token-count
-    // memo across groups.
+    // One device call for the whole layer, so the device shares its
+    // per-token-count memo across groups.
     std::vector<ExpertWork> &work = moeWorkScratch_;
     work.clear();
     work.reserve(static_cast<std::size_t>(num_groups) *
@@ -152,7 +229,7 @@ Cluster::runMoeLayer(std::int64_t global_tokens,
     for (int e = 0; e < num_groups * experts_per_group; ++e) {
         ExpertWork w;
         w.tokens = hist[e];
-        w.cost = expertCost_.at(hist[e]).scaled(shard);
+        w.cost = draw_.expertCost(hist[e]).scaled(shard);
         work.push_back(w);
     }
     const DeviceTiming moe = device_->runMoeGroups(
@@ -168,9 +245,6 @@ Cluster::runMoeLayer(std::int64_t global_tokens,
         moe.energy.dramJ + gate_t.energy.dramJ * devices;
     slice.energy.computeJ +=
         moe.energy.computeJ + gate_t.energy.computeJ * devices;
-
-    out.time += moe_comm;
-    out.slice(LayerClass::Communication).time += moe_comm;
 }
 
 PicoSec
@@ -212,11 +286,10 @@ Cluster::moeCommTime(std::int64_t global_tokens,
 StageResult
 Cluster::executeStage(const StageShape &stage)
 {
-    StageResult out;
     const StageAggregates stage_agg = stage.aggregates();
     const std::int64_t global_tokens = stage_agg.totalTokens();
     if (global_tokens == 0)
-        return out;
+        return {};
     const StageShape &node = nodeShare(stage);
     const StageAggregates agg =
         &node == &stage ? stage_agg : node.aggregates();
@@ -224,101 +297,58 @@ Cluster::executeStage(const StageShape &stage)
 
     const ModelConfig &m = cfg_.model;
     const double tp_shard = plan_.tpShardFraction();
-    const double devices =
-        static_cast<double>(plan_.tpDegree) * plan_.dpDegree;
+    auto fc = [&](const OpCost &cost) {
+        return device_->runHighOpb(cost.scaled(tp_shard));
+    };
 
-    // Token embedding.
-    addFc(costs_.embedding(node_tokens), tp_shard, out);
-
-    const Bytes reduce_bytes =
-        static_cast<Bytes>(node_tokens) * m.hidden * kFp16Bytes;
-
-    // Every per-layer cost below is layer-invariant, so it is
-    // computed once and its DeviceTiming re-accumulated per layer
-    // — bit-identical to the former per-layer recomputation, since
-    // the devices are stateless for these groups.
-    const DeviceTiming qkv_t =
-        device_->runHighOpb(costs_.qkv(node_tokens).scaled(tp_shard));
-    const AttentionTiming at = device_->runAttention(
+    LayerTimings t;
+    t.devices = static_cast<double>(plan_.tpDegree) * plan_.dpDegree;
+    t.decodeDevices = t.devices;
+    t.embedding = fc(costs_.embedding(node_tokens));
+    t.qkv = fc(costs_.qkv(node_tokens));
+    t.attention = device_->runAttention(
         costs_.attentionDecode(agg).scaled(tp_shard),
         costs_.attentionPrefill(agg).scaled(tp_shard));
-    const DeviceTiming proj_t = device_->runHighOpb(
-        costs_.projection(node_tokens).scaled(tp_shard));
-    const DeviceTiming elem_t = device_->runHighOpb(
-        costs_.elementwise(node_tokens).scaled(tp_shard));
-    const PicoSec all_reduce = allReduceTime(
-        reduce_bytes, plan_.tpDegree, cfg_.topo.intraNode);
+    t.projection = fc(costs_.projection(node_tokens));
+    t.elementwise = fc(costs_.elementwise(node_tokens));
+    if (m.numLayers > m.numMoeLayers())
+        t.ffn = fc(costs_.denseFfn(node_tokens));
+    // LM head: one next-token logit per decode sequence and per
+    // prefill sequence.
+    t.lmHead = fc(costs_.lmHead(agg.numDecode + agg.numPrefill));
 
-    const bool has_dense = m.numLayers > m.numMoeLayers();
-    const bool has_moe = m.numMoeLayers() > 0;
-    DeviceTiming ffn_t;
-    if (has_dense)
-        ffn_t = device_->runHighOpb(
-            costs_.denseFfn(node_tokens).scaled(tp_shard));
+    // All-reduce after the attention block and after the FFN/MoE
+    // block output; MoE layers add their expert collectives.
+    const Bytes reduce_bytes =
+        static_cast<Bytes>(node_tokens) * m.hidden * kFp16Bytes;
+    t.denseComm = 2 * allReduceTime(reduce_bytes, plan_.tpDegree,
+                                    cfg_.topo.intraNode);
     DeviceTiming gate_t;
-    PicoSec moe_comm = 0;
-    if (has_moe) {
+    if (m.numMoeLayers() > 0) {
         // Gate runs on every device over the node's tokens (DP
         // ceiling split, as the seed modeled it).
         const std::int64_t moe_node_tokens =
             (global_tokens + plan_.dpDegree - 1) / plan_.dpDegree;
-        gate_t = device_->runHighOpb(
-            costs_.gate(moe_node_tokens).scaled(tp_shard));
-        moe_comm = moeCommTime(global_tokens, moe_node_tokens);
+        gate_t = fc(costs_.gate(moe_node_tokens));
+        t.moeComm =
+            t.denseComm + moeCommTime(global_tokens, moe_node_tokens);
     }
 
-    for (int layer = 0; layer < m.numLayers; ++layer) {
-        // QKV generation.
-        addFcTiming(qkv_t, out);
-
-        // Attention (decode + prefill groups, possibly co-processed).
-        out.time += at.composed;
-        auto &dec = out.slice(LayerClass::AttentionDecode);
-        dec.time += at.decode.time;
-        dec.energy.dramJ += at.decode.energy.dramJ * devices;
-        dec.energy.computeJ += at.decode.energy.computeJ * devices;
-        auto &pre = out.slice(LayerClass::AttentionPrefill);
-        pre.time += at.prefill.time;
-        pre.energy.dramJ += at.prefill.energy.dramJ * devices;
-        pre.energy.computeJ += at.prefill.energy.computeJ * devices;
-
-        // Output projection + residual/layer norms.
-        addFcTiming(proj_t, out);
-        addFcTiming(elem_t, out);
-
-        // All-reduce after the attention block; FFN or MoE (the
-        // expert draw is the only per-layer randomness); all-reduce
-        // after the FFN/MoE block output.
-        if (m.isMoeLayer(layer)) {
-            runMoeLayer(global_tokens, gate_t, moe_comm, out);
-        } else {
-            addFcTiming(ffn_t, out);
-        }
-        out.time += 2 * all_reduce;
-        out.slice(LayerClass::Communication).time += 2 * all_reduce;
-    }
-
-    // LM head: one next-token logit per decode sequence and per
-    // prefill sequence.
-    const std::int64_t head_tokens = agg.numDecode + agg.numPrefill;
-    addFc(costs_.lmHead(head_tokens), tp_shard, out);
-
-    return out;
+    return priceLayers(m, t, draw_, global_tokens,
+                       [&](const std::vector<std::int64_t> &hist,
+                           StageResult &out) {
+                           runMoeLayer(hist, gate_t, out);
+                       });
 }
 
 HeteroCluster::HeteroCluster(const HeteroConfig &config)
     : cfg_(config),
       costs_(config.model),
       energy_(config.gpuSpec.energyParams),
-      selector_(std::max(1, config.model.numExperts),
-                std::max(1, config.model.topK), config.gatePolicy,
-                config.zipfS),
-      rng_(config.seed)
+      draw_(costs_, config.gatePolicy, config.zipfS, config.seed)
 {
     fatalIf(!cfg_.pimSpec.hasLowEngine,
             "HeteroCluster: PIM devices need a low engine");
-    if (cfg_.model.numExperts > 0)
-        expertCost_ = costs_.expertFfnAffine();
 }
 
 KvBudget
@@ -340,119 +370,88 @@ HeteroCluster::kvBudget() const
     return budget;
 }
 
+void
+HeteroCluster::runMoeLayer(const std::vector<std::int64_t> &hist,
+                           const DeviceTiming &gate_t,
+                           StageResult &out)
+{
+    // The PIM devices own every expert, in all stages.
+    addGroup(gate_t, cfg_.numGpus, LayerClass::Moe, out);
+    PicoSec worst = 0;
+    EnergyBreakdown moe_energy;
+    const int per_dev = cfg_.model.numExperts / cfg_.numPimDevices;
+    for (int d = 0; d < cfg_.numPimDevices; ++d) {
+        PicoSec dev_time = cfg_.pimSpec.low.dispatchOverhead;
+        for (int e = d * per_dev; e < (d + 1) * per_dev; ++e) {
+            if (hist[e] == 0)
+                continue;
+            const OpCost c = draw_.expertCost(hist[e]);
+            dev_time += operatorTimeNoOverhead(cfg_.pimSpec.low,
+                                               c.flops, c.bytes);
+            moe_energy.dramJ +=
+                energy_.dramEnergyJ(cfg_.pimSpec.lowPath, c.bytes);
+            moe_energy.computeJ +=
+                energy_.computeEnergyJ(cfg_.pimSpec.lowCls, c.flops);
+        }
+        worst = std::max(worst, dev_time);
+    }
+    out.time += worst;
+    auto &slice = out.slice(LayerClass::Moe);
+    slice.time += worst;
+    slice.energy += moe_energy;
+}
+
 StageResult
 HeteroCluster::executeStage(const StageShape &stage)
 {
-    StageResult out;
     const StageAggregates agg = stage.aggregates();
     const std::int64_t tokens = agg.totalTokens();
     if (tokens == 0)
-        return out;
+        return {};
 
     const ModelConfig &m = cfg_.model;
     const double gpu_shard = 1.0 / cfg_.numGpus;
     const double pim_shard = 1.0 / cfg_.numPimDevices;
-
-    auto time_gpu = [&](const OpCost &cost) {
+    auto gpu = [&](const OpCost &cost) {
         return engineRun(cfg_.gpuSpec.xpu, cfg_.gpuSpec.xpuPath,
                          cfg_.gpuSpec.xpuCls, energy_,
                          cost.scaled(gpu_shard));
     };
-    auto add_gpu = [&](const DeviceTiming &t, LayerClass cls) {
-        out.time += t.time;
-        auto &slice = out.slice(cls);
-        slice.time += t.time;
-        slice.energy.dramJ += t.energy.dramJ * cfg_.numGpus;
-        slice.energy.computeJ += t.energy.computeJ * cfg_.numGpus;
-    };
-    auto add_pim = [&](const DeviceTiming &t, LayerClass cls) {
-        out.time += t.time;
-        auto &slice = out.slice(cls);
-        slice.time += t.time;
-        slice.energy.dramJ += t.energy.dramJ * cfg_.numPimDevices;
-        slice.energy.computeJ +=
-            t.energy.computeJ * cfg_.numPimDevices;
-    };
 
-    const Bytes activation_bytes =
-        static_cast<Bytes>(tokens) * m.hidden * kFp16Bytes;
-
-    add_gpu(time_gpu(costs_.embedding(tokens)), LayerClass::Fc);
-
-    // Layer-invariant timings, computed once per stage (the engine
-    // evaluation is stateless; re-accumulating the same DeviceTiming
-    // is bit-identical to the former per-layer recomputation).
-    const DeviceTiming qkv_t = time_gpu(costs_.qkv(tokens));
-    const DeviceTiming attn_dec_t = engineRun(
+    LayerTimings t;
+    t.devices = cfg_.numGpus;
+    t.decodeDevices = cfg_.numPimDevices;
+    t.embedding = gpu(costs_.embedding(tokens));
+    t.qkv = gpu(costs_.qkv(tokens));
+    // Decode attention runs on the PIM devices beside the KV cache;
+    // prefill attention stays on the GPUs (KV is streamed over).
+    t.attention.decode = engineRun(
         cfg_.pimSpec.low, cfg_.pimSpec.lowPath, cfg_.pimSpec.lowCls,
         energy_, costs_.attentionDecode(agg).scaled(pim_shard));
-    // Prefill attention stays on the GPUs (KV is streamed over).
-    const DeviceTiming attn_pre_t =
-        time_gpu(costs_.attentionPrefill(agg));
-    const DeviceTiming proj_t = time_gpu(costs_.projection(tokens));
-    const DeviceTiming elem_t = time_gpu(costs_.elementwise(tokens));
-    const bool has_dense = m.numLayers > m.numMoeLayers();
-    DeviceTiming ffn_t;
-    if (has_dense)
-        ffn_t = time_gpu(costs_.denseFfn(tokens));
+    t.attention.prefill = gpu(costs_.attentionPrefill(agg));
+    t.attention.composed =
+        t.attention.decode.time + t.attention.prefill.time;
+    t.projection = gpu(costs_.projection(tokens));
+    t.elementwise = gpu(costs_.elementwise(tokens));
+    if (m.numLayers > m.numMoeLayers())
+        t.ffn = gpu(costs_.denseFfn(tokens));
+    t.lmHead = gpu(costs_.lmHead(agg.numDecode + agg.numPrefill));
+
+    // Activations cross to the PIM devices for attention and return
+    // for the projection; MoE layers cross again for the experts.
+    const Bytes activation_bytes =
+        static_cast<Bytes>(tokens) * m.hidden * kFp16Bytes;
+    t.denseComm = 2 * p2pTime(activation_bytes, cfg_.link);
+    t.moeComm = 2 * t.denseComm;
     DeviceTiming gate_t;
     if (m.numMoeLayers() > 0)
-        gate_t = time_gpu(costs_.gate(tokens));
-    const PicoSec attn_comm = 2 * p2pTime(activation_bytes, cfg_.link);
+        gate_t = gpu(costs_.gate(tokens));
 
-    for (int layer = 0; layer < m.numLayers; ++layer) {
-        add_gpu(qkv_t, LayerClass::Fc);
-
-        // Activations cross to the PIM devices for attention and
-        // return for the projection.
-        PicoSec comm = attn_comm;
-        add_pim(attn_dec_t, LayerClass::AttentionDecode);
-        add_gpu(attn_pre_t, LayerClass::AttentionPrefill);
-        add_gpu(proj_t, LayerClass::Fc);
-        add_gpu(elem_t, LayerClass::Fc);
-
-        if (m.isMoeLayer(layer)) {
-            // The PIM devices own every expert, in all stages.
-            add_gpu(gate_t, LayerClass::Moe);
-            comm += attn_comm;
-            selector_.sampleInto(rng_, tokens, histScratch_);
-            const std::vector<std::int64_t> &hist = histScratch_;
-            if (out.expertTokens.size() <
-                static_cast<std::size_t>(m.numExperts))
-                out.expertTokens.resize(m.numExperts, 0);
-            PicoSec worst = 0;
-            EnergyBreakdown moe_energy;
-            const int per_dev = m.numExperts / cfg_.numPimDevices;
-            for (int d = 0; d < cfg_.numPimDevices; ++d) {
-                PicoSec dev_time = cfg_.pimSpec.low.dispatchOverhead;
-                for (int e = d * per_dev; e < (d + 1) * per_dev;
-                     ++e) {
-                    out.expertTokens[e] += hist[e];
-                    if (hist[e] == 0)
-                        continue;
-                    const OpCost c = expertCost_.at(hist[e]);
-                    dev_time += operatorTimeNoOverhead(
-                        cfg_.pimSpec.low, c.flops, c.bytes);
-                    moe_energy.dramJ += energy_.dramEnergyJ(
-                        cfg_.pimSpec.lowPath, c.bytes);
-                    moe_energy.computeJ += energy_.computeEnergyJ(
-                        cfg_.pimSpec.lowCls, c.flops);
-                }
-                worst = std::max(worst, dev_time);
-            }
-            out.time += worst;
-            auto &slice = out.slice(LayerClass::Moe);
-            slice.time += worst;
-            slice.energy += moe_energy;
-        } else {
-            add_gpu(ffn_t, LayerClass::Fc);
-        }
-        out.time += comm;
-        out.slice(LayerClass::Communication).time += comm;
-    }
-    const std::int64_t head_tokens = agg.numDecode + agg.numPrefill;
-    add_gpu(time_gpu(costs_.lmHead(head_tokens)), LayerClass::Fc);
-    return out;
+    return priceLayers(m, t, draw_, tokens,
+                       [&](const std::vector<std::int64_t> &hist,
+                           StageResult &out) {
+                           runMoeLayer(hist, gate_t, out);
+                       });
 }
 
 } // namespace duplex

@@ -2,17 +2,25 @@
  * @file
  * Multi-device stage execution.
  *
- * The cluster walks the model's decoder blocks for one batched
- * stage, applying the sharding plan: tensor parallelism inside a
- * node (all devices do identical shards, so one representative
- * device is evaluated), data parallelism across nodes, and expert /
- * expert-tensor parallelism for MoE layers with the matching
- * collectives. It returns wall-clock time plus a per-layer-class
- * time and energy breakdown (Figs. 4(a), 15).
+ * Every cluster kind prices a batched stage by one decoder-layer
+ * schedule, written once in cluster.cc: embedding; per layer QKV,
+ * attention, projection, elementwise, then the dense FFN or the MoE
+ * step after the layer's expert draw, then the layer's collectives;
+ * LM head. A kind supplies only what differs: the layer-invariant
+ * device timings with the device count that multiplies their energy,
+ * its per-layer communication time, and its MoE step. The result is
+ * wall-clock time plus a per-layer-class time and energy breakdown
+ * (Figs. 4(a), 15).
  *
- * A separate HeteroCluster models the Section III-B strawman: two
- * GPUs for high-Op/B work plus two Logic-PIM-only devices owning all
- * expert weights and the KV cache.
+ * Cluster is the homogeneous system. It applies the sharding plan:
+ * tensor parallelism inside a node (all devices do identical shards,
+ * so one representative device is evaluated), data parallelism
+ * across nodes, and expert / expert-tensor parallelism for MoE
+ * layers with the matching collectives.
+ *
+ * HeteroCluster models the Section III-B strawman: two GPUs for
+ * high-Op/B work plus two Logic-PIM-only devices owning all expert
+ * weights and the KV cache.
  */
 
 #ifndef DUPLEX_CLUSTER_CLUSTER_HH
@@ -76,6 +84,39 @@ struct StageResult
     StageResult &operator+=(const StageResult &other);
 };
 
+/**
+ * The per-MoE-layer expert draw both cluster kinds share: the gate
+ * selector and its RNG stream, the reused per-expert histogram and
+ * the exact affine expert-FFN cost.
+ */
+class ExpertDraw
+{
+  public:
+    ExpertDraw(const LayerCosts &costs, GatePolicy policy,
+               double zipf_s, std::uint64_t seed);
+
+    /**
+     * Draw one MoE layer's gate over @p tokens tokens and add the
+     * per-expert counts to out.expertTokens. The returned histogram
+     * is valid until the next call.
+     */
+    const std::vector<std::int64_t> &draw(std::int64_t tokens,
+                                          StageResult &out);
+
+    /** Exact cost of one expert's FFN over @p tokens tokens. */
+    OpCost expertCost(std::int64_t tokens) const
+    {
+        return expertCost_.at(tokens);
+    }
+
+  private:
+    int numExperts_;
+    ExpertSelector selector_;
+    Rng rng_;
+    std::vector<std::int64_t> hist_;
+    AffineOpCost expertCost_;
+};
+
 /** Configuration of a homogeneous serving system. */
 struct ClusterConfig
 {
@@ -118,20 +159,13 @@ class Cluster
     ShardingPlan plan_;
     std::unique_ptr<Device> device_;
     std::unique_ptr<ExpertTimeLut> lut_;
-    ExpertSelector selector_;
-    Rng rng_;
+    ExpertDraw draw_;
 
     /** Reused across stages: multi-node share of the stage. */
     StageShape nodeShareScratch_;
 
     /** Reused across MoE layers: per-group expert work. */
     std::vector<ExpertWork> moeWorkScratch_;
-
-    /** Reused across MoE layers: per-expert token histogram. */
-    std::vector<std::int64_t> histScratch_;
-
-    /** Exact affine expert-FFN cost (avoids re-deriving GEMMs). */
-    AffineOpCost expertCost_;
 
     /**
      * Sequences this node serves under data parallelism. Borrows
@@ -141,13 +175,11 @@ class Cluster
      */
     const StageShape &nodeShare(const StageShape &stage);
 
-    void runMoeLayer(std::int64_t global_tokens,
-                     const DeviceTiming &gate_t, PicoSec moe_comm,
-                     StageResult &out);
+    /** MoE step: the gate plus the experts, grouped by the plan. */
+    void runMoeLayer(const std::vector<std::int64_t> &hist,
+                     const DeviceTiming &gate_t, StageResult &out);
     PicoSec moeCommTime(std::int64_t global_tokens,
                         std::int64_t node_tokens) const;
-    void addFc(const OpCost &cost, double scale, StageResult &out);
-    void addFcTiming(const DeviceTiming &t, StageResult &out);
 };
 
 /** Section III-B heterogeneous system: GPUs + PIM-only devices. */
@@ -170,6 +202,8 @@ class HeteroCluster
   public:
     explicit HeteroCluster(const HeteroConfig &config);
 
+    const HeteroConfig &config() const { return cfg_; }
+
     StageResult executeStage(const StageShape &stage);
 
     /** KV lives on the PIM devices only. */
@@ -183,14 +217,11 @@ class HeteroCluster
     HeteroConfig cfg_;
     LayerCosts costs_;
     EnergyModel energy_;
-    ExpertSelector selector_;
-    Rng rng_;
+    ExpertDraw draw_;
 
-    /** Reused across MoE layers: per-expert token histogram. */
-    std::vector<std::int64_t> histScratch_;
-
-    /** Exact affine expert-FFN cost (avoids re-deriving GEMMs). */
-    AffineOpCost expertCost_;
+    /** MoE step: the gate on the GPUs, every expert on the PIMs. */
+    void runMoeLayer(const std::vector<std::int64_t> &hist,
+                     const DeviceTiming &gate_t, StageResult &out);
 };
 
 } // namespace duplex

@@ -1,11 +1,11 @@
 #include "common/argparse.hh"
 
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 #include "common/log.hh"
+#include "common/number.hh"
 
 namespace duplex
 {
@@ -110,13 +110,10 @@ double
 ArgParser::getDouble(const std::string &name) const
 {
     const std::string v = getString(name);
-    char *end = nullptr;
-    errno = 0;
-    const double x = std::strtod(v.c_str(), &end);
-    fatalIf(v.empty() || *end != '\0' || errno == ERANGE ||
-                !std::isfinite(x),
-            "flag --" + name + ": '" + v + "' is not a finite number");
-    return x;
+    const std::optional<double> x = parseFinite(v);
+    if (!x)
+        fatal("flag --" + name + ": '" + v + "' is not a finite number");
+    return *x;
 }
 
 bool

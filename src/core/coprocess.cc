@@ -15,22 +15,10 @@ partitionExperts(const std::vector<ExpertWork> &experts,
     ExpertPartition part;
     std::vector<PicoSec> prefix;
     std::vector<PicoSec> suffix;
-    partitionExpertsInto(experts, lut, xpu, low, part, prefix,
-                         suffix);
-    return part;
-}
-
-void
-partitionExpertsInto(const std::vector<ExpertWork> &experts,
-                     const ExpertTimeLut &lut, const EngineSpec &xpu,
-                     const EngineSpec &low, ExpertPartition &part,
-                     std::vector<PicoSec> &prefix_scratch,
-                     std::vector<PicoSec> &suffix_scratch)
-{
     partitionExpertsRange(experts.data(),
                           experts.data() + experts.size(), lut, xpu,
-                          low, part, prefix_scratch,
-                          suffix_scratch);
+                          low, part, prefix, suffix);
+    return part;
 }
 
 void

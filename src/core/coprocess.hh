@@ -54,20 +54,11 @@ ExpertPartition partitionExperts(const std::vector<ExpertWork> &experts,
                                  const EngineSpec &low);
 
 /**
- * Scratch-buffer variant for the per-layer hot path: fills @p part
- * (clearing its previous contents) and reuses @p prefix_scratch /
- * @p suffix_scratch instead of allocating. Same result as
- * partitionExperts.
+ * Range form for the per-layer hot path (one expert-parallel
+ * group): fills @p part (clearing its previous contents) and reuses
+ * @p prefix_scratch / @p suffix_scratch instead of allocating. Same
+ * result as partitionExperts over the range.
  */
-void partitionExpertsInto(const std::vector<ExpertWork> &experts,
-                          const ExpertTimeLut &lut,
-                          const EngineSpec &xpu,
-                          const EngineSpec &low,
-                          ExpertPartition &part,
-                          std::vector<PicoSec> &prefix_scratch,
-                          std::vector<PicoSec> &suffix_scratch);
-
-/** Range form of partitionExpertsInto (one expert-parallel group). */
 void partitionExpertsRange(const ExpertWork *begin,
                            const ExpertWork *end,
                            const ExpertTimeLut &lut,

@@ -115,82 +115,12 @@ HybridDevice::runAttention(const OpCost &decode, const OpCost &prefill)
 }
 
 DeviceTiming
-HybridDevice::runMoe(const std::vector<ExpertWork> &experts)
-{
-    lastExpertsOnLow_ = 0;
-    int num_active = 0;
-    for (const auto &e : experts)
-        if (e.tokens > 0)
-            ++num_active;
-    if (num_active == 0)
-        return {};
-
-    if (!spec_.coProcessing || lut_ == nullptr) {
-        // Engine selection for the whole layer by total time.
-        PicoSec t_xpu = spec_.xpu.dispatchOverhead;
-        PicoSec t_low = spec_.low.dispatchOverhead;
-        for (const auto &e : experts) {
-            if (e.tokens == 0)
-                continue;
-            t_xpu += operatorTimeNoOverhead(spec_.xpu, e.cost.flops,
-                                            e.cost.bytes);
-            t_low += operatorTimeNoOverhead(spec_.low, e.cost.flops,
-                                            e.cost.bytes);
-        }
-        const bool use_low = t_low < t_xpu;
-        DeviceTiming total;
-        total.time = use_low ? t_low : t_xpu;
-        if (use_low)
-            lastExpertsOnLow_ = num_active;
-        const DramPath path = use_low ? spec_.lowPath : spec_.xpuPath;
-        const ComputeClass cls = use_low ? spec_.lowCls : spec_.xpuCls;
-        for (const auto &e : experts) {
-            if (e.tokens == 0)
-                continue;
-            total.energy.dramJ +=
-                energy_.dramEnergyJ(path, e.cost.bytes);
-            total.energy.computeJ +=
-                energy_.computeEnergyJ(cls, e.cost.flops);
-        }
-        return total;
-    }
-
-    // Expert co-processing: lookup-table prefix search, run in the
-    // reused scratch partition (zero-token experts are dropped by
-    // the partitioner itself).
-    partitionExpertsInto(experts, *lut_, spec_.xpu, spec_.low,
-                         partScratch_, prefixScratch_,
-                         suffixScratch_);
-    const ExpertPartition &part = partScratch_;
-    lastExpertsOnLow_ = part.numOnLow;
-
-    DeviceTiming total;
-    total.time = part.makespan();
-    for (int i = 0; i < static_cast<int>(part.sorted.size()); ++i) {
-        const auto &e = part.sorted[i];
-        if (i < part.numOnLow) {
-            total.energy.dramJ +=
-                energy_.dramEnergyJ(spec_.lowPath, e.cost.bytes);
-            total.energy.computeJ +=
-                energy_.computeEnergyJ(spec_.lowCls, e.cost.flops);
-        } else {
-            total.energy.dramJ +=
-                energy_.dramEnergyJ(spec_.xpuPath, e.cost.bytes);
-            total.energy.computeJ +=
-                energy_.computeEnergyJ(spec_.xpuCls, e.cost.flops);
-        }
-    }
-    return total;
-}
-
-DeviceTiming
 HybridDevice::runMoeGroups(const std::vector<ExpertWork> &experts,
                            int group_size, double energy_scale)
 {
-    // Same composition as runMoe per contiguous group (makespan
-    // over groups, per-group energy scaling, engine selection per
-    // group); one call per layer shares the per-token-count memo
-    // across every group.
+    // Engine selection per group: expert co-processing splits the
+    // group between the engines by the lookup table; otherwise the
+    // whole group runs on the faster engine by total time.
     const int num_groups =
         static_cast<int>(experts.size()) / group_size;
     DeviceTiming total;
@@ -239,9 +169,9 @@ HybridDevice::runMoeGroups(const std::vector<ExpertWork> &experts,
         return total;
     }
 
-    // Direct-mapped per-token-count cache: decode stages repeat
-    // small counts heavily; a collision just recomputes. The sums
-    // see the same values in the same order as the uncached path.
+    // Direct-mapped per-token-count cache shared across the layer:
+    // decode stages repeat small counts heavily; a collision just
+    // recomputes.
     struct Memo
     {
         std::int64_t tokens = -1;

@@ -52,8 +52,6 @@ class HybridDevice : public Device
     AttentionTiming runAttention(const OpCost &decode,
                                  const OpCost &prefill) override;
     DeviceTiming
-    runMoe(const std::vector<ExpertWork> &experts) override;
-    DeviceTiming
     runMoeGroups(const std::vector<ExpertWork> &experts,
                  int group_size, double energy_scale) override;
 
@@ -62,7 +60,10 @@ class HybridDevice : public Device
         lut_ = lut;
     }
 
-    /** Experts routed to the low engine in the last runMoe call. */
+    /**
+     * Experts routed to the low engine in the last active group of
+     * the last MoE call.
+     */
     int lastExpertsOnLow() const { return lastExpertsOnLow_; }
 
   private:
@@ -71,7 +72,7 @@ class HybridDevice : public Device
     const ExpertTimeLut *lut_ = nullptr;
     int lastExpertsOnLow_ = 0;
 
-    // Reused across runMoe calls (one per MoE layer per stage).
+    // Reused across MoE calls (one per MoE layer per stage).
     ExpertPartition partScratch_;
     std::vector<PicoSec> prefixScratch_;
     std::vector<PicoSec> suffixScratch_;

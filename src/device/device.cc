@@ -1,31 +1,7 @@
 #include "device/device.hh"
 
-#include <algorithm>
-
 namespace duplex
 {
-
-DeviceTiming
-Device::runMoeGroups(const std::vector<ExpertWork> &experts,
-                     int group_size, double energy_scale)
-{
-    // Reference composition: per group, runMoe; the layer's clock
-    // contribution is the slowest group while energies sum.
-    DeviceTiming total;
-    std::vector<ExpertWork> group;
-    group.reserve(group_size);
-    const int num_groups =
-        static_cast<int>(experts.size()) / group_size;
-    for (int g = 0; g < num_groups; ++g) {
-        group.assign(experts.begin() + g * group_size,
-                     experts.begin() + (g + 1) * group_size);
-        const DeviceTiming t = runMoe(group);
-        total.time = std::max(total.time, t.time);
-        total.energy.dramJ += t.energy.dramJ * energy_scale;
-        total.energy.computeJ += t.energy.computeJ * energy_scale;
-    }
-    return total;
-}
 
 DeviceTiming
 engineRun(const EngineSpec &engine, DramPath path, ComputeClass cls,

@@ -104,24 +104,27 @@ class Device
                                          const OpCost &prefill) = 0;
 
     /**
-     * MoE layer: per-expert work. Experts with zero tokens are not
-     * touched (their weights are never read).
-     */
-    virtual DeviceTiming runMoe(const std::vector<ExpertWork> &experts)
-        = 0;
-
-    /**
      * Whole MoE layer over contiguous groups of @p group_size
      * experts (one group per expert-parallel device / ET shard).
-     * Equivalent to calling runMoe per group and combining: time is
-     * the makespan (max group time) and each group's energy is
-     * scaled by @p energy_scale before summing. One call per layer
-     * lets devices share per-token-count memoization across groups;
-     * the default implementation just loops runMoe.
+     * Each group is priced alone: experts with zero tokens are not
+     * touched (their weights are never read) and a group with no
+     * tokens is free. The layer's time is the makespan (max group
+     * time), and its energy is the in-order sum of each group's
+     * energy times @p energy_scale. One call per layer lets devices
+     * share per-token-count memoization across groups.
      */
     virtual DeviceTiming
     runMoeGroups(const std::vector<ExpertWork> &experts,
-                 int group_size, double energy_scale);
+                 int group_size, double energy_scale) = 0;
+
+    /** MoE work priced as one group; an empty list is free. */
+    DeviceTiming runMoe(const std::vector<ExpertWork> &experts)
+    {
+        if (experts.empty())
+            return {};
+        return runMoeGroups(experts, static_cast<int>(experts.size()),
+                            1.0);
+    }
 
     /** Install the expert-time lookup table (hybrid devices). */
     virtual void setExpertLut(const ExpertTimeLut *lut) { (void)lut; }

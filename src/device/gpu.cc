@@ -55,40 +55,13 @@ GpuDevice::runAttention(const OpCost &decode, const OpCost &prefill)
 }
 
 DeviceTiming
-GpuDevice::runMoe(const std::vector<ExpertWork> &experts)
-{
-    // Grouped-GEMM execution: one dispatch for the group, experts
-    // processed back to back.
-    DeviceTiming total;
-    bool any = false;
-    for (const auto &e : experts) {
-        if (e.tokens == 0)
-            continue;
-        any = true;
-        DeviceTiming t;
-        t.time = operatorTimeNoOverhead(spec_.xpu, e.cost.flops,
-                                        e.cost.bytes);
-        t.energy.dramJ =
-            energy_.dramEnergyJ(spec_.xpuPath, e.cost.bytes);
-        t.energy.computeJ =
-            energy_.computeEnergyJ(spec_.xpuCls, e.cost.flops);
-        total += t;
-    }
-    if (any)
-        total.time += spec_.xpu.dispatchOverhead;
-    return total;
-}
-
-DeviceTiming
 GpuDevice::runMoeGroups(const std::vector<ExpertWork> &experts,
                         int group_size, double energy_scale)
 {
-    // Same composition as the base implementation (runMoe per
-    // contiguous group, makespan over groups, per-group energy
-    // scaling), with a direct-mapped per-token-count cache shared
-    // across the layer: decode stages repeat small counts heavily,
-    // while a collision just recomputes — O(1) either way, and the
-    // accumulation sees the same values in the same order.
+    // Grouped-GEMM execution: one dispatch per group, its experts
+    // processed back to back. A direct-mapped per-token-count cache
+    // is shared across the layer: decode stages repeat small counts
+    // heavily, while a collision just recomputes.
     struct Memo
     {
         std::int64_t tokens = -1;

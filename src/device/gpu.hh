@@ -36,8 +36,6 @@ class GpuDevice : public Device
     AttentionTiming runAttention(const OpCost &decode,
                                  const OpCost &prefill) override;
     DeviceTiming
-    runMoe(const std::vector<ExpertWork> &experts) override;
-    DeviceTiming
     runMoeGroups(const std::vector<ExpertWork> &experts,
                  int group_size, double energy_scale) override;
 

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <limits>
 
 #include "common/log.hh"
+#include "common/number.hh"
 
 namespace duplex
 {
@@ -302,20 +304,29 @@ splitAny(const std::string &text, const char *seps)
     return out;
 }
 
+/** The field as a finite number, or a fatal naming it. */
 double
-parseNumber(const std::string &field, const std::string &item)
+faultNumber(const std::string &field, const char *name,
+            const std::string &item)
 {
-    try {
-        std::size_t used = 0;
-        const double v = std::stod(field, &used);
-        fatalIf(used != field.size(),
-                "--faults: bad number '" + field + "' in '" + item +
-                    "'");
-        return v;
-    } catch (const std::exception &) {
-        fatal("--faults: bad number '" + field + "' in '" + item +
-              "'");
-    }
+    const std::optional<double> v = parseFinite(field);
+    if (!v)
+        fatal("--faults: bad " + std::string(name) + " '" + field +
+              "' in '" + item + "' (not a finite number)");
+    return *v;
+}
+
+/** The field as a non-negative int id, or a fatal naming it. */
+int
+faultId(const std::string &field, const char *name,
+        const std::string &item)
+{
+    const std::optional<std::int64_t> v =
+        parseWhole(field, 0, std::numeric_limits<int>::max());
+    if (!v)
+        fatal("--faults: " + std::string(name) +
+              " must be a non-negative integer in '" + item + "'");
+    return static_cast<int>(*v);
 }
 
 } // namespace
@@ -336,7 +347,7 @@ parseFaultList(const std::string &text)
                 "--faults: '" + item +
                     "' — need at least time and instance");
         FaultEvent e;
-        const double sec = parseNumber(fields[0], item);
+        const double sec = faultNumber(fields[0], "time", item);
         fatalIf(sec < 0.0,
                 "--faults: negative time in '" + item + "'");
         e.at = secToPs(sec);
@@ -346,22 +357,9 @@ parseFaultList(const std::string &text)
             fatalIf(kind != "crash",
                     "--faults: only crash can target a domain in '" +
                         item + "'");
-            const double dom =
-                parseNumber(fields[1].substr(7), item);
-            e.domain = static_cast<int>(dom);
-            fatalIf(e.domain < 0 ||
-                        static_cast<double>(e.domain) != dom,
-                    "--faults: domain must be a non-negative "
-                    "integer in '" +
-                        item + "'");
+            e.domain = faultId(fields[1].substr(7), "domain", item);
         } else {
-            const double inst = parseNumber(fields[1], item);
-            e.instance = static_cast<int>(inst);
-            fatalIf(e.instance < 0 ||
-                        static_cast<double>(e.instance) != inst,
-                    "--faults: instance must be a non-negative "
-                    "integer in '" +
-                        item + "'");
+            e.instance = faultId(fields[1], "instance", item);
         }
         if (kind == "crash") {
             fatalIf(fields.size() > 3,
@@ -370,7 +368,8 @@ parseFaultList(const std::string &text)
             e.kind = FaultKind::Crash;
             e.duration = -1;
             if (fields.size() == 3) {
-                const double down = parseNumber(fields[2], item);
+                const double down =
+                    faultNumber(fields[2], "downtime", item);
                 fatalIf(down <= 0.0,
                         "--faults: downtime must be positive in '" +
                             item + "'");
@@ -382,14 +381,15 @@ parseFaultList(const std::string &text)
                         "' — degrade@sec:instance:window-sec"
                         "[:factor]");
             e.kind = FaultKind::Degrade;
-            const double window = parseNumber(fields[2], item);
+            const double window =
+                faultNumber(fields[2], "window", item);
             fatalIf(window <= 0.0,
                     "--faults: window must be positive in '" +
                         item + "'");
             e.duration = secToPs(window);
             e.factor = 3.0;
             if (fields.size() == 4) {
-                e.factor = parseNumber(fields[3], item);
+                e.factor = faultNumber(fields[3], "factor", item);
                 fatalIf(e.factor <= 0.0,
                         "--faults: factor must be positive in '" +
                             item + "'");

@@ -45,7 +45,7 @@ ClusterSystem::describe() const
 
 HeteroSystem::HeteroSystem(std::string name,
                            const HeteroConfig &config)
-    : name_(std::move(name)), cfg_(config), cluster_(config)
+    : name_(std::move(name)), cluster_(config)
 {
 }
 
@@ -70,9 +70,10 @@ HeteroSystem::maxKvTokens() const
 std::string
 HeteroSystem::describe() const
 {
+    const HeteroConfig &cfg = cluster_.config();
     std::ostringstream out;
-    out << name_ << ": " << cfg_.numGpus << " GPU(s) + "
-        << cfg_.numPimDevices
+    out << name_ << ": " << cfg.numGpus << " GPU(s) + "
+        << cfg.numPimDevices
         << " Logic-PIM device(s), KV on the PIM side";
     return out.str();
 }

@@ -100,10 +100,6 @@ class ClusterSystem : public ServingSystem
         return cluster_.config().topo.numNodes > 1;
     }
 
-    /** The underlying cluster, for config-level inspection. */
-    const Cluster &cluster() const { return cluster_; }
-    Cluster &cluster() { return cluster_; }
-
   private:
     std::string name_;
     Cluster cluster_;
@@ -123,7 +119,6 @@ class HeteroSystem : public ServingSystem
 
   private:
     std::string name_;
-    HeteroConfig cfg_;
     HeteroCluster cluster_;
 };
 

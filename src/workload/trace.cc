@@ -2,9 +2,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/log.hh"
+#include "common/number.hh"
 
 namespace duplex
 {
@@ -26,25 +28,6 @@ lineContext(int line_no, const std::string &line)
         shown = shown.substr(0, 57) + "...";
     return "trace line " + std::to_string(line_no) + ": '" + shown +
            "' — ";
-}
-
-/** Parse one field completely ('1.5x' is an error, not 1.5). */
-double
-traceNumber(const std::string &field, const char *name,
-            int line_no, const std::string &line)
-{
-    try {
-        std::size_t used = 0;
-        const double v = std::stod(field, &used);
-        fatalIf(field.find_first_not_of(" \t\r",
-                                        used) != std::string::npos,
-                lineContext(line_no, line) + "bad " +
-                    std::string(name) + " '" + field + "'");
-        return v;
-    } catch (const std::exception &) {
-        fatal(lineContext(line_no, line) + "bad " +
-              std::string(name) + " '" + field + "'");
-    }
 }
 
 } // namespace
@@ -89,20 +72,39 @@ parseTrace(std::istream &in)
                     "too many columns (expected at most "
                     "arrival_sec,input_len,output_len,session_id,"
                     "priority_class)");
+        // Every field is checked whole, finite and (for integers)
+        // in range before it is cast.
+        auto number = [&](const std::string &field, const char *name) {
+            const std::optional<double> v = parseFinite(field);
+            if (!v)
+                fatal(lineContext(line_no, line) + "bad " + name +
+                      " '" + field + "' (not a finite number)");
+            return *v;
+        };
+        auto whole = [&](const std::string &field, const char *name,
+                         std::int64_t lo = -kMaxExactWhole,
+                         std::int64_t hi = kMaxExactWhole) {
+            const std::optional<std::int64_t> v =
+                parseWhole(field, lo, hi);
+            if (!v)
+                fatal(lineContext(line_no, line) + "bad " + name +
+                      " '" + field + "' (not a whole number in [" +
+                      std::to_string(lo) + ", " + std::to_string(hi) +
+                      "])");
+            return *v;
+        };
         Request r;
         r.id = static_cast<int>(requests.size());
-        r.arrival = secToPs(
-            traceNumber(arrival_s, "arrival_sec", line_no, line));
-        r.inputLen = static_cast<std::int64_t>(
-            traceNumber(lin_s, "input_len", line_no, line));
-        r.outputLen = static_cast<std::int64_t>(
-            traceNumber(lout_s, "output_len", line_no, line));
+        r.arrival = secToPs(number(arrival_s, "arrival_sec"));
+        r.inputLen = whole(lin_s, "input_len");
+        r.outputLen = whole(lout_s, "output_len");
         if (has_session)
-            r.sessionId = static_cast<std::int64_t>(traceNumber(
-                session_s, "session_id", line_no, line));
+            r.sessionId = whole(session_s, "session_id");
         if (has_priority)
-            r.priorityClass = static_cast<int>(traceNumber(
-                priority_s, "priority_class", line_no, line));
+            r.priorityClass = static_cast<int>(
+                whole(priority_s, "priority_class",
+                      std::numeric_limits<int>::min(),
+                      std::numeric_limits<int>::max()));
         fatalIf(r.arrival < 0 || r.inputLen <= 0 || r.outputLen <= 0,
                 lineContext(line_no, line) +
                     "lengths must be positive, arrival "

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/duplex_device.hh"
 #include "workload/experts.hh"
 
@@ -177,6 +179,79 @@ TEST_F(DuplexDeviceTest, EnergyUsesLowPathWhenOnLow)
     const double gpu_j = gpu.runMoe(experts).energy.dramJ;
     // Logic-PIM skips the interposer: visibly lower DRAM energy.
     EXPECT_LT(dup_j, 0.8 * gpu_j);
+}
+
+/**
+ * runMoeGroups over contiguous groups must equal pricing each group
+ * alone: the makespan is the slowest group, and the energy is the
+ * in-order sum of each group's energy times the scale.
+ */
+void
+expectGroupsCompose(Device &dev, const std::vector<ExpertWork> &experts,
+                    int group_size, double scale)
+{
+    DeviceTiming expect;
+    for (std::size_t g = 0; g < experts.size(); g += group_size) {
+        const std::vector<ExpertWork> group(
+            experts.begin() + g, experts.begin() + g + group_size);
+        const DeviceTiming t = dev.runMoe(group);
+        expect.time = std::max(expect.time, t.time);
+        expect.energy.dramJ += t.energy.dramJ * scale;
+        expect.energy.computeJ += t.energy.computeJ * scale;
+    }
+    const DeviceTiming got = dev.runMoeGroups(experts, group_size, scale);
+    EXPECT_GT(got.time, 0);
+    EXPECT_EQ(got.time, expect.time);
+    EXPECT_EQ(got.energy.dramJ, expect.energy.dramJ);
+    EXPECT_EQ(got.energy.computeJ, expect.energy.computeJ);
+}
+
+TEST_F(DuplexDeviceTest, MoeGroupsComposeSingleGroups)
+{
+    // Four groups of four experts: a decode-like group, a cold
+    // group, a prefill-heavy group and a skewed one, so the hybrid
+    // devices pick different engines per group.
+    const std::vector<std::int64_t> tokens = {16,   3,  0,  9,
+                                              0,    0,  0,  0,
+                                              1100, 900, 1500, 2048,
+                                              4096, 0,  16, 1};
+    std::vector<ExpertWork> experts;
+    for (std::int64_t t : tokens)
+        experts.push_back({t, costs.expertFfn(t)});
+
+    GpuDevice gpu(h100DeviceSpec(timing, cal));
+    HybridDevice serial(spec(false));
+    HybridDevice co_no_lut(spec(true));
+    const auto s_co = spec(true);
+    HybridDevice co(s_co);
+    ExpertTimeLut lut(s_co.xpu, s_co.low, costs.expertFfn(1),
+                      costs.expertFfn(2));
+    co.setExpertLut(&lut);
+
+    for (Device *dev : {static_cast<Device *>(&gpu),
+                        static_cast<Device *>(&serial),
+                        static_cast<Device *>(&co_no_lut),
+                        static_cast<Device *>(&co)}) {
+        SCOPED_TRACE(dev->spec().name);
+        expectGroupsCompose(*dev, experts, 4, 1.0);
+        expectGroupsCompose(*dev, experts, 4, 2.0);
+    }
+}
+
+TEST_F(DuplexDeviceTest, EmptyMoeIsFree)
+{
+    HybridDevice serial(spec(false));
+    const auto s_co = spec(true);
+    HybridDevice co(s_co);
+    ExpertTimeLut lut(s_co.xpu, s_co.low, costs.expertFfn(1),
+                      costs.expertFfn(2));
+    co.setExpertLut(&lut);
+    for (HybridDevice *dev : {&serial, &co}) {
+        const DeviceTiming t = dev->runMoe({});
+        EXPECT_EQ(t.time, 0);
+        EXPECT_EQ(t.energy.totalJ(), 0.0);
+        EXPECT_EQ(dev->lastExpertsOnLow(), 0);
+    }
 }
 
 } // namespace

@@ -1153,6 +1153,22 @@ TEST(Faults, ParseDomainCrashGrammar)
     EXPECT_EQ(parseFaultList("crash@2:0")[0].domain, -1);
 }
 
+TEST(Faults, ParseRejectsNonFiniteNumbers)
+{
+    // A NaN time is not a negative one; an infinite downtime is not
+    // "never rejoins".
+    EXPECT_EXIT({ parseFaultList("crash@nan:0"); },
+                ::testing::ExitedWithCode(1),
+                "bad time 'nan' in 'crash@nan:0' .not a finite");
+    EXPECT_EXIT({ parseFaultList("crash@1:0:inf"); },
+                ::testing::ExitedWithCode(1),
+                "bad downtime 'inf' in 'crash@1:0:inf' .not a finite");
+    EXPECT_EXIT({ parseFaultList("crash@1:1e30"); },
+                ::testing::ExitedWithCode(1),
+                "instance must be a non-negative integer in "
+                "'crash@1:1e30'");
+}
+
 TEST(Faults, ParseDomainRejectsNonCrash)
 {
     EXPECT_EXIT({ parseFaultList("degrade@2:domain=1:2:3"); },

@@ -178,6 +178,36 @@ TEST(TraceErrors, NonPositiveLengthIsAnError)
                 "trace line 1.*lengths must be positive");
 }
 
+TEST(TraceErrors, NonFiniteNumberIsAnError)
+{
+    std::istringstream in("nan,256,64\n");
+    EXPECT_EXIT({ parseTrace(in); }, ::testing::ExitedWithCode(1),
+                "trace line 1.*bad arrival_sec 'nan' .not a finite");
+}
+
+TEST(TraceErrors, LengthBeyondAnExactWholeIsAnError)
+{
+    // 1e300 must not reach the integer cast.
+    std::istringstream in("0,1e300,64\n");
+    EXPECT_EXIT({ parseTrace(in); }, ::testing::ExitedWithCode(1),
+                "trace line 1.*bad input_len '1e300' .not a whole");
+}
+
+TEST(TraceErrors, FractionalLengthIsAnError)
+{
+    // 256.7 must not silently run as a 256-token prompt.
+    std::istringstream in("0,256.7,64\n");
+    EXPECT_EXIT({ parseTrace(in); }, ::testing::ExitedWithCode(1),
+                "trace line 1.*bad input_len '256.7' .not a whole");
+}
+
+TEST(TraceErrors, SessionIdBeyondAnExactWholeIsAnError)
+{
+    std::istringstream in("0,256,64,1e30\n");
+    EXPECT_EXIT({ parseTrace(in); }, ::testing::ExitedWithCode(1),
+                "trace line 1.*bad session_id '1e30' .not a whole");
+}
+
 TEST(TraceErrors, MissingFileNamesThePath)
 {
     EXPECT_EXIT({ loadTrace("/no/such/trace.csv"); },

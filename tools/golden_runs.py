@@ -70,6 +70,7 @@ RUNS = [
     ("fig11-throughput", "bench_fig11_throughput"),
     ("fig05-hetero", "bench_fig05_hetero"),
     ("fig14-bankpim", "bench_fig14_bankpim"),
+    ("fig15-energy", "bench_fig15_energy"),
     ("ablation", "bench_ablation"),
     ("expert-skew", "expert_skew --batch=16"),
     ("list-systems", "quickstart --list-systems"),
