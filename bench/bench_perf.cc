@@ -8,7 +8,8 @@
  *  - cost model: the O(1) closed-form attention costs against the
  *    retained per-context reference loops (batch 256);
  *  - stage execution: stages/sec of Cluster::executeStage on a
- *    representative decode and mixed stage;
+ *    representative decode and mixed stage of Mixtral, and on the
+ *    decode stage of the dense 80-layer Llama3;
  *  - figure sweeps: wall-clock of the Fig. 11 throughput sweep
  *    (the paper's headline figure, 135 simulations) and the
  *    Fig. 12 GLaM latency sweep through the SweepRunner, with
@@ -91,18 +92,25 @@ probeCostModel()
 
 /** Stages/sec of one system on a fixed stage shape. */
 double
-probeStageExec(const std::string &system, const StageShape &stage)
+probeStageExec(const std::string &system, const ModelConfig &model,
+               const StageShape &stage)
 {
-    const std::unique_ptr<ServingSystem> sys =
-        makeSystem(system, mixtralConfig());
+    const std::unique_ptr<ServingSystem> sys = makeSystem(system, model);
     // Warm up once (device LUT construction etc.).
     sys->executeStage(stage);
-    const int iters = 300;
+    // Whole batches of 300 stages until 50 ms have passed, so a
+    // sub-microsecond dense stage is timed over enough iterations.
+    const int batch = 300;
+    std::int64_t iters = 0;
+    double sec = 0.0;
     const auto t0 = Clock::now();
     PicoSec sink = 0;
-    for (int i = 0; i < iters; ++i)
-        sink += sys->executeStage(stage).time;
-    const double sec = secondsSince(t0);
+    do {
+        for (int i = 0; i < batch; ++i)
+            sink += sys->executeStage(stage).time;
+        iters += batch;
+        sec = secondsSince(t0);
+    } while (sec < 0.05);
     return sink > 0 && sec > 0.0 ? iters / sec : 0.0;
 }
 
@@ -222,21 +230,29 @@ main()
     StageShape mixed_stage = decode_stage;
     mixed_stage.prefillLengths.push_back(2048);
 
+    const ModelConfig mixtral = mixtralConfig();
+    const ModelConfig llama3 = llama3Config();
     struct StageProbe
     {
         const char *name;
         double stagesPerSec;
     };
     const StageProbe stage_probes[] = {
-        {"gpu_decode64", probeStageExec("gpu", decode_stage)},
-        {"gpu_mixed64", probeStageExec("gpu", mixed_stage)},
+        {"gpu_decode64", probeStageExec("gpu", mixtral, decode_stage)},
+        {"gpu_mixed64", probeStageExec("gpu", mixtral, mixed_stage)},
         {"duplex_decode64",
-         probeStageExec("duplex-pe-et", decode_stage)},
+         probeStageExec("duplex-pe-et", mixtral, decode_stage)},
         {"duplex_mixed64",
-         probeStageExec("duplex-pe-et", mixed_stage)},
+         probeStageExec("duplex-pe-et", mixtral, mixed_stage)},
+        // Dense 80-layer model: no expert draws, so these time the
+        // layer schedule itself.
+        {"gpu_llama3_decode64",
+         probeStageExec("gpu", llama3, decode_stage)},
+        {"duplex_llama3_decode64",
+         probeStageExec("duplex-pe-et", llama3, decode_stage)},
     };
     for (const StageProbe &p : stage_probes)
-        std::printf("stage exec %-16s %10.0f stages/s\n", p.name,
+        std::printf("stage exec %-22s %10.0f stages/s\n", p.name,
                     p.stagesPerSec);
 
     struct WorkloadGenProbe

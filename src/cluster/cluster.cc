@@ -58,8 +58,7 @@ namespace
 /**
  * One stage's layer-invariant pricing, filled by a cluster kind.
  * The devices are stateless for these groups, so each is priced once
- * per stage and re-added per layer, which keeps every energy sum in
- * per-layer order.
+ * per stage and counted once per layer that contains it.
  */
 struct LayerTimings
 {
@@ -94,16 +93,79 @@ addGroup(const DeviceTiming &t, double devices, LayerClass cls,
     addSlice(t, devices, out.slice(cls));
 }
 
+/** addSlice of @p layers copies of @p t. */
+void
+addLayers(const DeviceTiming &t, std::int64_t layers, double devices,
+          ClassSlice &slice)
+{
+    DeviceTiming all = t;
+    all.time *= layers;
+    addSlice(all, static_cast<double>(layers) * devices, slice);
+}
+
 /**
- * The decoder-layer schedule every cluster kind prices a stage by.
+ * The decoder-layer schedule every cluster kind prices a stage by:
+ * embedding; per layer QKV, attention, projection, elementwise, the
+ * dense FFN or the MoE step, then the layer's collectives; LM head.
+ * Each layer-invariant group is priced once and multiplied by the
+ * number of layers that contain it. Only the MoE layers run one by
+ * one, in layer order, since each draws its gate from the RNG:
  * @p moe_step(hist, out) prices one MoE layer from the per-expert
  * token counts that @p draw drew over @p moe_tokens tokens.
+ *
+ * Times are integer picoseconds, so the products are exact. Each
+ * class energy is (sum of its per-layer groups) x layers x devices,
+ * which agrees with per-layer addition (priceLayersReference) to
+ * within 1e-12 relative.
  */
 template <class MoeStep>
 StageResult
-priceLayers(const ModelConfig &m, const LayerTimings t,
+priceLayers(const ModelConfig &m, const LayerTimings &t,
             ExpertDraw &draw, std::int64_t moe_tokens,
             MoeStep &&moe_step)
+{
+    StageResult out;
+    const std::int64_t layers = m.numLayers;
+    const std::int64_t moe_layers = m.numMoeLayers();
+    for (std::int64_t layer = 0; layer < moe_layers; ++layer)
+        moe_step(draw.draw(moe_tokens, out), out);
+
+    // FC groups: QKV, projection and elementwise in every layer, the
+    // dense FFN in the non-MoE layers.
+    DeviceTiming per_layer = t.qkv;
+    per_layer.time += t.projection.time + t.elementwise.time;
+    per_layer.energy += t.projection.energy;
+    per_layer.energy += t.elementwise.energy;
+    ClassSlice &fc = out.slice(LayerClass::Fc);
+    addSlice(t.embedding, t.devices, fc);
+    addLayers(per_layer, layers, t.devices, fc);
+    addLayers(t.ffn, layers - moe_layers, t.devices, fc);
+    addSlice(t.lmHead, t.devices, fc);
+
+    // Attention (decode + prefill groups, possibly co-processed).
+    addLayers(t.attention.decode, layers, t.decodeDevices,
+              out.slice(LayerClass::AttentionDecode));
+    addLayers(t.attention.prefill, layers, t.devices,
+              out.slice(LayerClass::AttentionPrefill));
+
+    const PicoSec comm =
+        t.denseComm * (layers - moe_layers) + t.moeComm * moe_layers;
+    out.slice(LayerClass::Communication).time += comm;
+    out.time += fc.time + t.attention.composed * layers + comm;
+    return out;
+}
+
+/**
+ * Reference for priceLayers, for the equivalence tests only: the
+ * same schedule, re-adding every group once per layer in layer
+ * order. Times and expert tokens are identical; energies agree to
+ * within 1e-12 relative.
+ */
+template <class MoeStep>
+StageResult
+priceLayersReference(const ModelConfig &m, const LayerTimings t,
+                     ExpertDraw &draw, std::int64_t moe_tokens,
+                     MoeStep &&moe_step)
 {
     StageResult out;
     addGroup(t.embedding, t.devices, LayerClass::Fc, out);
@@ -286,6 +348,18 @@ Cluster::moeCommTime(std::int64_t global_tokens,
 StageResult
 Cluster::executeStage(const StageShape &stage)
 {
+    return priceStage(stage, false);
+}
+
+StageResult
+Cluster::executeStageReference(const StageShape &stage)
+{
+    return priceStage(stage, true);
+}
+
+StageResult
+Cluster::priceStage(const StageShape &stage, bool reference)
+{
     const StageAggregates stage_agg = stage.aggregates();
     const std::int64_t global_tokens = stage_agg.totalTokens();
     if (global_tokens == 0)
@@ -334,11 +408,14 @@ Cluster::executeStage(const StageShape &stage)
             t.denseComm + moeCommTime(global_tokens, moe_node_tokens);
     }
 
-    return priceLayers(m, t, draw_, global_tokens,
-                       [&](const std::vector<std::int64_t> &hist,
-                           StageResult &out) {
-                           runMoeLayer(hist, gate_t, out);
-                       });
+    auto moe_step = [&](const std::vector<std::int64_t> &hist,
+                        StageResult &out) {
+        runMoeLayer(hist, gate_t, out);
+    };
+    return reference ? priceLayersReference(m, t, draw_,
+                                            global_tokens, moe_step)
+                     : priceLayers(m, t, draw_, global_tokens,
+                                   moe_step);
 }
 
 HeteroCluster::HeteroCluster(const HeteroConfig &config)
@@ -404,6 +481,18 @@ HeteroCluster::runMoeLayer(const std::vector<std::int64_t> &hist,
 StageResult
 HeteroCluster::executeStage(const StageShape &stage)
 {
+    return priceStage(stage, false);
+}
+
+StageResult
+HeteroCluster::executeStageReference(const StageShape &stage)
+{
+    return priceStage(stage, true);
+}
+
+StageResult
+HeteroCluster::priceStage(const StageShape &stage, bool reference)
+{
     const StageAggregates agg = stage.aggregates();
     const std::int64_t tokens = agg.totalTokens();
     if (tokens == 0)
@@ -447,11 +536,13 @@ HeteroCluster::executeStage(const StageShape &stage)
     if (m.numMoeLayers() > 0)
         gate_t = gpu(costs_.gate(tokens));
 
-    return priceLayers(m, t, draw_, tokens,
-                       [&](const std::vector<std::int64_t> &hist,
-                           StageResult &out) {
-                           runMoeLayer(hist, gate_t, out);
-                       });
+    auto moe_step = [&](const std::vector<std::int64_t> &hist,
+                        StageResult &out) {
+        runMoeLayer(hist, gate_t, out);
+    };
+    return reference
+               ? priceLayersReference(m, t, draw_, tokens, moe_step)
+               : priceLayers(m, t, draw_, tokens, moe_step);
 }
 
 } // namespace duplex

@@ -8,9 +8,14 @@
  * step after the layer's expert draw, then the layer's collectives;
  * LM head. A kind supplies only what differs: the layer-invariant
  * device timings with the device count that multiplies their energy,
- * its per-layer communication time, and its MoE step. The result is
- * wall-clock time plus a per-layer-class time and energy breakdown
- * (Figs. 4(a), 15).
+ * its per-layer communication time, and its MoE step. The schedule
+ * prices each layer-invariant group once and multiplies it by the
+ * number of layers that contain it, so a stage costs O(1) in the
+ * layer count apart from the MoE layers' expert draws; times stay
+ * exact, and class energies agree with the per-layer sums that
+ * executeStageReference keeps to within 1e-12 relative. The result
+ * is wall-clock time plus a per-layer-class time and energy
+ * breakdown (Figs. 4(a), 15).
  *
  * Cluster is the homogeneous system. It applies the sharding plan:
  * tensor parallelism inside a node (all devices do identical shards,
@@ -144,6 +149,14 @@ class Cluster
     /** Execute one batched stage; deterministic given the seed. */
     StageResult executeStage(const StageShape &stage);
 
+    /**
+     * Reference for executeStage, for the equivalence tests only: it
+     * re-adds every layer-invariant group once per layer. Equal times
+     * and expert tokens, energies within 1e-12 relative; it advances
+     * the expert-draw stream exactly as executeStage does.
+     */
+    StageResult executeStageReference(const StageShape &stage);
+
     /** KV capacity of the whole system. */
     KvBudget kvBudget() const;
 
@@ -174,6 +187,9 @@ class Cluster
      * valid until the next call.
      */
     const StageShape &nodeShare(const StageShape &stage);
+
+    /** executeStage, or its reference when @p reference is set. */
+    StageResult priceStage(const StageShape &stage, bool reference);
 
     /** MoE step: the gate plus the experts, grouped by the plan. */
     void runMoeLayer(const std::vector<std::int64_t> &hist,
@@ -206,6 +222,9 @@ class HeteroCluster
 
     StageResult executeStage(const StageShape &stage);
 
+    /** Reference for executeStage; see Cluster::executeStageReference. */
+    StageResult executeStageReference(const StageShape &stage);
+
     /** KV lives on the PIM devices only. */
     KvBudget kvBudget() const;
     std::int64_t maxKvTokens() const
@@ -218,6 +237,9 @@ class HeteroCluster
     LayerCosts costs_;
     EnergyModel energy_;
     ExpertDraw draw_;
+
+    /** executeStage, or its reference when @p reference is set. */
+    StageResult priceStage(const StageShape &stage, bool reference);
 
     /** MoE step: the gate on the GPUs, every expert on the PIMs. */
     void runMoeLayer(const std::vector<std::int64_t> &hist,

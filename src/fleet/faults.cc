@@ -316,6 +316,18 @@ faultNumber(const std::string &field, const char *name,
     return *v;
 }
 
+/** faultNumber for a time in seconds that fits the clock. */
+double
+faultSeconds(const std::string &field, const char *name,
+             const std::string &item)
+{
+    const double v = faultNumber(field, name, item);
+    if (!withinClockRange(v))
+        fatal("--faults: bad " + std::string(name) + " '" + field +
+              "' in '" + item + "' (beyond the simulated clock range)");
+    return v;
+}
+
 /** The field as a non-negative int id, or a fatal naming it. */
 int
 faultId(const std::string &field, const char *name,
@@ -347,7 +359,7 @@ parseFaultList(const std::string &text)
                 "--faults: '" + item +
                     "' — need at least time and instance");
         FaultEvent e;
-        const double sec = faultNumber(fields[0], "time", item);
+        const double sec = faultSeconds(fields[0], "time", item);
         fatalIf(sec < 0.0,
                 "--faults: negative time in '" + item + "'");
         e.at = secToPs(sec);
@@ -369,7 +381,7 @@ parseFaultList(const std::string &text)
             e.duration = -1;
             if (fields.size() == 3) {
                 const double down =
-                    faultNumber(fields[2], "downtime", item);
+                    faultSeconds(fields[2], "downtime", item);
                 fatalIf(down <= 0.0,
                         "--faults: downtime must be positive in '" +
                             item + "'");
@@ -382,7 +394,7 @@ parseFaultList(const std::string &text)
                         "[:factor]");
             e.kind = FaultKind::Degrade;
             const double window =
-                faultNumber(fields[2], "window", item);
+                faultSeconds(fields[2], "window", item);
             fatalIf(window <= 0.0,
                     "--faults: window must be positive in '" +
                         item + "'");

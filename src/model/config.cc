@@ -8,18 +8,6 @@
 namespace duplex
 {
 
-int
-ModelConfig::numMoeLayers() const
-{
-    if (numExperts == 0)
-        return 0;
-    int count = 0;
-    for (int l = 0; l < numLayers; ++l)
-        if (isMoeLayer(l))
-            ++count;
-    return count;
-}
-
 double
 ModelConfig::attentionParams() const
 {

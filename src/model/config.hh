@@ -53,8 +53,12 @@ struct ModelConfig
         return numExperts > 0 && layer % moePeriod == 0;
     }
 
-    /** Number of MoE blocks in the model. */
-    int numMoeLayers() const;
+    /** Number of MoE blocks in the model (the isMoeLayer count). */
+    int numMoeLayers() const
+    {
+        return numExperts > 0 ? (numLayers + moePeriod - 1) / moePeriod
+                              : 0;
+    }
 
     /** FC layers per FFN (2 or 3). */
     int ffnFcCount() const { return gatedFfn ? 3 : 2; }

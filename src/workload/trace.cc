@@ -72,13 +72,17 @@ parseTrace(std::istream &in)
                     "too many columns (expected at most "
                     "arrival_sec,input_len,output_len,session_id,"
                     "priority_class)");
-        // Every field is checked whole, finite and (for integers)
-        // in range before it is cast.
-        auto number = [&](const std::string &field, const char *name) {
+        // Every field is checked whole, finite and (for integers
+        // and times) in range before it is cast.
+        auto seconds = [&](const std::string &field, const char *name) {
             const std::optional<double> v = parseFinite(field);
             if (!v)
                 fatal(lineContext(line_no, line) + "bad " + name +
                       " '" + field + "' (not a finite number)");
+            if (!withinClockRange(*v))
+                fatal(lineContext(line_no, line) + "bad " + name +
+                      " '" + field +
+                      "' (beyond the simulated clock range)");
             return *v;
         };
         auto whole = [&](const std::string &field, const char *name,
@@ -95,7 +99,7 @@ parseTrace(std::istream &in)
         };
         Request r;
         r.id = static_cast<int>(requests.size());
-        r.arrival = secToPs(number(arrival_s, "arrival_sec"));
+        r.arrival = secToPs(seconds(arrival_s, "arrival_sec"));
         r.inputLen = whole(lin_s, "input_len");
         r.outputLen = whole(lout_s, "output_len");
         if (has_session)

@@ -1169,6 +1169,25 @@ TEST(Faults, ParseRejectsNonFiniteNumbers)
                 "'crash@1:1e30'");
 }
 
+TEST(Faults, ParseRejectsTimeBeyondClockRange)
+{
+    // Times, downtimes and windows past the int64 picosecond clock
+    // (~9.2e6 s) must not reach the cast in secToPs.
+    EXPECT_EXIT({ parseFaultList("crash@1e7:0"); },
+                ::testing::ExitedWithCode(1),
+                "bad time '1e7' in 'crash@1e7:0' .beyond the simulated "
+                "clock range");
+    EXPECT_EXIT({ parseFaultList("crash@1:0:1e7"); },
+                ::testing::ExitedWithCode(1),
+                "bad downtime '1e7' in 'crash@1:0:1e7' .beyond");
+    EXPECT_EXIT({ parseFaultList("degrade@1:0:1e7"); },
+                ::testing::ExitedWithCode(1),
+                "bad window '1e7' in 'degrade@1:0:1e7' .beyond");
+    const auto events = parseFaultList("crash@9223372:0");
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].at, secToPs(9223372.0));
+}
+
 TEST(Faults, ParseDomainRejectsNonCrash)
 {
     EXPECT_EXIT({ parseFaultList("degrade@2:domain=1:2:3"); },

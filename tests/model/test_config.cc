@@ -89,6 +89,22 @@ TEST(ModelConfig, DenseModelsHaveNoMoe)
     EXPECT_FALSE(optConfig().isMoeLayer(0));
 }
 
+TEST(ModelConfig, NumMoeLayersCountsIsMoeLayer)
+{
+    // The closed form must count exactly the layers isMoeLayer marks.
+    ModelConfig m = mixtralConfig();
+    for (int period = 1; period <= 4; ++period)
+        for (int layers = 0; layers <= 33; ++layers) {
+            m.moePeriod = period;
+            m.numLayers = layers;
+            int count = 0;
+            for (int l = 0; l < layers; ++l)
+                count += m.isMoeLayer(l) ? 1 : 0;
+            EXPECT_EQ(m.numMoeLayers(), count)
+                << "period " << period << " layers " << layers;
+        }
+}
+
 TEST(ModelConfig, FfnFcCount)
 {
     EXPECT_EQ(mixtralConfig().ffnFcCount(), 3);

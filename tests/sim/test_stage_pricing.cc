@@ -1,16 +1,26 @@
 /**
  * @file
- * Exact stage-pricing pin: every registered system prices a fixed
+ * Stage-pricing pins: every registered system prices a fixed
  * sequence of decode-only, mixed and prefill-only stages on one
- * instance, and a hash over the bit patterns of every StageResult
- * field must match the recorded value. The sequence runs on one
- * instance so the expert-draw RNG advance between stages is part of
- * what is pinned, and the hash covers per-class energy, which no
- * figure bench prints for every system.
+ * instance, and two hashes over the bit patterns of the StageResults
+ * must match the recorded values. The sequence runs on one instance
+ * so the expert-draw RNG advance between stages is part of what is
+ * pinned.
+ *
+ * The time hash covers the exact part of a result: the stage time,
+ * every class time and the expert tokens. The energy hash covers
+ * every class's dramJ and computeJ, which no figure bench prints for
+ * every system; the multiplied layer schedule agrees with per-layer
+ * energy sums only to within 1e-12 relative, so a change to the
+ * schedule's float arithmetic moves this hash and not the time hash.
+ * The reference test checks that agreement against
+ * executeStageReference.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -19,6 +29,8 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hh"
+#include "sim/presets.hh"
 #include "sim/registry.hh"
 
 namespace duplex
@@ -45,17 +57,24 @@ class BitHash
         add(bits);
     }
 
-    void add(const StageResult &r)
+    /** The exact fields: times and expert tokens. */
+    void addTimes(const StageResult &r)
     {
         add(static_cast<std::uint64_t>(r.time));
-        for (const ClassSlice &s : r.byClass) {
+        for (const ClassSlice &s : r.byClass)
             add(static_cast<std::uint64_t>(s.time));
-            add(s.energy.dramJ);
-            add(s.energy.computeJ);
-        }
         add(static_cast<std::uint64_t>(r.expertTokens.size()));
         for (std::int64_t t : r.expertTokens)
             add(static_cast<std::uint64_t>(t));
+    }
+
+    /** The per-class energies. */
+    void addEnergy(const StageResult &r)
+    {
+        for (const ClassSlice &s : r.byClass) {
+            add(s.energy.dramJ);
+            add(s.energy.computeJ);
+        }
     }
 
     std::uint64_t value() const { return h_; }
@@ -117,61 +136,105 @@ struct Pin
 {
     const char *id;
     const char *model;
-    const char *hash;
+    const char *timeHash;
+    const char *energyHash;
 };
 
 /**
- * Every (system, model) pair that builds, with the hash of its whole
- * stage sequence. The split systems are single-node only, so they
- * have no Grok1 row, and the 2+6 and 6+2 splits cannot hold GLaM's
- * duplicated weights on their two-device group.
+ * Every (system, model) pair that builds, with the time and energy
+ * hashes of its whole stage sequence. The split systems are
+ * single-node only, so they have no Grok1 row, and the 2+6 and 6+2
+ * splits cannot hold GLaM's duplicated weights on their two-device
+ * group.
  */
 const std::vector<Pin> &
 pins()
 {
     static const std::vector<Pin> table = {
-        {"bank-pim", "Mixtral", "600875670348deca"},
-        {"bank-pim", "GLaM", "f725780f952f9e80"},
-        {"bank-pim", "Grok1", "d4632033fd8e7c91"},
-        {"bank-pim", "Llama3", "1d539961d2a0cbbd"},
-        {"bankgroup-pim", "Mixtral", "d46f830cd30f4304"},
-        {"bankgroup-pim", "GLaM", "62a9f535d43a863f"},
-        {"bankgroup-pim", "Grok1", "f8a7005b6f42bb29"},
-        {"bankgroup-pim", "Llama3", "6fe3a1640b7c12a6"},
-        {"duplex", "Mixtral", "d15c632a15612bf3"},
-        {"duplex", "GLaM", "d486f4915825ead0"},
-        {"duplex", "Grok1", "ce28bd3f2c8523b2"},
-        {"duplex", "Llama3", "58d0f8add7af7053"},
-        {"duplex-pe", "Mixtral", "c100d65eb1cf8311"},
-        {"duplex-pe", "GLaM", "d4c3abdc493403c5"},
-        {"duplex-pe", "Grok1", "de9ac49f2efbdb33"},
-        {"duplex-pe", "Llama3", "f00e0fa18213d45e"},
-        {"duplex-pe-et", "Mixtral", "d3489cdecfb1bd25"},
-        {"duplex-pe-et", "GLaM", "93f2f84000b36f2b"},
-        {"duplex-pe-et", "Grok1", "b57e27882bc58bc6"},
-        {"duplex-pe-et", "Llama3", "f00e0fa18213d45e"},
-        {"duplex-split", "Mixtral", "ac7bd16b4b04dd5d"},
-        {"duplex-split", "GLaM", "ddfb638d355ba322"},
-        {"duplex-split", "Llama3", "98c8adc131b1a43e"},
-        {"duplex-split-2p6d", "Mixtral", "f317edf6097bcb06"},
-        {"duplex-split-2p6d", "Llama3", "808d0692dc8917c5"},
-        {"duplex-split-6p2d", "Mixtral", "711909bd4f156c14"},
-        {"duplex-split-6p2d", "Llama3", "5fa4eed9dfbe81ca"},
-        {"duplex-split-contended", "Mixtral", "ac7bd16b4b04dd5d"},
-        {"duplex-split-contended", "GLaM", "ddfb638d355ba322"},
-        {"duplex-split-contended", "Llama3", "98c8adc131b1a43e"},
-        {"gpu", "Mixtral", "337d93b32828e722"},
-        {"gpu", "GLaM", "9bd38ab7a0693e04"},
-        {"gpu", "Grok1", "7ab08ce5a5f9375a"},
-        {"gpu", "Llama3", "855a0ab1f1cd2e11"},
-        {"gpu-2x", "Mixtral", "976f6d300d61f846"},
-        {"gpu-2x", "GLaM", "5db6719aec525ad7"},
-        {"gpu-2x", "Grok1", "7f66c18ad929889a"},
-        {"gpu-2x", "Llama3", "4d82a4a0dee2c7d0"},
-        {"hetero", "Mixtral", "0b565c843bc3ccef"},
-        {"hetero", "GLaM", "44c533928970cbaa"},
-        {"hetero", "Grok1", "7ce761e0c335c7c9"},
-        {"hetero", "Llama3", "e38ff442fb809c7f"},
+        {"bank-pim", "Mixtral", "2e954f19c19c70cd",
+         "666ffb2877845c35"},
+        {"bank-pim", "GLaM", "bfd479dca4824754",
+         "710488958c9f1360"},
+        {"bank-pim", "Grok1", "64a085ce420ff905",
+         "93213bdee9fb5638"},
+        {"bank-pim", "Llama3", "36a87abf3d49c358",
+         "482ab193cb75439c"},
+        {"bankgroup-pim", "Mixtral", "074ee97284d29490",
+         "774f862c6c4daadc"},
+        {"bankgroup-pim", "GLaM", "26c6f3d4b9054cda",
+         "2f4b7b8e29673076"},
+        {"bankgroup-pim", "Grok1", "fb171916f21bde09",
+         "ff89223084b4d78b"},
+        {"bankgroup-pim", "Llama3", "f20eae159e15384b",
+         "9811586bef61cd37"},
+        {"duplex", "Mixtral", "0ffe04a89b8c0084",
+         "06e409fb658ba70d"},
+        {"duplex", "GLaM", "835158378930cc6f",
+         "96a7dcfa497f786c"},
+        {"duplex", "Grok1", "9121286b2b05946a",
+         "ec8fcec89eab1176"},
+        {"duplex", "Llama3", "4151028543542680",
+         "df63abcb4842dcbf"},
+        {"duplex-pe", "Mixtral", "2d3376c5e70722a1",
+         "ca8d4a258dc932c2"},
+        {"duplex-pe", "GLaM", "d9a05a895df462e9",
+         "3f61a17bb1eb7007"},
+        {"duplex-pe", "Grok1", "6b48bf80e12c582f",
+         "1a7fcb559a77652b"},
+        {"duplex-pe", "Llama3", "f20eae159e15384b",
+         "3a2a22f09c517492"},
+        {"duplex-pe-et", "Mixtral", "074ee97284d29490",
+         "cee0dd3871b08bff"},
+        {"duplex-pe-et", "GLaM", "26c6f3d4b9054cda",
+         "1cc0757c30bbd886"},
+        {"duplex-pe-et", "Grok1", "fb171916f21bde09",
+         "01db9fb6674e4ffc"},
+        {"duplex-pe-et", "Llama3", "f20eae159e15384b",
+         "3a2a22f09c517492"},
+        {"duplex-split", "Mixtral", "525e21cebad46d04",
+         "e787941a7c9f52de"},
+        {"duplex-split", "GLaM", "64a3c40f59c911f7",
+         "cec690462ea56aed"},
+        {"duplex-split", "Llama3", "e3b99679f97a964c",
+         "70cb6bf26c4c8def"},
+        {"duplex-split-2p6d", "Mixtral", "2fc411464e4f32c5",
+         "baaa0b64f9e96b7d"},
+        {"duplex-split-2p6d", "Llama3", "07bdaf1431dfb7be",
+         "cc4a0269621843c3"},
+        {"duplex-split-6p2d", "Mixtral", "5b53c0529b99dfe5",
+         "f4d35da8d883c1fd"},
+        {"duplex-split-6p2d", "Llama3", "545d214a1423a38c",
+         "892cdc18dd563e45"},
+        {"duplex-split-contended", "Mixtral", "525e21cebad46d04",
+         "e787941a7c9f52de"},
+        {"duplex-split-contended", "GLaM", "64a3c40f59c911f7",
+         "cec690462ea56aed"},
+        {"duplex-split-contended", "Llama3", "e3b99679f97a964c",
+         "70cb6bf26c4c8def"},
+        {"gpu", "Mixtral", "002ed9727980ab53",
+         "51fd3096d035cbf8"},
+        {"gpu", "GLaM", "e086581a550944b4",
+         "438e42903212803f"},
+        {"gpu", "Grok1", "3126595b20f59bf0",
+         "40a1189fd2000658"},
+        {"gpu", "Llama3", "a2e3a49d71acb6cd",
+         "5c0224085d32371d"},
+        {"gpu-2x", "Mixtral", "cefe5255fdcb8dfa",
+         "2bd433d144d55dd5"},
+        {"gpu-2x", "GLaM", "c5a1acc6ab6e92cd",
+         "0cb813fc7f9bea67"},
+        {"gpu-2x", "Grok1", "731cf9e0a44a0f24",
+         "0d062e5a07e1e0f8"},
+        {"gpu-2x", "Llama3", "674dc72f283c1f40",
+         "5c0224085d32371d"},
+        {"hetero", "Mixtral", "0934c240638fc6d9",
+         "06c16dfdabf9cb10"},
+        {"hetero", "GLaM", "f2308ff3dc6310a2",
+         "3c1dd329903492b7"},
+        {"hetero", "Grok1", "d385d0a06310d8d2",
+         "2dc064a09eef5dc9"},
+        {"hetero", "Llama3", "c4cc75a700410512",
+         "3a2a22f09c517492"},
     };
     return table;
 }
@@ -185,14 +248,105 @@ TEST(StagePricing, EveryRegisteredSystemPricesBitIdentically)
         pinned.insert(pin.id);
         const std::unique_ptr<ServingSystem> system =
             makeSystem(pin.id, modelNamed(pin.model));
-        BitHash hash;
-        for (const StageShape &s : stages)
-            hash.add(system->executeStage(s));
-        EXPECT_EQ(hex(hash.value()), pin.hash);
+        BitHash times;
+        BitHash energy;
+        for (const StageShape &s : stages) {
+            const StageResult r = system->executeStage(s);
+            times.addTimes(r);
+            energy.addEnergy(r);
+        }
+        EXPECT_EQ(hex(times.value()), pin.timeHash);
+        EXPECT_EQ(hex(energy.value()), pin.energyHash);
     }
     // A newly registered system needs its rows here.
     const std::vector<std::string> ids = registeredSystems();
     EXPECT_EQ(pinned, std::set<std::string>(ids.begin(), ids.end()));
+}
+
+/**
+ * The fixed sequence, then @p count seeded random decode-only, mixed
+ * and prefill-only stages.
+ */
+std::vector<StageShape>
+randomStages(int count)
+{
+    std::vector<StageShape> stages = stageSequence();
+    Rng rng(20240901);
+    for (int i = 0; i < count; ++i) {
+        const std::int64_t kind = rng.uniformInt(0, 2);
+        std::vector<std::int64_t> decode;
+        std::vector<std::int64_t> prefill;
+        if (kind != 2)
+            for (std::int64_t n = rng.uniformInt(1, 96); n > 0; --n)
+                decode.push_back(rng.uniformInt(1, 4096));
+        if (kind != 0)
+            for (std::int64_t n = rng.uniformInt(1, 3); n > 0; --n)
+                prefill.push_back(rng.uniformInt(1, 768));
+        stages.push_back(shape(std::move(decode), std::move(prefill)));
+    }
+    return stages;
+}
+
+/** Relative distance between two energies (0 when both are 0). */
+double
+relativeDrift(double a, double b)
+{
+    const double scale = std::max(std::abs(a), std::abs(b));
+    return scale == 0.0 ? 0.0 : std::abs(a - b) / scale;
+}
+
+/**
+ * Run @p stages through two same-seed instances built from @p cfg,
+ * one by executeStage and one by executeStageReference. Times and
+ * expert tokens must be equal, energies within a relative 1e-12.
+ * Returns the worst relative energy drift.
+ */
+template <class System, class Config>
+double
+expectMatchesReference(const Config &cfg,
+                       const std::vector<StageShape> &stages)
+{
+    System fast(cfg);
+    System reference(cfg);
+    double worst = 0.0;
+    for (std::size_t i = 0; i < stages.size(); ++i) {
+        SCOPED_TRACE("stage " + std::to_string(i));
+        const StageResult a = fast.executeStage(stages[i]);
+        const StageResult b = reference.executeStageReference(stages[i]);
+        EXPECT_EQ(a.time, b.time);
+        EXPECT_EQ(a.expertTokens, b.expertTokens);
+        for (int c = 0; c < kNumLayerClasses; ++c) {
+            const ClassSlice &x = a.byClass[c];
+            const ClassSlice &y = b.byClass[c];
+            EXPECT_EQ(x.time, y.time) << "class " << c;
+            const double drift =
+                std::max(relativeDrift(x.energy.dramJ, y.energy.dramJ),
+                         relativeDrift(x.energy.computeJ,
+                                       y.energy.computeJ));
+            EXPECT_LE(drift, 1e-12) << "class " << c;
+            worst = std::max(worst, drift);
+        }
+    }
+    return worst;
+}
+
+TEST(StagePricing, MultipliedPricingMatchesPerLayerReference)
+{
+    const std::vector<StageShape> stages = randomStages(200);
+    double worst = 0.0;
+    for (const char *model : {"Mixtral", "GLaM", "Grok1", "Llama3"}) {
+        const ModelConfig m = modelNamed(model);
+        for (const ClusterPreset &preset : clusterPresets()) {
+            SCOPED_TRACE(std::string(preset.id) + " / " + model);
+            worst = std::max(worst, expectMatchesReference<Cluster>(
+                                        makeClusterConfig(preset.id, m),
+                                        stages));
+        }
+        SCOPED_TRACE(std::string("hetero / ") + model);
+        worst = std::max(worst, expectMatchesReference<HeteroCluster>(
+                                    makeHeteroConfig(m), stages));
+    }
+    std::printf("worst relative energy drift %.3g\n", worst);
 }
 
 } // namespace

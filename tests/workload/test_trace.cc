@@ -208,6 +208,23 @@ TEST(TraceErrors, SessionIdBeyondAnExactWholeIsAnError)
                 "trace line 1.*bad session_id '1e30' .not a whole");
 }
 
+TEST(TraceErrors, TimeBeyondClockRangeIsAnError)
+{
+    // 1e7 s is past the int64 picosecond clock (~9.2e6 s) and must
+    // not reach the cast in secToPs; the largest time that fits does.
+    std::istringstream in("1e7,256,64\n");
+    EXPECT_EXIT({ parseTrace(in); }, ::testing::ExitedWithCode(1),
+                "trace line 1.*bad arrival_sec '1e7' .beyond the "
+                "simulated clock range");
+    std::istringstream negative("-1e7,256,64\n");
+    EXPECT_EXIT({ parseTrace(negative); }, ::testing::ExitedWithCode(1),
+                "bad arrival_sec '-1e7' .beyond the simulated clock");
+    std::istringstream edge("9223372,256,64\n");
+    const std::vector<Request> requests = parseTrace(edge);
+    ASSERT_EQ(requests.size(), 1u);
+    EXPECT_EQ(requests[0].arrival, secToPs(9223372.0));
+}
+
 TEST(TraceErrors, MissingFileNamesThePath)
 {
     EXPECT_EXIT({ loadTrace("/no/such/trace.csv"); },

@@ -73,6 +73,9 @@ RUNS = [
     ("fig15-energy", "bench_fig15_energy"),
     ("ablation", "bench_ablation"),
     ("expert-skew", "expert_skew --batch=16"),
+    ("dense-llama3-hetero",
+     "quickstart --model=llama3 --system=hetero --batch=16 --stages=400 "
+     "--lin=256 --lout=64"),
     ("list-systems", "quickstart --list-systems"),
 ]
 
