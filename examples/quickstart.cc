@@ -317,67 +317,31 @@ main(int argc, char **argv)
         return 1;
     }
 
-    if (args.getBool("list-systems")) {
-        const SystemRegistry &registry = SystemRegistry::instance();
-        Table t({"id", "name", "summary"});
+    // Each --list-* flag prints one registry; the system and
+    // workload tables also carry the display name.
+    const auto list = [](const auto &registry, bool named) {
+        Table t(named ? std::vector<std::string>{"id", "name", "summary"}
+                      : std::vector<std::string>{"id", "summary"});
         for (const std::string &id : registry.ids()) {
             t.startRow();
             t.cell(id);
-            t.cell(registry.displayName(id));
+            if (named)
+                t.cell(registry.displayName(id));
             t.cell(registry.summary(id));
         }
         t.print();
         return 0;
-    }
-    if (args.getBool("list-workloads")) {
-        const WorkloadRegistry &registry =
-            WorkloadRegistry::instance();
-        Table t({"id", "name", "summary"});
-        for (const std::string &id : registry.ids()) {
-            t.startRow();
-            t.cell(id);
-            t.cell(registry.displayName(id));
-            t.cell(registry.summary(id));
-        }
-        t.print();
-        return 0;
-    }
-    if (args.getBool("list-policies")) {
-        const RoutingPolicyRegistry &registry =
-            RoutingPolicyRegistry::instance();
-        Table t({"id", "summary"});
-        for (const std::string &id : registry.ids()) {
-            t.startRow();
-            t.cell(id);
-            t.cell(registry.summary(id));
-        }
-        t.print();
-        return 0;
-    }
-    if (args.getBool("list-scheds")) {
-        const SchedulingPolicyRegistry &registry =
-            SchedulingPolicyRegistry::instance();
-        Table t({"id", "summary"});
-        for (const std::string &id : registry.ids()) {
-            t.startRow();
-            t.cell(id);
-            t.cell(registry.summary(id));
-        }
-        t.print();
-        return 0;
-    }
-    if (args.getBool("list-evictions")) {
-        const EvictionPolicyRegistry &registry =
-            EvictionPolicyRegistry::instance();
-        Table t({"id", "summary"});
-        for (const std::string &id : registry.ids()) {
-            t.startRow();
-            t.cell(id);
-            t.cell(registry.summary(id));
-        }
-        t.print();
-        return 0;
-    }
+    };
+    if (args.getBool("list-systems"))
+        return list(SystemRegistry::instance(), true);
+    if (args.getBool("list-workloads"))
+        return list(WorkloadRegistry::instance(), true);
+    if (args.getBool("list-policies"))
+        return list(RoutingPolicyRegistry::instance(), false);
+    if (args.getBool("list-scheds"))
+        return list(SchedulingPolicyRegistry::instance(), false);
+    if (args.getBool("list-evictions"))
+        return list(EvictionPolicyRegistry::instance(), false);
 
     const ModelConfig model = modelByName(args.getString("model"));
     std::printf("Model %s: %.1fB parameters, %d layers, "

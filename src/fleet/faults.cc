@@ -4,6 +4,8 @@
 #include <cctype>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <utility>
 
 #include "common/log.hh"
 #include "common/number.hh"
@@ -34,20 +36,22 @@ RetrySpec::backoffFor(int attempt) const
     double delay = backoffSec;
     for (int k = 1; k < attempt; ++k)
         delay *= multiplier;
+    if (!withinClockRange(delay))
+        fatal("RetrySpec: backoffSec grown by multiplier for attempt " +
+              std::to_string(attempt) +
+              " is beyond the simulated clock range");
     return secToPs(delay);
 }
 
-FaultPlan::FaultPlan(const FaultSpec &spec, int instance,
-                     std::uint64_t fleet_seed)
-    : random_(spec.mtbfSec > 0.0), instance_(instance),
-      mtbfSec_(spec.mtbfSec), mttrSec_(spec.mttrSec),
-      stragglerFraction_(spec.stragglerFraction),
-      stragglerFactor_(spec.stragglerFactor),
-      stragglerDurationSec_(spec.stragglerDurationSec),
-      rng_(faultStreamSeed(fleet_seed, instance))
+namespace
+{
+
+/** Fatal on a spec no plan can run; shared by both plan kinds. */
+void
+validateSpec(const FaultSpec &spec)
 {
     fatalIf(spec.mtbfSec < 0.0, "FaultSpec: negative mtbfSec");
-    fatalIf(random_ && spec.mttrSec <= 0.0,
+    fatalIf(spec.mtbfSec > 0.0 && spec.mttrSec <= 0.0,
             "FaultSpec: MTBF draws need a positive mttrSec");
     fatalIf(spec.stragglerFraction < 0.0 ||
                 spec.stragglerFraction > 1.0,
@@ -73,6 +77,31 @@ FaultPlan::FaultPlan(const FaultSpec &spec, int instance,
             "time (domainMttrSec or mttrSec)");
     fatalIf(spec.drainFactorThreshold < 0.0,
             "FaultSpec: negative drainFactorThreshold");
+    // Means and windows become picosecond times through secToPs.
+    const std::pair<const char *, double> times[] = {
+        {"mtbfSec", spec.mtbfSec},
+        {"mttrSec", spec.mttrSec},
+        {"stragglerDurationSec", spec.stragglerDurationSec},
+        {"domainMtbfSec", spec.domainMtbfSec},
+        {"domainMttrSec", spec.domainMttrSec}};
+    for (const auto &[field, sec] : times)
+        fatalIf(!withinClockRange(sec),
+                "FaultSpec: " + std::string(field) +
+                    " is beyond the simulated clock range");
+}
+
+} // namespace
+
+FaultPlan::FaultPlan(const FaultSpec &spec, int instance,
+                     std::uint64_t fleet_seed)
+    : random_(spec.mtbfSec > 0.0), instance_(instance),
+      mtbfSec_(spec.mtbfSec), mttrSec_(spec.mttrSec),
+      stragglerFraction_(spec.stragglerFraction),
+      stragglerFactor_(spec.stragglerFactor),
+      stragglerDurationSec_(spec.stragglerDurationSec),
+      rng_(faultStreamSeed(fleet_seed, instance))
+{
+    validateSpec(spec);
     for (const FaultEvent &e : spec.events) {
         fatalIf(e.kind == FaultKind::Rejoin,
                 "FaultSpec: rejoin events are reported, not "
@@ -83,7 +112,7 @@ FaultPlan::FaultPlan(const FaultSpec &spec, int instance,
                 "drainFactorThreshold");
         fatalIf(e.at < 0, "FaultSpec: negative event time");
         if (e.domain >= 0) {
-            // Domain-targeted events belong to the DomainFaultPlan;
+            // Domain-targeted events belong to the domain plans;
             // validate the shared bits once, on every instance.
             fatalIf(e.kind != FaultKind::Crash,
                     "FaultSpec: only crashes can target a domain");
@@ -106,6 +135,31 @@ FaultPlan::FaultPlan(const FaultSpec &spec, int instance,
         }
         explicit_.push_back(e);
     }
+    start();
+}
+
+FaultPlan
+FaultPlan::forDomain(const FaultSpec &spec, int domain,
+                     std::uint64_t fleet_seed)
+{
+    validateSpec(spec);
+    FaultPlan plan;
+    plan.random_ = spec.domainMtbfSec > 0.0;
+    plan.domain_ = domain;
+    plan.mtbfSec_ = spec.domainMtbfSec;
+    plan.mttrSec_ =
+        spec.domainMttrSec > 0.0 ? spec.domainMttrSec : spec.mttrSec;
+    plan.rng_ = Rng(domainStreamSeed(fleet_seed, domain));
+    for (const FaultEvent &e : spec.events)
+        if (e.domain == domain)
+            plan.explicit_.push_back(e);
+    plan.start();
+    return plan;
+}
+
+void
+FaultPlan::start()
+{
     std::stable_sort(explicit_.begin(), explicit_.end(),
                      [](const FaultEvent &a, const FaultEvent &b) {
                          return a.at < b.at;
@@ -151,9 +205,11 @@ FaultPlan::pop()
         return e;
     }
     // Random event: one fixed draw order (kind, then window) so the
-    // stream is a pure function of the spec and the instance seed.
+    // stream is a pure function of the spec and the plan's seed. A
+    // domain plan has no stragglers, so it skips the kind draw.
     FaultEvent e;
     e.instance = instance_;
+    e.domain = domain_;
     e.at = nextRandomAt_;
     const bool straggle =
         stragglerFraction_ > 0.0 &&
@@ -172,77 +228,6 @@ FaultPlan::pop()
             1, secToPs(rng_.exponential(1.0 / mttrSec_)));
     }
     // The machine cannot fail again until this fault's window ends.
-    armRandom(e.at + e.duration);
-    return e;
-}
-
-DomainFaultPlan::DomainFaultPlan(const FaultSpec &spec, int domain,
-                                 std::uint64_t fleet_seed)
-    : random_(spec.domainMtbfSec > 0.0), domain_(domain),
-      mtbfSec_(spec.domainMtbfSec),
-      mttrSec_(spec.domainMttrSec > 0.0 ? spec.domainMttrSec
-                                        : spec.mttrSec),
-      rng_(domainStreamSeed(fleet_seed, domain))
-{
-    for (const FaultEvent &e : spec.events) {
-        if (e.domain != domain)
-            continue;
-        explicit_.push_back(e);
-    }
-    std::stable_sort(explicit_.begin(), explicit_.end(),
-                     [](const FaultEvent &a, const FaultEvent &b) {
-                         return a.at < b.at;
-                     });
-    if (random_)
-        armRandom(0);
-}
-
-void
-DomainFaultPlan::armRandom(PicoSec after)
-{
-    nextRandomAt_ =
-        after + secToPs(rng_.exponential(1.0 / mtbfSec_));
-}
-
-bool
-DomainFaultPlan::pending() const
-{
-    return !explicit_.empty() || nextRandomAt_ >= 0;
-}
-
-PicoSec
-DomainFaultPlan::nextAt() const
-{
-    if (!pending())
-        return -1;
-    if (explicit_.empty())
-        return nextRandomAt_;
-    if (nextRandomAt_ < 0)
-        return explicit_.front().at;
-    return std::min(explicit_.front().at, nextRandomAt_);
-}
-
-FaultEvent
-DomainFaultPlan::pop()
-{
-    panicIf(!pending(),
-            "DomainFaultPlan::pop with nothing scheduled");
-    if (!explicit_.empty() &&
-        (nextRandomAt_ < 0 ||
-         explicit_.front().at <= nextRandomAt_)) {
-        FaultEvent e = explicit_.front();
-        explicit_.pop_front();
-        return e;
-    }
-    // Random domain crash: one fixed draw (downtime) so the stream
-    // is a pure function of the spec and the domain seed.
-    FaultEvent e;
-    e.kind = FaultKind::Crash;
-    e.domain = domain_;
-    e.at = nextRandomAt_;
-    e.duration = std::max<PicoSec>(
-        1, secToPs(rng_.exponential(1.0 / mttrSec_)));
-    // The domain cannot fail again until this repair window ends.
     armRandom(e.at + e.duration);
     return e;
 }

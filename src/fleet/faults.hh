@@ -36,8 +36,8 @@
  * determinism job).
  *
  * FleetDriver (fleet/fleet.hh) owns the failure semantics — this
- * file owns only the schedule (FaultSpec -> per-instance FaultPlan)
- * and the retry discipline (RetrySpec).
+ * file owns only the schedule (FaultSpec -> per-instance and
+ * per-domain FaultPlans) and the retry discipline (RetrySpec).
  */
 
 #ifndef DUPLEX_FLEET_FAULTS_HH
@@ -215,12 +215,14 @@ struct RetrySpec
 };
 
 /**
- * The materialized fault timeline of ONE instance: explicit events
- * filtered and sorted, plus the lazily drawn random process. The
- * random stream re-arms only after the previous fault's window ends
- * (a machine cannot crash while it is already down), so draws are a
- * deterministic function of (spec, instance, seed) alone — never of
- * fleet interleaving.
+ * The materialized fault timeline of ONE instance, or of ONE failure
+ * domain: explicit events filtered and sorted, plus the lazily drawn
+ * random process. The random stream re-arms only after the previous
+ * fault's window ends (a machine cannot crash while it is already
+ * down), so draws are a deterministic function of (spec, instance or
+ * domain, seed) alone — never of fleet interleaving. A domain plan
+ * draws only crashes; the FleetDriver fans each popped domain event
+ * out to every live instance the domain map places in the domain.
  */
 class FaultPlan
 {
@@ -229,12 +231,23 @@ class FaultPlan
     FaultPlan() = default;
 
     /**
-     * Build instance @p instance's timeline under @p spec. The
-     * fault RNG is seeded from faultStreamSeed(@p fleet_seed,
-     * @p instance) — disjoint from every workload/expert stream.
+     * Build instance @p instance's timeline under @p spec, after
+     * validating the spec. The fault RNG is seeded from
+     * faultStreamSeed(@p fleet_seed, @p instance) — disjoint from
+     * every workload/expert stream.
      */
     FaultPlan(const FaultSpec &spec, int instance,
               std::uint64_t fleet_seed);
+
+    /**
+     * Build domain @p domain's timeline: its domain-targeted
+     * crashes plus the correlated crash process (domainMtbfSec,
+     * repairs drawn from domainMttrSec or else mttrSec). The RNG is
+     * seeded from domainStreamSeed(@p fleet_seed, @p domain) —
+     * disjoint from every instance fault stream.
+     */
+    static FaultPlan forDomain(const FaultSpec &spec, int domain,
+                               std::uint64_t fleet_seed);
 
     /** True when another fault is scheduled. */
     bool pending() const;
@@ -254,6 +267,7 @@ class FaultPlan
 
     bool random_ = false;
     int instance_ = -1;
+    int domain_ = -1;
     double mtbfSec_ = 0.0;
     double mttrSec_ = 0.0;
     double stragglerFraction_ = 0.0;
@@ -262,51 +276,8 @@ class FaultPlan
     Rng rng_{0};
     PicoSec nextRandomAt_ = -1;
 
-    void armRandom(PicoSec after);
-};
-
-/**
- * The materialized fault timeline of ONE failure domain: explicit
- * domain-targeted crashes sorted, plus the lazily drawn correlated
- * crash process (domainMtbfSec). Exactly the FaultPlan discipline —
- * the stream re-arms only after the previous crash's repair window
- * ends, so draws are a deterministic function of (spec, domain,
- * seed) alone. The FleetDriver fans each popped event out to every
- * live instance the domain map places in the domain.
- */
-class DomainFaultPlan
-{
-  public:
-    /** An inert plan: pending() is false forever. */
-    DomainFaultPlan() = default;
-
-    /**
-     * Build domain @p domain's timeline under @p spec. The fault
-     * RNG is seeded from domainStreamSeed(@p fleet_seed,
-     * @p domain) — disjoint from every instance fault stream.
-     */
-    DomainFaultPlan(const FaultSpec &spec, int domain,
-                    std::uint64_t fleet_seed);
-
-    /** True when another domain crash is scheduled. */
-    bool pending() const;
-
-    /** Strike time of the next crash; -1 when none pending. */
-    PicoSec nextAt() const;
-
-    /** Consume the next crash (draws downtime, then re-arms the
-     *  process after the repair window closes). */
-    FaultEvent pop();
-
-  private:
-    std::deque<FaultEvent> explicit_;
-
-    bool random_ = false;
-    int domain_ = -1;
-    double mtbfSec_ = 0.0;
-    double mttrSec_ = 0.0;
-    Rng rng_{0};
-    PicoSec nextRandomAt_ = -1;
+    /** Sort the explicit events, then arm the random process. */
+    void start();
 
     void armRandom(PicoSec after);
 };

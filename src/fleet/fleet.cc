@@ -476,7 +476,7 @@ FleetDriver::serviceFaults(PicoSec at)
 void
 FleetDriver::serviceDomainFaults(PicoSec horizon)
 {
-    for (DomainFaultPlan &plan : domainPlans_) {
+    for (FaultPlan &plan : domainPlans_) {
         while (plan.pending() && plan.nextAt() <= horizon) {
             const FaultEvent e = plan.pop();
             for (auto &inst : instances_)
@@ -756,8 +756,8 @@ FleetDriver::run()
     for (int d = 0; d < numDomains; ++d) {
         result_.perDomain.emplace_back().domain = d;
         if (faultsEnabled_)
-            domainPlans_.emplace_back(config_.faults, d,
-                                      config_.sim.seed);
+            domainPlans_.push_back(FaultPlan::forDomain(
+                config_.faults, d, config_.sim.seed));
     }
 
     for (int i = 0; i < initial; ++i)

@@ -460,7 +460,7 @@ class FleetDriver
 
     /** One correlated-crash timeline per failure domain (empty
      *  without a domain map or with faults disabled). */
-    std::vector<DomainFaultPlan> domainPlans_;
+    std::vector<FaultPlan> domainPlans_;
 
     /** Instances for which the Instance predicate @p is holds. */
     int count(bool (Instance::*is)() const) const;

@@ -289,73 +289,16 @@ registerStockPolicies(RoutingPolicyRegistry &registry)
 
 } // namespace
 
+template <>
 RoutingPolicyRegistry &
 RoutingPolicyRegistry::instance()
 {
     static RoutingPolicyRegistry *registry = [] {
-        auto *r = new RoutingPolicyRegistry;
+        auto *r = new RoutingPolicyRegistry("RoutingPolicyRegistry", "policy");
         registerStockPolicies(*r);
         return r;
     }();
     return *registry;
-}
-
-void
-RoutingPolicyRegistry::add(const std::string &id,
-                           const std::string &summary,
-                           RoutingPolicyFactory factory)
-{
-    fatalIf(contains(id),
-            "RoutingPolicyRegistry: duplicate policy id '" + id +
-                "'");
-    fatalIf(!factory,
-            "RoutingPolicyRegistry: null factory for '" + id + "'");
-    entries_.push_back({id, summary, std::move(factory)});
-}
-
-bool
-RoutingPolicyRegistry::contains(const std::string &id) const
-{
-    for (const Entry &e : entries_)
-        if (e.id == id)
-            return true;
-    return false;
-}
-
-const RoutingPolicyRegistry::Entry &
-RoutingPolicyRegistry::find(const std::string &id) const
-{
-    for (const Entry &e : entries_)
-        if (e.id == id)
-            return e;
-    std::string known;
-    for (const std::string &k : ids())
-        known += (known.empty() ? "" : ", ") + k;
-    fatal("RoutingPolicyRegistry: unknown policy '" + id +
-          "' (known: " + known + ")");
-}
-
-std::unique_ptr<RoutingPolicy>
-RoutingPolicyRegistry::make(const std::string &id) const
-{
-    return find(id).factory();
-}
-
-std::vector<std::string>
-RoutingPolicyRegistry::ids() const
-{
-    std::vector<std::string> out;
-    out.reserve(entries_.size());
-    for (const Entry &e : entries_)
-        out.push_back(e.id);
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
-const std::string &
-RoutingPolicyRegistry::summary(const std::string &id) const
-{
-    return find(id).summary;
 }
 
 std::unique_ptr<RoutingPolicy>

@@ -14,8 +14,8 @@
  * fleet-determinism diff) and a 1-instance fleet bit-identical to
  * the bare engine.
  *
- * Policies register in a string-keyed registry mirroring
- * sim/registry.hh and workload/registry.hh, completing the
+ * Policies register in RoutingPolicyRegistry, an alias of Registry
+ * (common/registry.hh) like the other axes, completing the
  * experiment grid: system x workload x policy x fleet size. Stock
  * policies: "round-robin", "least-loaded", "join-shortest-queue",
  * "session-affinity", "healthy-first", "domain-spread". A new
@@ -27,11 +27,11 @@
 #define DUPLEX_FLEET_POLICY_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/registry.hh"
 #include "workload/request.hh"
 
 namespace duplex
@@ -115,49 +115,15 @@ class RoutingPolicy
     virtual std::string describe() const = 0;
 };
 
-/** Builds one (stateful) policy instance per fleet run. */
-using RoutingPolicyFactory =
-    std::function<std::unique_ptr<RoutingPolicy>()>;
-
 /** Registry of every routing policy a fleet can use. */
-class RoutingPolicyRegistry
-{
-  public:
-    /** The process-wide registry, with the stock policies loaded. */
-    static RoutingPolicyRegistry &instance();
+using RoutingPolicyRegistry = Registry<RoutingPolicy>;
 
-    /** Register a policy; re-registering an id is fatal. */
-    void add(const std::string &id, const std::string &summary,
-             RoutingPolicyFactory factory);
+/** Builds one (stateful) policy instance per fleet run. */
+using RoutingPolicyFactory = RoutingPolicyRegistry::Factory;
 
-    /** True when @p id is registered. */
-    bool contains(const std::string &id) const;
-
-    /** Build a fresh policy instance; fatal on an unknown id. */
-    std::unique_ptr<RoutingPolicy> make(const std::string &id) const;
-
-    /**
-     * Registered ids, lexicographically sorted — NOT registration
-     * order (matches the system/workload registries; keeps fleet
-     * sweep tables byte-stable across standard libraries).
-     */
-    std::vector<std::string> ids() const;
-
-    /** One-line summary for --list-policies style output. */
-    const std::string &summary(const std::string &id) const;
-
-  private:
-    struct Entry
-    {
-        std::string id;
-        std::string summary;
-        RoutingPolicyFactory factory;
-    };
-
-    std::vector<Entry> entries_;
-
-    const Entry &find(const std::string &id) const;
-};
+/** The process-wide registry, with the stock policies loaded. */
+template <>
+RoutingPolicyRegistry &RoutingPolicyRegistry::instance();
 
 /** Build a registered policy (shorthand for the registry). */
 std::unique_ptr<RoutingPolicy>

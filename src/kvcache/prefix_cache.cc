@@ -105,74 +105,17 @@ registerStockEvictionPolicies(EvictionPolicyRegistry &registry)
 
 // ------------------------------------------------------- registry
 
+template <>
 EvictionPolicyRegistry &
 EvictionPolicyRegistry::instance()
 {
     static EvictionPolicyRegistry *registry = [] {
-        auto *r = new EvictionPolicyRegistry;
+        auto *r = new EvictionPolicyRegistry("EvictionPolicyRegistry",
+                                             "policy");
         registerStockEvictionPolicies(*r);
         return r;
     }();
     return *registry;
-}
-
-void
-EvictionPolicyRegistry::add(const std::string &id,
-                            const std::string &summary,
-                            EvictionPolicyFactory factory)
-{
-    fatalIf(contains(id),
-            "EvictionPolicyRegistry: duplicate policy id '" + id +
-                "'");
-    fatalIf(!factory,
-            "EvictionPolicyRegistry: null factory for '" + id +
-                "'");
-    entries_.push_back({id, summary, std::move(factory)});
-}
-
-bool
-EvictionPolicyRegistry::contains(const std::string &id) const
-{
-    for (const Entry &e : entries_)
-        if (e.id == id)
-            return true;
-    return false;
-}
-
-const EvictionPolicyRegistry::Entry &
-EvictionPolicyRegistry::find(const std::string &id) const
-{
-    for (const Entry &e : entries_)
-        if (e.id == id)
-            return e;
-    std::string known;
-    for (const Entry &e : entries_)
-        known += (known.empty() ? "" : ", ") + e.id;
-    fatal("EvictionPolicyRegistry: unknown eviction policy '" + id +
-          "' (known: " + known + ")");
-}
-
-std::unique_ptr<EvictionPolicy>
-EvictionPolicyRegistry::make(const std::string &id) const
-{
-    return find(id).factory();
-}
-
-std::vector<std::string>
-EvictionPolicyRegistry::ids() const
-{
-    std::vector<std::string> out;
-    out.reserve(entries_.size());
-    for (const Entry &e : entries_)
-        out.push_back(e.id);
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
-const std::string &
-EvictionPolicyRegistry::summary(const std::string &id) const
-{
-    return find(id).summary;
 }
 
 std::unique_ptr<EvictionPolicy>
@@ -227,8 +170,8 @@ PrefixCachePool::acquire(const Request &r)
     ++metrics_.lookups;
     // Session history first: it contains the shared prefix, so it
     // is always the longer of the two possible hits.
-    auto it = entries_.find(r.sessionId);
-    if (it != entries_.end()) {
+    auto it = prefixes_.find(r.sessionId);
+    if (it != prefixes_.end()) {
         const std::int64_t h =
             std::min(it->second.tokens, r.inputLen - 1);
         // Check the entry out: its bytes ride with the live batch
@@ -237,13 +180,13 @@ PrefixCachePool::acquire(const Request &r)
         metrics_.acquiredBytes += it->second.bytes;
         metrics_.residentBytes -= it->second.bytes;
         residentTokens_ -= it->second.tokens;
-        entries_.erase(it);
+        prefixes_.erase(it);
         ++metrics_.hits;
         metrics_.hitTokens += h;
         return h;
     }
-    it = entries_.find(kSharedKey);
-    if (it != entries_.end()) {
+    it = prefixes_.find(kSharedKey);
+    if (it != prefixes_.end()) {
         const std::int64_t h =
             std::min(it->second.tokens, r.inputLen - 1);
         it->second.lastUseTick = ++tick_;
@@ -266,8 +209,8 @@ PrefixCachePool::install(const Request &r)
         return;
     // Re-installing a live key replaces it; the stale prefix counts
     // as an eviction so the byte ledger stays closed.
-    auto it = entries_.find(r.sessionId);
-    if (it != entries_.end())
+    auto it = prefixes_.find(r.sessionId);
+    if (it != prefixes_.end())
         evict(it);
     while (residentTokens_ * bytesPerToken_ +
                tokens * bytesPerToken_ >
@@ -283,30 +226,30 @@ PrefixCachePool::reclaim(std::int64_t tokens)
         return;
     const std::int64_t target =
         std::max<std::int64_t>(residentTokens_ - tokens, 0);
-    while (residentTokens_ > target && !entries_.empty())
+    while (residentTokens_ > target && !prefixes_.empty())
         evictOne();
 }
 
 void
 PrefixCachePool::flush()
 {
-    while (!entries_.empty())
-        evict(entries_.begin());
+    while (!prefixes_.empty())
+        evict(prefixes_.begin());
 }
 
 void
 PrefixCachePool::evictOne()
 {
-    panicIf(entries_.empty(),
+    panicIf(prefixes_.empty(),
             "PrefixCachePool::evictOne on an empty pool");
     std::vector<EvictionCandidate> candidates;
-    candidates.reserve(entries_.size());
-    for (const auto &[key, e] : entries_)
+    candidates.reserve(prefixes_.size());
+    for (const auto &[key, e] : prefixes_)
         candidates.push_back(
             {key, e.tokens, e.bytes, e.lastUseTick, e.useCount});
     const std::int64_t key = policy_->victim(candidates);
-    auto it = entries_.find(key);
-    panicIf(it == entries_.end(),
+    auto it = prefixes_.find(key);
+    panicIf(it == prefixes_.end(),
             "eviction policy returned an unknown key");
     evict(it);
 }
@@ -318,7 +261,7 @@ PrefixCachePool::evict(std::map<std::int64_t, Entry>::iterator it)
     metrics_.evictedBytes += it->second.bytes;
     metrics_.residentBytes -= it->second.bytes;
     residentTokens_ -= it->second.tokens;
-    entries_.erase(it);
+    prefixes_.erase(it);
 }
 
 void
@@ -335,7 +278,7 @@ PrefixCachePool::insert(std::int64_t key, std::int64_t tokens)
     metrics_.peakResidentBytes = std::max(
         metrics_.peakResidentBytes, metrics_.residentBytes);
     residentTokens_ += tokens;
-    entries_[key] = e;
+    prefixes_[key] = e;
 }
 
 } // namespace duplex

@@ -22,8 +22,8 @@
  * context) and return at retirement — so cached KV is never double
  * counted against the budget.
  *
- * Eviction is pluggable through a string-keyed registry mirroring
- * the system/workload/routing/scheduling registries ("lru", "lfu");
+ * Eviction is pluggable through EvictionPolicyRegistry, an alias of
+ * Registry (common/registry.hh) like the other four axes ("lru", "lfu");
  * see the ROADMAP recipe for adding one. Everything is
  * deterministic: victims are chosen over key-sorted candidates with
  * a monotone logical tick for recency, no wall clock, no RNG — and
@@ -35,12 +35,12 @@
 #define DUPLEX_KVCACHE_PREFIX_CACHE_HH
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/registry.hh"
 #include "workload/request.hh"
 
 namespace duplex
@@ -131,54 +131,19 @@ class EvictionPolicy
     virtual std::string describe() const = 0;
 };
 
-/** Builds one (stateful) policy instance per pool. */
-using EvictionPolicyFactory =
-    std::function<std::unique_ptr<EvictionPolicy>()>;
-
 /**
- * Registry of every eviction policy a pool can use — the fifth
- * string-keyed axis beside systems, workloads, scheduling and
- * routing policies. Stock entries: "lru", "lfu".
+ * Registry of every eviction policy a pool can use, an alias of
+ * Registry like the system, workload, scheduling and routing axes.
+ * Stock entries: "lru", "lfu".
  */
-class EvictionPolicyRegistry
-{
-  public:
-    /** The process-wide registry, with the stock policies loaded. */
-    static EvictionPolicyRegistry &instance();
+using EvictionPolicyRegistry = Registry<EvictionPolicy>;
 
-    /** Register a policy; re-registering an id is fatal. */
-    void add(const std::string &id, const std::string &summary,
-             EvictionPolicyFactory factory);
+/** Builds one (stateful) policy instance per pool. */
+using EvictionPolicyFactory = EvictionPolicyRegistry::Factory;
 
-    /** True when @p id is registered. */
-    bool contains(const std::string &id) const;
-
-    /** Build a fresh policy instance; fatal on an unknown id. */
-    std::unique_ptr<EvictionPolicy>
-    make(const std::string &id) const;
-
-    /**
-     * Registered ids, lexicographically sorted — NOT registration
-     * order (matches the other registries; keeps bench tables
-     * byte-stable across standard libraries).
-     */
-    std::vector<std::string> ids() const;
-
-    /** One-line summary for --list-evictions style output. */
-    const std::string &summary(const std::string &id) const;
-
-  private:
-    struct Entry
-    {
-        std::string id;
-        std::string summary;
-        EvictionPolicyFactory factory;
-    };
-
-    std::vector<Entry> entries_;
-
-    const Entry &find(const std::string &id) const;
-};
+/** The process-wide registry, with the stock policies loaded. */
+template <>
+EvictionPolicyRegistry &EvictionPolicyRegistry::instance();
 
 /** Build a registered eviction policy (registry shorthand). */
 std::unique_ptr<EvictionPolicy>
@@ -258,7 +223,7 @@ class PrefixCachePool
     void flush();
 
     /** Cached entries right now (tests / summaries). */
-    std::size_t entryCount() const { return entries_.size(); }
+    std::size_t entryCount() const { return prefixes_.size(); }
 
     const PrefixCacheMetrics &metrics() const { return metrics_; }
 
@@ -284,7 +249,7 @@ class PrefixCachePool
     std::unique_ptr<EvictionPolicy> policy_;
 
     /** key-sorted so eviction candidates enumerate deterministically. */
-    std::map<std::int64_t, Entry> entries_;
+    std::map<std::int64_t, Entry> prefixes_;
 
     std::int64_t residentTokens_ = 0;
     std::int64_t tick_ = 0; //!< monotone logical clock for recency

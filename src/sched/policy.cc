@@ -177,74 +177,17 @@ registerStockPolicies(SchedulingPolicyRegistry &registry)
 
 } // namespace
 
+template <>
 SchedulingPolicyRegistry &
 SchedulingPolicyRegistry::instance()
 {
     static SchedulingPolicyRegistry *registry = [] {
-        auto *r = new SchedulingPolicyRegistry;
+        auto *r = new SchedulingPolicyRegistry("SchedulingPolicyRegistry",
+                                               "policy");
         registerStockPolicies(*r);
         return r;
     }();
     return *registry;
-}
-
-void
-SchedulingPolicyRegistry::add(const std::string &id,
-                              const std::string &summary,
-                              SchedulingPolicyFactory factory)
-{
-    fatalIf(contains(id),
-            "SchedulingPolicyRegistry: duplicate policy id '" +
-                id + "'");
-    fatalIf(!factory,
-            "SchedulingPolicyRegistry: null factory for '" + id +
-                "'");
-    entries_.push_back({id, summary, std::move(factory)});
-}
-
-bool
-SchedulingPolicyRegistry::contains(const std::string &id) const
-{
-    for (const Entry &e : entries_)
-        if (e.id == id)
-            return true;
-    return false;
-}
-
-const SchedulingPolicyRegistry::Entry &
-SchedulingPolicyRegistry::find(const std::string &id) const
-{
-    for (const Entry &e : entries_)
-        if (e.id == id)
-            return e;
-    std::string known;
-    for (const std::string &k : ids())
-        known += (known.empty() ? "" : ", ") + k;
-    fatal("SchedulingPolicyRegistry: unknown policy '" + id +
-          "' (known: " + known + ")");
-}
-
-std::unique_ptr<SchedulingPolicy>
-SchedulingPolicyRegistry::make(const std::string &id) const
-{
-    return find(id).factory();
-}
-
-std::vector<std::string>
-SchedulingPolicyRegistry::ids() const
-{
-    std::vector<std::string> out;
-    out.reserve(entries_.size());
-    for (const Entry &e : entries_)
-        out.push_back(e.id);
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
-const std::string &
-SchedulingPolicyRegistry::summary(const std::string &id) const
-{
-    return find(id).summary;
 }
 
 std::unique_ptr<SchedulingPolicy>

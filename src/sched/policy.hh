@@ -24,10 +24,10 @@
  * byte-identical in the CI determinism job, exactly like routing
  * policies (fleet/policy.hh).
  *
- * Policies register in a string-keyed registry mirroring
- * sim/registry.hh, workload/registry.hh and fleet/policy.hh —
- * completing the experiment grid's fourth axis: system x workload x
- * routing x scheduling. Stock policies: "fcfs", "ttft-protect",
+ * Policies register in SchedulingPolicyRegistry, an alias of
+ * Registry (common/registry.hh) like the other axes — the
+ * experiment grid's fourth axis: system x workload x routing x
+ * scheduling. Stock policies: "fcfs", "ttft-protect",
  * "priority". A new policy is one registerSchedulingPolicy call —
  * see the ROADMAP recipe.
  */
@@ -37,11 +37,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/registry.hh"
 #include "workload/request.hh"
 
 namespace duplex
@@ -138,50 +138,15 @@ class SchedulingPolicy
     }
 };
 
-/** Builds one (stateful) policy instance per run. */
-using SchedulingPolicyFactory =
-    std::function<std::unique_ptr<SchedulingPolicy>()>;
-
 /** Registry of every scheduling policy a batcher can use. */
-class SchedulingPolicyRegistry
-{
-  public:
-    /** The process-wide registry, with the stock policies loaded. */
-    static SchedulingPolicyRegistry &instance();
+using SchedulingPolicyRegistry = Registry<SchedulingPolicy>;
 
-    /** Register a policy; re-registering an id is fatal. */
-    void add(const std::string &id, const std::string &summary,
-             SchedulingPolicyFactory factory);
+/** Builds one (stateful) policy instance per run. */
+using SchedulingPolicyFactory = SchedulingPolicyRegistry::Factory;
 
-    /** True when @p id is registered. */
-    bool contains(const std::string &id) const;
-
-    /** Build a fresh policy instance; fatal on an unknown id. */
-    std::unique_ptr<SchedulingPolicy>
-    make(const std::string &id) const;
-
-    /**
-     * Registered ids, lexicographically sorted — NOT registration
-     * order (matches every other registry; keeps policy sweep
-     * tables byte-stable across standard libraries).
-     */
-    std::vector<std::string> ids() const;
-
-    /** One-line summary for --list-scheds style output. */
-    const std::string &summary(const std::string &id) const;
-
-  private:
-    struct Entry
-    {
-        std::string id;
-        std::string summary;
-        SchedulingPolicyFactory factory;
-    };
-
-    std::vector<Entry> entries_;
-
-    const Entry &find(const std::string &id) const;
-};
+/** The process-wide registry, with the stock policies loaded. */
+template <>
+SchedulingPolicyRegistry &SchedulingPolicyRegistry::instance();
 
 /** Build a registered policy (shorthand for the registry). */
 std::unique_ptr<SchedulingPolicy>

@@ -1,7 +1,5 @@
 #include "sim/registry.hh"
 
-#include <algorithm>
-
 #include "common/log.hh"
 #include "sim/split_system.hh"
 
@@ -65,82 +63,16 @@ registerPaperSystems(SystemRegistry &registry)
 
 } // namespace
 
+template <>
 SystemRegistry &
 SystemRegistry::instance()
 {
     static SystemRegistry *registry = [] {
-        auto *r = new SystemRegistry;
+        auto *r = new SystemRegistry("SystemRegistry", "system");
         registerPaperSystems(*r);
         return r;
     }();
     return *registry;
-}
-
-void
-SystemRegistry::add(const std::string &id,
-                    const std::string &display,
-                    const std::string &summary,
-                    SystemFactory factory)
-{
-    fatalIf(contains(id),
-            "SystemRegistry: duplicate system id '" + id + "'");
-    fatalIf(!factory,
-            "SystemRegistry: null factory for '" + id + "'");
-    entries_.push_back(
-        {id, display, summary, std::move(factory)});
-}
-
-bool
-SystemRegistry::contains(const std::string &id) const
-{
-    for (const Entry &e : entries_)
-        if (e.id == id)
-            return true;
-    return false;
-}
-
-const SystemRegistry::Entry &
-SystemRegistry::find(const std::string &id) const
-{
-    for (const Entry &e : entries_)
-        if (e.id == id)
-            return e;
-    std::string known;
-    for (const Entry &e : entries_)
-        known += (known.empty() ? "" : ", ") + e.id;
-    fatal("SystemRegistry: unknown system '" + id +
-          "' (known: " + known + ")");
-}
-
-std::unique_ptr<ServingSystem>
-SystemRegistry::make(const std::string &id,
-                     const ModelConfig &model,
-                     const SystemOptions &opts) const
-{
-    return find(id).factory(model, opts);
-}
-
-std::vector<std::string>
-SystemRegistry::ids() const
-{
-    std::vector<std::string> out;
-    out.reserve(entries_.size());
-    for (const Entry &e : entries_)
-        out.push_back(e.id);
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
-const std::string &
-SystemRegistry::displayName(const std::string &id) const
-{
-    return find(id).display;
-}
-
-const std::string &
-SystemRegistry::summary(const std::string &id) const
-{
-    return find(id).summary;
 }
 
 std::unique_ptr<ServingSystem>

@@ -1,7 +1,5 @@
 #include "workload/registry.hh"
 
-#include <algorithm>
-
 #include "common/log.hh"
 
 namespace duplex
@@ -114,92 +112,26 @@ registerStockWorkloads(WorkloadRegistry &registry)
 
 } // namespace
 
+template <>
 WorkloadRegistry &
 WorkloadRegistry::instance()
 {
     static WorkloadRegistry *registry = [] {
-        auto *r = new WorkloadRegistry;
+        auto *r = new WorkloadRegistry("WorkloadRegistry", "workload");
         registerStockWorkloads(*r);
         return r;
     }();
     return *registry;
 }
 
-void
-WorkloadRegistry::add(const std::string &id,
-                      const std::string &display,
-                      const std::string &summary,
-                      WorkloadFactory factory)
-{
-    fatalIf(contains(id),
-            "WorkloadRegistry: duplicate workload id '" + id + "'");
-    fatalIf(!factory,
-            "WorkloadRegistry: null factory for '" + id + "'");
-    entries_.push_back({id, display, summary, std::move(factory)});
-}
-
-bool
-WorkloadRegistry::contains(const std::string &id) const
-{
-    for (const Entry &e : entries_)
-        if (e.id == id)
-            return true;
-    return false;
-}
-
-const WorkloadRegistry::Entry &
-WorkloadRegistry::find(const std::string &id) const
-{
-    for (const Entry &e : entries_)
-        if (e.id == id)
-            return e;
-    std::string known;
-    for (const Entry &e : entries_)
-        known += (known.empty() ? "" : ", ") + e.id;
-    fatal("WorkloadRegistry: unknown workload '" + id +
-          "' (known: " + known + ")");
-}
-
-std::unique_ptr<WorkloadSource>
-WorkloadRegistry::make(const std::string &id,
-                       const WorkloadSpec &spec) const
-{
-    std::unique_ptr<WorkloadSource> source = find(id).factory(spec);
-    // Session and priority stamping are cross-cutting spec knobs
-    // every source honors; applying them here means a factory never
-    // has to know sessions or priority classes exist.
-    source->setSessionCount(spec.numSessions);
-    source->setPriorityFraction(spec.priorityFrac);
-    return source;
-}
-
-std::vector<std::string>
-WorkloadRegistry::ids() const
-{
-    std::vector<std::string> out;
-    out.reserve(entries_.size());
-    for (const Entry &e : entries_)
-        out.push_back(e.id);
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
-const std::string &
-WorkloadRegistry::displayName(const std::string &id) const
-{
-    return find(id).display;
-}
-
-const std::string &
-WorkloadRegistry::summary(const std::string &id) const
-{
-    return find(id).summary;
-}
-
 std::unique_ptr<WorkloadSource>
 makeWorkload(const std::string &id, const WorkloadSpec &spec)
 {
-    return WorkloadRegistry::instance().make(id, spec);
+    std::unique_ptr<WorkloadSource> source =
+        WorkloadRegistry::instance().make(id, spec);
+    source->setSessionCount(spec.numSessions);
+    source->setPriorityFraction(spec.priorityFrac);
+    return source;
 }
 
 std::vector<std::string>

@@ -1,7 +1,7 @@
 /**
  * @file
- * String-keyed workload registry and factory — the workload-side
- * mirror of sim/registry.hh.
+ * The workload axis: WorkloadRegistry, an alias of Registry
+ * (common/registry.hh).
  *
  * Workloads register an id ("bursty"), a display name, a one-line
  * summary and a factory over WorkloadSpec; callers build sources
@@ -19,68 +19,32 @@
 #ifndef DUPLEX_WORKLOAD_REGISTRY_HH
 #define DUPLEX_WORKLOAD_REGISTRY_HH
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/registry.hh"
 #include "workload/source.hh"
 
 namespace duplex
 {
 
-/** Builds one workload source from a spec. */
-using WorkloadFactory =
-    std::function<std::unique_ptr<WorkloadSource>(
-        const WorkloadSpec &spec)>;
-
 /** Registry of every workload the simulator can build. */
-class WorkloadRegistry
-{
-  public:
-    /** The process-wide registry, with the stock workloads loaded. */
-    static WorkloadRegistry &instance();
+using WorkloadRegistry = Registry<WorkloadSource, const WorkloadSpec &>;
 
-    /** Register a workload; re-registering an id is fatal. */
-    void add(const std::string &id, const std::string &display,
-             const std::string &summary, WorkloadFactory factory);
+/** Builds one workload source from a spec. */
+using WorkloadFactory = WorkloadRegistry::Factory;
 
-    /** True when @p id is registered. */
-    bool contains(const std::string &id) const;
+/** The process-wide registry, with the stock workloads loaded. */
+template <>
+WorkloadRegistry &WorkloadRegistry::instance();
 
-    /** Build a source; fatal on an unknown id. */
-    std::unique_ptr<WorkloadSource>
-    make(const std::string &id, const WorkloadSpec &spec) const;
-
-    /**
-     * Registered ids, lexicographically sorted — NOT registration
-     * order. Sorted output keeps fleet sweeps and bench tables
-     * byte-stable across standard libraries (the g++/clang++ CI
-     * matrix diffs them); asserted in tests/workload/test_registry.
-     */
-    std::vector<std::string> ids() const;
-
-    /** Display name for tables ("Bursty"). */
-    const std::string &displayName(const std::string &id) const;
-
-    /** One-line summary for --list-workloads style output. */
-    const std::string &summary(const std::string &id) const;
-
-  private:
-    struct Entry
-    {
-        std::string id;
-        std::string display;
-        std::string summary;
-        WorkloadFactory factory;
-    };
-
-    std::vector<Entry> entries_;
-
-    const Entry &find(const std::string &id) const;
-};
-
-/** Build a registered workload (shorthand for the registry). */
+/**
+ * Build a registered workload and stamp the spec's session count
+ * and priority fraction on it — cross-cutting knobs every source
+ * honors, so a factory never has to know sessions or priority
+ * classes exist. Fatal on an unknown id.
+ */
 std::unique_ptr<WorkloadSource>
 makeWorkload(const std::string &id, const WorkloadSpec &spec = {});
 

@@ -156,8 +156,8 @@ class WorkloadSource
 
     /**
      * Stamp requests with a session id (`id % count`) as they leave
-     * next(); 0 (the default) leaves sessionId = -1. Applied by the
-     * WorkloadRegistry from WorkloadSpec.numSessions. Pure
+     * next(); 0 (the default) leaves sessionId = -1. Applied by
+     * makeWorkload from WorkloadSpec.numSessions. Pure
      * arithmetic on the request id — no RNG draws — so enabling
      * sessions never perturbs the golden request streams. Requests
      * that already carry a sessionId (trace replay) keep it.
@@ -167,8 +167,8 @@ class WorkloadSource
     /**
      * Stamp roughly this fraction of requests with
      * priorityClass = 1 as they leave next(); 0 (the default)
-     * leaves every class untouched. Applied by the WorkloadRegistry
-     * from WorkloadSpec.priorityFrac. Like session stamping, the
+     * leaves every class untouched. Applied by makeWorkload from
+     * WorkloadSpec.priorityFrac. Like session stamping, the
      * decision is pure arithmetic on the already-drawn request id
      * (a splitmix64 mix against a fixed-point threshold — no RNG
      * draws), so enabling priorities never perturbs the golden

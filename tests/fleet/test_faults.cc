@@ -36,8 +36,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <limits>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "fleet/faults.hh"
@@ -1186,6 +1189,146 @@ TEST(Faults, ParseRejectsTimeBeyondClockRange)
     const auto events = parseFaultList("crash@9223372:0");
     ASSERT_EQ(events.size(), 1u);
     EXPECT_EQ(events[0].at, secToPs(9223372.0));
+}
+
+/** @p ps, a whole number of microseconds, as exact decimal seconds. */
+std::string
+microsecondSeconds(PicoSec ps)
+{
+    const std::int64_t us = ps / 1'000'000;
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%lld.%06lld",
+                  static_cast<long long>(us / 1'000'000),
+                  static_cast<long long>(us % 1'000'000));
+    return buf;
+}
+
+/** @p e in the --faults grammar, omitting what @p e leaves default. */
+std::string
+writeFaultItem(const FaultEvent &e)
+{
+    const std::string target = e.domain >= 0
+                                   ? "domain=" + std::to_string(e.domain)
+                                   : std::to_string(e.instance);
+    if (e.kind == FaultKind::Crash)
+        return "crash@" + microsecondSeconds(e.at) + ":" + target +
+               (e.duration > 0 ? ":" + microsecondSeconds(e.duration)
+                               : "");
+    char factor[32];
+    std::snprintf(factor, sizeof(factor), "%.17g", e.factor);
+    return "degrade@" + microsecondSeconds(e.at) + ":" + target + ":" +
+           microsecondSeconds(e.duration) +
+           (e.factor != 3.0 ? ":" + std::string(factor) : "");
+}
+
+TEST(Faults, ParseFaultListRoundTrips)
+{
+    // Seeded random events of every grammar form, on a whole-
+    // microsecond grid below 1000 s so secToPs is exact.
+    Rng rng(20241017);
+    const auto micros = [&rng](std::int64_t lo) {
+        return rng.uniformInt(lo, 999'999'999) * 1'000'000;
+    };
+    std::vector<FaultEvent> drawn;
+    std::string text;
+    for (int i = 0; i < 400; ++i) {
+        FaultEvent e;
+        e.at = micros(0);
+        switch (rng.uniformInt(0, 4)) {
+          case 0: // crash that never rejoins
+            e.instance = static_cast<int>(rng.uniformInt(0, 63));
+            break;
+          case 1: // crash with a downtime
+            e.instance = static_cast<int>(rng.uniformInt(0, 63));
+            e.duration = micros(1);
+            break;
+          case 2: // whole-domain crash, with or without a downtime
+            e.domain = static_cast<int>(rng.uniformInt(0, 7));
+            if (rng.uniform() < 0.5)
+                e.duration = micros(1);
+            break;
+          case 3: // degrade at the default factor
+            e.kind = FaultKind::Degrade;
+            e.instance = static_cast<int>(rng.uniformInt(0, 63));
+            e.duration = micros(1);
+            e.factor = 3.0;
+            break;
+          default: // degrade with a factor
+            e.kind = FaultKind::Degrade;
+            e.instance = static_cast<int>(rng.uniformInt(0, 63));
+            e.duration = micros(1);
+            e.factor = 0.01 + 20.0 * rng.uniform();
+            break;
+        }
+        if (!text.empty())
+            text += rng.uniform() < 0.5 ? "; " : ",";
+        text += writeFaultItem(e);
+        drawn.push_back(e);
+    }
+    const std::vector<FaultEvent> parsed = parseFaultList(text);
+    ASSERT_EQ(parsed.size(), drawn.size());
+    for (std::size_t i = 0; i < drawn.size(); ++i) {
+        SCOPED_TRACE(writeFaultItem(drawn[i]));
+        EXPECT_EQ(parsed[i].kind, drawn[i].kind);
+        EXPECT_EQ(parsed[i].instance, drawn[i].instance);
+        EXPECT_EQ(parsed[i].domain, drawn[i].domain);
+        EXPECT_EQ(parsed[i].at, drawn[i].at);
+        EXPECT_EQ(parsed[i].duration, drawn[i].duration);
+        EXPECT_EQ(parsed[i].factor, drawn[i].factor);
+    }
+}
+
+TEST(Faults, SpecTimesBeyondClockRangeAreFatal)
+{
+    // Each mean or window becomes a picosecond time through secToPs,
+    // so one past the int64 clock (~9.2e6 s) is refused up front
+    // instead of logging crashes "down 0.0 ms".
+    const auto expectFatal = [](double FaultSpec::*field,
+                                const char *name, double sec) {
+        FaultSpec spec;
+        spec.mtbfSec = 1.0;
+        spec.numDomains = 2;
+        spec.domainMtbfSec = 1.0;
+        spec.*field = sec;
+        EXPECT_EXIT(FaultPlan(spec, 0, 1), ::testing::ExitedWithCode(1),
+                    "FaultSpec: " + std::string(name) +
+                        " is beyond the simulated clock range")
+            << name << " = " << sec;
+    };
+    expectFatal(&FaultSpec::mtbfSec, "mtbfSec", 1e7);
+    expectFatal(&FaultSpec::mttrSec, "mttrSec", 1e8);
+    expectFatal(&FaultSpec::stragglerDurationSec,
+                "stragglerDurationSec", 1e300);
+    expectFatal(&FaultSpec::domainMtbfSec, "domainMtbfSec", 1e7);
+    expectFatal(&FaultSpec::domainMttrSec, "domainMttrSec",
+                std::numeric_limits<double>::infinity());
+    // A repair mean and window just inside the clock still build.
+    FaultSpec edge;
+    edge.mtbfSec = 1.0;
+    edge.mttrSec = 9.2e6;
+    edge.stragglerDurationSec = 9.2e6;
+    EXPECT_TRUE(FaultPlan(edge, 0, 1).pending());
+}
+
+TEST(Faults, RetryBackoffBeyondClockRangeIsFatal)
+{
+    // The delay of the attempt being scheduled is checked, so a
+    // first backoff past the clock and one grown past it (to inf)
+    // are both refused rather than routing every retry at once.
+    RetrySpec retry;
+    retry.backoffSec = 1e7;
+    EXPECT_EXIT(retry.backoffFor(1), ::testing::ExitedWithCode(1),
+                "RetrySpec: backoffSec grown by multiplier for attempt "
+                "1 is beyond the simulated clock range");
+    retry.backoffSec = 1e6;
+    retry.multiplier = 2.0;
+    EXPECT_EQ(retry.backoffFor(4), secToPs(8e6));
+    EXPECT_EXIT(retry.backoffFor(5), ::testing::ExitedWithCode(1),
+                "attempt 5 is beyond the simulated clock range");
+    retry.backoffSec = 1.0;
+    retry.multiplier = 1e300;
+    EXPECT_EXIT(retry.backoffFor(3), ::testing::ExitedWithCode(1),
+                "attempt 3 is beyond the simulated clock range");
 }
 
 TEST(Faults, ParseDomainRejectsNonCrash)

@@ -77,6 +77,10 @@ RUNS = [
      "quickstart --model=llama3 --system=hetero --batch=16 --stages=400 "
      "--lin=256 --lout=64"),
     ("list-systems", "quickstart --list-systems"),
+    ("list-workloads", "quickstart --list-workloads"),
+    ("list-policies", "quickstart --list-policies"),
+    ("list-scheds", "quickstart --list-scheds"),
+    ("list-evictions", "quickstart --list-evictions"),
 ]
 
 
