@@ -16,16 +16,14 @@
  *
  * Output discipline (same as bench_fleet): the sweep table goes to
  * stdout for the CI determinism diff; wall-clock and RSS go to
- * stderr and, with --json=PATH, into the JSON the CI perf job
- * merges into the BENCH_perf gate (faults.requests_per_sec floor;
- * see tools/check_perf.py).
+ * stderr and, with --json=PATH, into a perf report the CI perf gate
+ * reads (faults.requests_per_sec floor; see tools/check_perf.py).
  *
  *   ./bench_faults                      # the full sweep
  *   ./bench_faults --requests=48        # quick smoke run
  *   ./bench_faults --json=BENCH_faults.json
  */
 
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -33,7 +31,6 @@
 
 #include "bench_util.hh"
 #include "common/argparse.hh"
-#include "common/rss.hh"
 #include "fleet/fleet.hh"
 
 using namespace duplex;
@@ -158,12 +155,8 @@ main(int argc, char **argv)
                 attainment.attainment().goodputTokensPerSec();
         });
 
-    const auto t0 = std::chrono::steady_clock::now();
-    SweepRunner().runTasks(tasks);
     const double wall_sec =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
+        timed([&] { SweepRunner().runTasks(tasks); });
 
     // ---- deterministic sweep tables (stdout, diffed by CI) -----
     Table t({"Policy", "MTBF s", "avail", "crashes", "straggle",
@@ -226,41 +219,6 @@ main(int argc, char **argv)
                 "request-weighted served fraction "
                 "(1 - lost/routed).\n");
 
-    // ---- perf numbers (stderr + JSON; never in the diffed out) -
-    const double rss_mb = peakRssMb();
-    const double req_per_sec =
-        wall_sec > 0.0 ? total_retired / wall_sec : 0.0;
-    std::fprintf(stderr,
-                 "fault sweep: %zu run(s), %lld requests retired, "
-                 "%.2f s wall, %.0f requests/s, peak RSS %.1f MB\n",
-                 cells.size(),
-                 static_cast<long long>(total_retired), wall_sec,
-                 req_per_sec, rss_mb);
-
-    const std::string json_path = args.getString("json");
-    if (!json_path.empty()) {
-        std::FILE *json = std::fopen(json_path.c_str(), "w");
-        if (json == nullptr) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         json_path.c_str());
-            return 1;
-        }
-        std::fprintf(json,
-                     "{\n"
-                     "  \"schema\": 1,\n"
-                     "  \"faults\": {\n"
-                     "    \"runs\": %zu,\n"
-                     "    \"requests_retired\": %lld,\n"
-                     "    \"wall_sec\": %.3f,\n"
-                     "    \"requests_per_sec\": %.3f,\n"
-                     "    \"peak_rss_mb\": %.3f\n"
-                     "  }\n"
-                     "}\n",
-                     cells.size(),
-                     static_cast<long long>(total_retired),
-                     wall_sec, req_per_sec, rss_mb);
-        std::fclose(json);
-        std::fprintf(stderr, "wrote %s\n", json_path.c_str());
-    }
-    return 0;
+    return reportSweep("faults", cells.size(), total_retired, wall_sec,
+                       args.getString("json"));
 }

@@ -15,8 +15,8 @@
  * Output discipline (same as bench_longrun): everything
  * deterministic (the policy table) goes to stdout — the CI
  * determinism job can diff two runs byte-for-byte. Wall-clock and
- * RSS go to stderr and, with --json=PATH, into a JSON file the CI
- * perf job merges into the BENCH_perf gate
+ * RSS go to stderr and, with --json=PATH, into a perf report
+ * (bench_util.hh PerfReport) the CI perf gate reads
  * (fleet.requests_per_sec floor; see tools/check_perf.py).
  *
  *   ./bench_fleet                       # the full sweep
@@ -24,7 +24,6 @@
  *   ./bench_fleet --json=BENCH_fleet.json
  */
 
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -32,7 +31,6 @@
 
 #include "bench_util.hh"
 #include "common/argparse.hh"
-#include "common/rss.hh"
 #include "fleet/fleet.hh"
 
 using namespace duplex;
@@ -125,12 +123,8 @@ main(int argc, char **argv)
                 attainment.attainment().goodputTokensPerSec();
         });
 
-    const auto t0 = std::chrono::steady_clock::now();
-    SweepRunner().runTasks(tasks);
     const double wall_sec =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
+        timed([&] { SweepRunner().runTasks(tasks); });
 
     // ---- deterministic sweep table (stdout, diffed by CI) ------
     Table t({"Policy", "Fleet", "tokens/s", "TBT p50 ms",
@@ -152,41 +146,6 @@ main(int argc, char **argv)
     std::printf("Attainment covers every retired request; "
                 "tokens/s and TBT are post-warm-up.\n");
 
-    // ---- perf numbers (stderr + JSON; never in the diffed out) -
-    const double rss_mb = peakRssMb();
-    const double req_per_sec =
-        wall_sec > 0.0 ? total_retired / wall_sec : 0.0;
-    std::fprintf(stderr,
-                 "fleet sweep: %zu run(s), %lld requests retired, "
-                 "%.2f s wall, %.0f requests/s, peak RSS %.1f MB\n",
-                 cells.size(),
-                 static_cast<long long>(total_retired), wall_sec,
-                 req_per_sec, rss_mb);
-
-    const std::string json_path = args.getString("json");
-    if (!json_path.empty()) {
-        std::FILE *json = std::fopen(json_path.c_str(), "w");
-        if (json == nullptr) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         json_path.c_str());
-            return 1;
-        }
-        std::fprintf(json,
-                     "{\n"
-                     "  \"schema\": 1,\n"
-                     "  \"fleet\": {\n"
-                     "    \"runs\": %zu,\n"
-                     "    \"requests_retired\": %lld,\n"
-                     "    \"wall_sec\": %.3f,\n"
-                     "    \"requests_per_sec\": %.3f,\n"
-                     "    \"peak_rss_mb\": %.3f\n"
-                     "  }\n"
-                     "}\n",
-                     cells.size(),
-                     static_cast<long long>(total_retired),
-                     wall_sec, req_per_sec, rss_mb);
-        std::fclose(json);
-        std::fprintf(stderr, "wrote %s\n", json_path.c_str());
-    }
-    return 0;
+    return reportSweep("fleet", cells.size(), total_retired, wall_sec,
+                       args.getString("json"));
 }

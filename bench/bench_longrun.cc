@@ -15,8 +15,8 @@
  * Output discipline: everything deterministic (request/token
  * counts, simulated time, approximate percentiles) goes to stdout
  * — the CI determinism job diffs two runs byte-for-byte. Timing
- * and RSS go to stderr and, with --json=PATH, into a JSON file the
- * CI perf job merges into the BENCH_perf gate
+ * and RSS go to stderr and, with --json=PATH, into a perf report
+ * (bench_util.hh PerfReport) the CI perf gate reads
  * (driver_loop.requests_per_sec floor, driver_loop.peak_rss_mb
  * ceiling; see tools/check_perf.py).
  *
@@ -26,15 +26,12 @@
  *   ./bench_longrun --json=BENCH_longrun.json
  */
 
-#include <chrono>
 #include <cstdio>
 #include <limits>
 #include <string>
 
+#include "bench_util.hh"
 #include "common/argparse.hh"
-#include "common/rss.hh"
-#include "sim/engine.hh"
-#include "sim/registry.hh"
 
 using namespace duplex;
 
@@ -132,12 +129,8 @@ main(int argc, char **argv)
     DriverCounters counters;
     engine.addObserver(&counters);
 
-    const auto t0 = std::chrono::steady_clock::now();
-    const SimResult r = engine.run();
-    const double wall_sec =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
+    SimResult r;
+    const double wall_sec = timed([&] { r = engine.run(); });
 
     // ---- deterministic summary (stdout, diffed by CI) ----------
     std::printf("requests retired: %lld, tokens: %lld, stages: "
@@ -180,29 +173,13 @@ main(int argc, char **argv)
                  wall_sec, req_per_sec, stages_per_sec, rss_mb);
 
     const std::string json_path = args.getString("json");
-    if (!json_path.empty()) {
-        std::FILE *json = std::fopen(json_path.c_str(), "w");
-        if (json == nullptr) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         json_path.c_str());
-            return 1;
-        }
-        std::fprintf(json,
-                     "{\n"
-                     "  \"schema\": 1,\n"
-                     "  \"driver_loop\": {\n"
-                     "    \"requests\": %d,\n"
-                     "    \"metrics_mode\": \"%s\",\n"
-                     "    \"wall_sec\": %.3f,\n"
-                     "    \"requests_per_sec\": %.3f,\n"
-                     "    \"stages_per_sec\": %.3f,\n"
-                     "    \"peak_rss_mb\": %.3f\n"
-                     "  }\n"
-                     "}\n",
-                     requests, metrics_mode.c_str(), wall_sec,
-                     req_per_sec, stages_per_sec, rss_mb);
-        std::fclose(json);
-        std::fprintf(stderr, "wrote %s\n", json_path.c_str());
-    }
-    return 0;
+    if (json_path.empty())
+        return 0;
+    PerfReport report;
+    report.add("driver_loop.requests", requests);
+    report.add("driver_loop.wall_sec", wall_sec);
+    report.add("driver_loop.requests_per_sec", req_per_sec);
+    report.add("driver_loop.stages_per_sec", stages_per_sec);
+    report.add("driver_loop.peak_rss_mb", rss_mb);
+    return report.write(json_path) ? 0 : 1;
 }

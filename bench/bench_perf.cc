@@ -1,8 +1,8 @@
 /**
  * @file
  * Simulator performance harness: times the end-to-end hot path and
- * emits BENCH_perf.json so the perf trajectory is a tracked,
- * per-PR artifact (uploaded by the CI Release job).
+ * writes BENCH_perf.json (a bench_util.hh PerfReport), which the CI
+ * perf job gates (tools/check_perf.py) and uploads per PR.
  *
  * Three probes:
  *  - cost model: the O(1) closed-form attention costs against the
@@ -25,7 +25,6 @@
  *    decode-sized and a prefill-sized MoE layer.
  */
 
-#include <chrono>
 #include <cstdio>
 
 #include "bench_util.hh"
@@ -38,14 +37,12 @@ using namespace duplex;
 namespace
 {
 
-using Clock = std::chrono::steady_clock;
-
-double
-secondsSince(Clock::time_point start)
+/** One named probe's rate (stages/s, requests/s or tokens/s). */
+struct Rate
 {
-    return std::chrono::duration<double>(Clock::now() - start)
-        .count();
-}
+    const char *name;
+    double perSec;
+};
 
 /** Closed-form vs reference attention-cost microbenchmark. */
 struct CostModelProbe
@@ -53,7 +50,7 @@ struct CostModelProbe
     double closedFormNs = 0.0;
     double referenceNs = 0.0;
     double speedup = 0.0;
-    // Folded into the JSON so the compiler cannot drop the loops.
+    // Folded into the report so the compiler cannot drop the loops.
     double checksum = 0.0;
 };
 
@@ -70,20 +67,22 @@ probeCostModel()
 
     CostModelProbe probe;
     const int iters = 20000;
-    auto t0 = Clock::now();
-    for (int i = 0; i < iters; ++i) {
-        probe.checksum += costs.attentionDecode(agg).flops;
-        probe.checksum += costs.attentionPrefill(agg).flops;
-    }
-    probe.closedFormNs = secondsSince(t0) * 1e9 / iters;
+    probe.closedFormNs = timed([&] {
+        for (int i = 0; i < iters; ++i) {
+            probe.checksum += costs.attentionDecode(agg).flops;
+            probe.checksum += costs.attentionPrefill(agg).flops;
+        }
+    }) * 1e9 / iters;
 
     const int ref_iters = 2000;
-    t0 = Clock::now();
-    for (int i = 0; i < ref_iters; ++i) {
-        probe.checksum -= costs.attentionDecodeReference(stage).flops;
-        probe.checksum -= costs.attentionPrefillReference(stage).flops;
-    }
-    probe.referenceNs = secondsSince(t0) * 1e9 / ref_iters;
+    probe.referenceNs = timed([&] {
+        for (int i = 0; i < ref_iters; ++i) {
+            probe.checksum -=
+                costs.attentionDecodeReference(stage).flops;
+            probe.checksum -=
+                costs.attentionPrefillReference(stage).flops;
+        }
+    }) * 1e9 / ref_iters;
     probe.speedup = probe.closedFormNs > 0.0
                         ? probe.referenceNs / probe.closedFormNs
                         : 0.0;
@@ -103,13 +102,13 @@ probeStageExec(const std::string &system, const ModelConfig &model,
     const int batch = 300;
     std::int64_t iters = 0;
     double sec = 0.0;
-    const auto t0 = Clock::now();
     PicoSec sink = 0;
     do {
-        for (int i = 0; i < batch; ++i)
-            sink += sys->executeStage(stage).time;
+        sec += timed([&] {
+            for (int i = 0; i < batch; ++i)
+                sink += sys->executeStage(stage).time;
+        });
         iters += batch;
-        sec = secondsSince(t0);
     } while (sec < 0.05);
     return sink > 0 && sec > 0.0 ? iters / sec : 0.0;
 }
@@ -130,9 +129,8 @@ timeSweep(const char *name, const std::vector<SimConfig> &configs)
     SweepProbe probe;
     probe.name = name;
     probe.configs = static_cast<int>(configs.size());
-    const auto t0 = Clock::now();
-    const std::vector<SimResult> results = runSweep(configs);
-    probe.wallSec = secondsSince(t0);
+    std::vector<SimResult> results;
+    probe.wallSec = timed([&] { results = runSweep(configs); });
     for (std::size_t i = 0; i < results.size(); ++i) {
         probe.stages += results[i].metrics.decodingOnlyStages +
                         results[i].metrics.mixedStages;
@@ -158,10 +156,10 @@ probeWorkloadGen(const std::string &id)
     // Warm up once (lookahead buffer, first-state draws).
     std::int64_t sink = source->next().inputLen;
     const int iters = 200000;
-    const auto t0 = Clock::now();
-    for (int i = 0; i < iters; ++i)
-        sink += source->next().inputLen;
-    const double sec = secondsSince(t0);
+    const double sec = timed([&] {
+        for (int i = 0; i < iters; ++i)
+            sink += source->next().inputLen;
+    });
     return sink > 0 && sec > 0.0 ? iters / sec : 0.0;
 }
 
@@ -182,13 +180,13 @@ probePrefixCache()
     const int sessions = 512;
     const int iters = 100000;
     std::int64_t sink = 0;
-    const auto t0 = Clock::now();
-    for (int i = 0; i < iters; ++i) {
-        r.sessionId = i % sessions;
-        sink += pool.acquire(r);
-        pool.install(r);
-    }
-    const double sec = secondsSince(t0);
+    const double sec = timed([&] {
+        for (int i = 0; i < iters; ++i) {
+            r.sessionId = i % sessions;
+            sink += pool.acquire(r);
+            pool.install(r);
+        }
+    });
     return sink >= 0 && sec > 0.0 ? iters / sec : 0.0;
 }
 
@@ -203,12 +201,12 @@ probeMoeDraw(int experts, std::int64_t tokens)
     selector.sampleInto(rng, tokens, hist);
     std::int64_t sink = hist[0];
     const std::int64_t calls = (std::int64_t{1} << 24) / tokens;
-    const auto t0 = Clock::now();
-    for (std::int64_t i = 0; i < calls; ++i) {
-        selector.sampleInto(rng, tokens, hist);
-        sink += hist[0];
-    }
-    const double sec = secondsSince(t0);
+    const double sec = timed([&] {
+        for (std::int64_t i = 0; i < calls; ++i) {
+            selector.sampleInto(rng, tokens, hist);
+            sink += hist[0];
+        }
+    });
     return sink >= 0 && sec > 0.0 ? calls * tokens / sec : 0.0;
 }
 
@@ -232,12 +230,7 @@ main()
 
     const ModelConfig mixtral = mixtralConfig();
     const ModelConfig llama3 = llama3Config();
-    struct StageProbe
-    {
-        const char *name;
-        double stagesPerSec;
-    };
-    const StageProbe stage_probes[] = {
+    const Rate stage_probes[] = {
         {"gpu_decode64", probeStageExec("gpu", mixtral, decode_stage)},
         {"gpu_mixed64", probeStageExec("gpu", mixtral, mixed_stage)},
         {"duplex_decode64",
@@ -251,44 +244,34 @@ main()
         {"duplex_llama3_decode64",
          probeStageExec("duplex-pe-et", llama3, decode_stage)},
     };
-    for (const StageProbe &p : stage_probes)
+    for (const Rate &p : stage_probes)
         std::printf("stage exec %-22s %10.0f stages/s\n", p.name,
-                    p.stagesPerSec);
+                    p.perSec);
 
-    struct WorkloadGenProbe
-    {
-        const char *name;
-        double requestsPerSec;
-    };
-    const WorkloadGenProbe workload_probes[] = {
+    const Rate workload_probes[] = {
         {"synthetic", probeWorkloadGen("synthetic")},
         {"bursty", probeWorkloadGen("bursty")},
         {"diurnal", probeWorkloadGen("diurnal")},
         {"mixed", probeWorkloadGen("mixed")},
         {"session", probeWorkloadGen("session")},
     };
-    for (const WorkloadGenProbe &p : workload_probes)
+    for (const Rate &p : workload_probes)
         std::printf("workload gen %-12s %12.0f requests/s\n",
-                    p.name, p.requestsPerSec);
+                    p.name, p.perSec);
 
     const double prefix_cache_ops = probePrefixCache();
     std::printf("prefix cache %25.0f acquire+install/s\n",
                 prefix_cache_ops);
 
-    struct MoeDrawProbe
-    {
-        const char *name;
-        double tokensPerSec;
-    };
-    const MoeDrawProbe draw_probes[] = {
+    const Rate draw_probes[] = {
         {"mixtral_256", probeMoeDraw(8, 256)},
         {"mixtral_4096", probeMoeDraw(8, 4096)},
         {"glam_256", probeMoeDraw(64, 256)},
         {"glam_4096", probeMoeDraw(64, 4096)},
     };
-    for (const MoeDrawProbe &p : draw_probes)
+    for (const Rate &p : draw_probes)
         std::printf("moe draw %-16s %12.0f tokens/s\n", p.name,
-                    p.tokensPerSec);
+                    p.perSec);
 
     const SweepProbe sweeps[] = {
         timeSweep("fig11-throughput", fig11SweepConfigs()),
@@ -300,58 +283,26 @@ main()
                     s.stages / s.wallSec,
                     s.requests / s.wallSec);
 
-    std::FILE *json = std::fopen("BENCH_perf.json", "w");
-    if (json == nullptr) {
-        std::fprintf(stderr, "cannot write BENCH_perf.json\n");
-        return 1;
+    PerfReport report;
+    report.add("sweep_workers", SweepRunner().workers());
+    report.add("cost_model.closed_form_ns", cost.closedFormNs);
+    report.add("cost_model.reference_ns", cost.referenceNs);
+    report.add("cost_model.speedup", cost.speedup);
+    report.add("cost_model.checksum", cost.checksum);
+    for (const Rate &p : stage_probes)
+        report.add(std::string("stage_exec.") + p.name, p.perSec);
+    for (const Rate &p : workload_probes)
+        report.add(std::string("workload_gen.") + p.name, p.perSec);
+    report.add("prefix_cache.ops_per_sec", prefix_cache_ops);
+    for (const Rate &p : draw_probes)
+        report.add(std::string("moe_draw.") + p.name, p.perSec);
+    for (const SweepProbe &s : sweeps) {
+        const std::string key = std::string("figure_sweeps.") + s.name;
+        report.add(key + ".configs", s.configs);
+        report.add(key + ".wall_sec", s.wallSec);
+        report.add(key + ".stages_per_sec", s.stages / s.wallSec);
+        report.add(key + ".requests_per_sec", s.requests / s.wallSec);
+        report.add(key + ".tokens_per_sec", s.tokens / s.wallSec);
     }
-    std::fprintf(json, "{\n");
-    std::fprintf(json, "  \"schema\": 1,\n");
-    std::fprintf(json, "  \"sweep_workers\": %d,\n",
-                 SweepRunner().workers());
-    std::fprintf(json,
-                 "  \"cost_model\": {\"closed_form_ns\": %.3f, "
-                 "\"reference_ns\": %.3f, \"speedup\": %.3f, "
-                 "\"checksum\": %.17g},\n",
-                 cost.closedFormNs, cost.referenceNs, cost.speedup,
-                 cost.checksum);
-    std::fprintf(json, "  \"stage_exec\": {");
-    for (std::size_t i = 0; i < std::size(stage_probes); ++i)
-        std::fprintf(json, "%s\"%s\": %.3f", i ? ", " : "",
-                     stage_probes[i].name,
-                     stage_probes[i].stagesPerSec);
-    std::fprintf(json, "},\n");
-    std::fprintf(json, "  \"workload_gen\": {");
-    for (std::size_t i = 0; i < std::size(workload_probes); ++i)
-        std::fprintf(json, "%s\"%s\": %.3f", i ? ", " : "",
-                     workload_probes[i].name,
-                     workload_probes[i].requestsPerSec);
-    std::fprintf(json, "},\n");
-    std::fprintf(json,
-                 "  \"prefix_cache\": {\"ops_per_sec\": %.3f},\n",
-                 prefix_cache_ops);
-    std::fprintf(json, "  \"moe_draw\": {");
-    for (std::size_t i = 0; i < std::size(draw_probes); ++i)
-        std::fprintf(json, "%s\"%s\": %.3f", i ? ", " : "",
-                     draw_probes[i].name,
-                     draw_probes[i].tokensPerSec);
-    std::fprintf(json, "},\n");
-    std::fprintf(json, "  \"figure_sweeps\": [");
-    for (std::size_t i = 0; i < std::size(sweeps); ++i) {
-        const SweepProbe &s = sweeps[i];
-        std::fprintf(json,
-                     "%s{\"name\": \"%s\", \"configs\": %d, "
-                     "\"wall_sec\": %.3f, \"stages_per_sec\": %.1f, "
-                     "\"requests_per_sec\": %.2f, "
-                     "\"tokens_per_sec\": %.1f}",
-                     i ? ", " : "", s.name, s.configs, s.wallSec,
-                     s.stages / s.wallSec,
-                     s.requests / s.wallSec,
-                     s.tokens / s.wallSec);
-    }
-    std::fprintf(json, "]\n");
-    std::fprintf(json, "}\n");
-    std::fclose(json);
-    std::printf("wrote BENCH_perf.json\n");
-    return 0;
+    return report.write("BENCH_perf.json") ? 0 : 1;
 }

@@ -17,16 +17,15 @@
  *
  * Output discipline (same as bench_fleet/bench_faults): the sweep
  * table goes to stdout for the CI determinism diff; wall-clock and
- * RSS go to stderr and, with --json=PATH, into the JSON the CI
- * perf job merges into the BENCH_perf gate
- * (policies.requests_per_sec floor; see tools/check_perf.py).
+ * RSS go to stderr and, with --json=PATH, into a perf report the
+ * CI perf gate reads (policies.requests_per_sec floor; see
+ * tools/check_perf.py).
  *
  *   ./bench_policies                    # the full sweep
  *   ./bench_policies --requests=48      # quick smoke run
  *   ./bench_policies --json=BENCH_policies.json
  */
 
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -34,7 +33,6 @@
 
 #include "bench_util.hh"
 #include "common/argparse.hh"
-#include "common/rss.hh"
 #include "workload/registry.hh"
 
 using namespace duplex;
@@ -161,13 +159,9 @@ main(int argc, char **argv)
             std::make_unique<ClassSloAttainment>(slo, 1));
         return obs;
     };
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::vector<ObservedRun> runs =
-        SweepRunner().runObserved(configs, factory);
-    const double wall_sec =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
+    std::vector<ObservedRun> runs;
+    const double wall_sec = timed(
+        [&] { runs = SweepRunner().runObserved(configs, factory); });
 
     // ---- deterministic sweep table (stdout, diffed by CI) ------
     Table t({"Workload", "Policy", "tokens/s", "TTFT p50 ms",
@@ -211,41 +205,6 @@ main(int argc, char **argv)
                 "their cadence; priority preemptions restart "
                 "evicted low-class decodes from prefill.\n");
 
-    // ---- perf numbers (stderr + JSON; never in the diffed out) -
-    const double rss_mb = peakRssMb();
-    const double req_per_sec =
-        wall_sec > 0.0 ? total_retired / wall_sec : 0.0;
-    std::fprintf(stderr,
-                 "policy sweep: %zu run(s), %lld requests retired, "
-                 "%.2f s wall, %.0f requests/s, peak RSS %.1f MB\n",
-                 configs.size(),
-                 static_cast<long long>(total_retired), wall_sec,
-                 req_per_sec, rss_mb);
-
-    const std::string json_path = args.getString("json");
-    if (!json_path.empty()) {
-        std::FILE *json = std::fopen(json_path.c_str(), "w");
-        if (json == nullptr) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         json_path.c_str());
-            return 1;
-        }
-        std::fprintf(json,
-                     "{\n"
-                     "  \"schema\": 1,\n"
-                     "  \"policies\": {\n"
-                     "    \"runs\": %zu,\n"
-                     "    \"requests_retired\": %lld,\n"
-                     "    \"wall_sec\": %.3f,\n"
-                     "    \"requests_per_sec\": %.3f,\n"
-                     "    \"peak_rss_mb\": %.3f\n"
-                     "  }\n"
-                     "}\n",
-                     configs.size(),
-                     static_cast<long long>(total_retired),
-                     wall_sec, req_per_sec, rss_mb);
-        std::fclose(json);
-        std::fprintf(stderr, "wrote %s\n", json_path.c_str());
-    }
-    return 0;
+    return reportSweep("policies", configs.size(), total_retired, wall_sec,
+                       args.getString("json"));
 }

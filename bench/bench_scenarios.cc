@@ -21,18 +21,16 @@
  *
  * Output discipline (same as bench_fleet): the matrix table goes
  * to stdout for the CI determinism diff; wall-clock and RSS go to
- * stderr and, with --json=PATH, into a JSON perf summary.
+ * stderr and, with --json=PATH, into a perf report (no floor gates
+ * it).
  *
  *   ./bench_scenarios                   # the full matrix
  *   ./bench_scenarios --requests=24     # quick smoke run
  *   ./bench_scenarios --json=BENCH_scenarios.json
  */
 
-#include <chrono>
-
 #include "bench_util.hh"
 #include "common/argparse.hh"
-#include "common/rss.hh"
 #include "workload/registry.hh"
 #include "workload/trace.hh"
 
@@ -127,17 +125,14 @@ main(int argc, char **argv)
         obs.push_back(std::make_unique<SloAttainment>(slo));
         return obs;
     };
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::vector<ObservedRun> runs =
-        SweepRunner().runObserved(configs, factory);
-    const double wall_sec =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
+    std::vector<ObservedRun> runs;
+    const double wall_sec = timed(
+        [&] { runs = SweepRunner().runObserved(configs, factory); });
 
     Table t({"Workload", "System", "tokens/s", "TBT p99 ms",
              "T2FT p50 ms", "TTFT att", "TBT att", "req att",
              "goodput/s"});
+    std::int64_t total_retired = 0;
     std::size_t next = 0;
     for (const std::string &workload : workloads) {
         for (const std::string &system : systems) {
@@ -146,6 +141,7 @@ main(int argc, char **argv)
             const auto *attainment =
                 dynamic_cast<const SloAttainment *>(
                     run.observers.front().get());
+            total_retired += attainment->totalRequests();
             t.startRow();
             t.cell(WorkloadRegistry::instance().displayName(
                 workload));
@@ -168,32 +164,6 @@ main(int argc, char **argv)
                 "the queueing the closed loop never sees.\n",
                 slo.t2ftMs, slo.tbtMs);
 
-    // ---- perf numbers (stderr + JSON; never in the diffed out) -
-    const double rss_mb = peakRssMb();
-    std::fprintf(stderr,
-                 "scenario matrix: %zu run(s), %.2f s wall, peak "
-                 "RSS %.1f MB\n",
-                 runs.size(), wall_sec, rss_mb);
-    const std::string json_path = args.getString("json");
-    if (!json_path.empty()) {
-        std::FILE *json = std::fopen(json_path.c_str(), "w");
-        if (json == nullptr) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         json_path.c_str());
-            return 1;
-        }
-        std::fprintf(json,
-                     "{\n"
-                     "  \"schema\": 1,\n"
-                     "  \"scenarios\": {\n"
-                     "    \"runs\": %zu,\n"
-                     "    \"wall_sec\": %.3f,\n"
-                     "    \"peak_rss_mb\": %.3f\n"
-                     "  }\n"
-                     "}\n",
-                     runs.size(), wall_sec, rss_mb);
-        std::fclose(json);
-        std::fprintf(stderr, "wrote %s\n", json_path.c_str());
-    }
-    return 0;
+    return reportSweep("scenarios", runs.size(), total_retired,
+                       wall_sec, args.getString("json"));
 }

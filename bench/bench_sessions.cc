@@ -18,15 +18,14 @@
  * Output discipline (same as bench_fleet): the sweep table goes to
  * stdout — the CI determinism job diffs two runs byte-for-byte.
  * Wall-clock and RSS go to stderr and, with --json=PATH, into a
- * JSON file the CI perf job merges into the BENCH_perf gate
- * (sessions.requests_per_sec floor; see tools/check_perf.py).
+ * perf report the CI perf gate reads (sessions.requests_per_sec
+ * floor; see tools/check_perf.py).
  *
  *   ./bench_sessions                     # the full sweep
  *   ./bench_sessions --requests=48       # quick smoke run
  *   ./bench_sessions --json=BENCH_sessions.json
  */
 
-#include <chrono>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -34,7 +33,7 @@
 
 #include "bench_util.hh"
 #include "common/argparse.hh"
-#include "common/rss.hh"
+#include "common/number.hh"
 #include "fleet/fleet.hh"
 #include "kvcache/prefix_cache.hh"
 
@@ -96,8 +95,7 @@ cellConfig(const SessionCell &cell, int requests_per_instance)
     // The requests/s number only means something if every request
     // retires; the cap is a runaway backstop, not the run's end.
     fc.sim.maxStages = 2000000;
-    fc.sim.prefixCache.budgetBytes = static_cast<std::int64_t>(
-        cell.cacheMb * 1024.0 * 1024.0);
+    fc.sim.prefixCache.budgetBytes = mibToBytes(cell.cacheMb);
     fc.sim.prefixCache.evictPolicy =
         cell.evict.empty() ? "lru" : cell.evict;
     fc.sim.prefixCache.sharedPrefixTokens =
@@ -167,12 +165,8 @@ main(int argc, char **argv)
                 attainment.attainment().goodputTokensPerSec();
         });
 
-    const auto t0 = std::chrono::steady_clock::now();
-    SweepRunner().runTasks(tasks);
     const double wall_sec =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
+        timed([&] { SweepRunner().runTasks(tasks); });
 
     // ---- deterministic sweep table (stdout, diffed by CI) ------
     Table t({"Cache MiB", "Evict", "Policy", "hit rate",
@@ -198,42 +192,6 @@ main(int argc, char **argv)
                 "probes fleet-wide. Attainment covers every "
                 "retired request.\n");
 
-    // ---- perf numbers (stderr + JSON; never in the diffed out) -
-    const double rss_mb = peakRssMb();
-    const double req_per_sec =
-        wall_sec > 0.0 ? total_retired / wall_sec : 0.0;
-    std::fprintf(stderr,
-                 "session sweep: %zu run(s), %lld requests "
-                 "retired, %.2f s wall, %.0f requests/s, peak RSS "
-                 "%.1f MB\n",
-                 cells.size(),
-                 static_cast<long long>(total_retired), wall_sec,
-                 req_per_sec, rss_mb);
-
-    const std::string json_path = args.getString("json");
-    if (!json_path.empty()) {
-        std::FILE *json = std::fopen(json_path.c_str(), "w");
-        if (json == nullptr) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         json_path.c_str());
-            return 1;
-        }
-        std::fprintf(json,
-                     "{\n"
-                     "  \"schema\": 1,\n"
-                     "  \"sessions\": {\n"
-                     "    \"runs\": %zu,\n"
-                     "    \"requests_retired\": %lld,\n"
-                     "    \"wall_sec\": %.3f,\n"
-                     "    \"requests_per_sec\": %.3f,\n"
-                     "    \"peak_rss_mb\": %.3f\n"
-                     "  }\n"
-                     "}\n",
-                     cells.size(),
-                     static_cast<long long>(total_retired),
-                     wall_sec, req_per_sec, rss_mb);
-        std::fclose(json);
-        std::fprintf(stderr, "wrote %s\n", json_path.c_str());
-    }
-    return 0;
+    return reportSweep("sessions", cells.size(), total_retired, wall_sec,
+                       args.getString("json"));
 }

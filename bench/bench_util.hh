@@ -1,8 +1,9 @@
 /**
  * @file
  * Shared helpers for the figure-reproduction benches: standard
- * sweep configurations driven through the SimulationEngine, and
- * result formatting.
+ * sweep configurations driven through the SimulationEngine, result
+ * formatting, and the one perf-report writer (PerfReport) every
+ * perf bench feeds the CI gate (tools/check_perf.py) through.
  *
  * Systems are referred to by registry id ("gpu", "duplex-pe-et",
  * ...); use systemLabel() for table cells.
@@ -11,10 +12,13 @@
 #ifndef DUPLEX_BENCH_BENCH_UTIL_HH
 #define DUPLEX_BENCH_BENCH_UTIL_HH
 
+#include <chrono>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rss.hh"
 #include "common/table.hh"
 #include "sim/engine.hh"
 #include "sim/observers.hh"
@@ -175,6 +179,91 @@ fig12SweepConfigs()
                 system, glamConfig(), kFig12Batch, len, len,
                 kFig12Requests, kFig12MaxStages));
     return configs;
+}
+
+/** Wall-clock seconds one call of @p run takes. */
+template <typename Run>
+double
+timed(Run &&run)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    run();
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+}
+
+/**
+ * One bench's perf numbers, in the one format the CI gate
+ * (tools/check_perf.py) reads: dotted metric names in insertion
+ * order, written as {"schema": 2, "metrics": {"fleet.wall_sec":
+ * ..., ...}}. The gate joins several benches' reports, so a bench
+ * prefixes its keys with its own section name.
+ */
+class PerfReport
+{
+  public:
+    void add(std::string key, double value)
+    {
+        metrics_.emplace_back(std::move(key), value);
+    }
+
+    /** Write the report to @p path (%.17g: every value round-trips);
+     *  false, said on stderr, if the file cannot be written. */
+    bool write(const std::string &path) const
+    {
+        std::FILE *json = std::fopen(path.c_str(), "w");
+        bool ok = json != nullptr;
+        if (ok) {
+            std::fprintf(json, "{\n  \"schema\": 2,\n  \"metrics\": {");
+            for (std::size_t i = 0; i < metrics_.size(); ++i)
+                std::fprintf(json, "%s\n    \"%s\": %.17g",
+                             i ? "," : "", metrics_[i].first.c_str(),
+                             metrics_[i].second);
+            std::fprintf(json, "\n  }\n}\n");
+            ok = std::fclose(json) == 0;
+        }
+        std::fprintf(stderr, ok ? "wrote %s\n" : "cannot write %s\n",
+                     path.c_str());
+        return ok;
+    }
+
+  private:
+    std::vector<std::pair<std::string, double>> metrics_;
+};
+
+/**
+ * The perf tail of the four sweep benches (fleet, faults, policies,
+ * sessions): print the sweep's wall clock, requests/s and peak RSS
+ * on stderr, never in the deterministic stdout, and, when
+ * @p json_path is set, write them as "<section>.*" metrics.
+ * Returns the bench's exit status.
+ */
+inline int
+reportSweep(const std::string &section, std::size_t runs,
+            std::int64_t retired, double wall_sec,
+            const std::string &json_path)
+{
+    const double rss_mb = peakRssMb();
+    const double req_per_sec =
+        wall_sec > 0.0 ? static_cast<double>(retired) / wall_sec
+                       : 0.0;
+    std::fprintf(stderr,
+                 "%s sweep: %zu run(s), %lld requests retired, "
+                 "%.2f s wall, %.0f requests/s, peak RSS %.1f MB\n",
+                 section.c_str(), runs,
+                 static_cast<long long>(retired), wall_sec,
+                 req_per_sec, rss_mb);
+    if (json_path.empty())
+        return 0;
+    PerfReport report;
+    report.add(section + ".runs", static_cast<double>(runs));
+    report.add(section + ".requests_retired",
+               static_cast<double>(retired));
+    report.add(section + ".wall_sec", wall_sec);
+    report.add(section + ".requests_per_sec", req_per_sec);
+    report.add(section + ".peak_rss_mb", rss_mb);
+    return report.write(json_path) ? 0 : 1;
 }
 
 /** Add the five standard latency cells (see LatencySummary). */

@@ -52,6 +52,7 @@
 
 #include "common/argparse.hh"
 #include "common/log.hh"
+#include "common/number.hh"
 #include "common/rss.hh"
 #include "common/table.hh"
 #include "fleet/fleet.hh"
@@ -377,8 +378,7 @@ main(int argc, char **argv)
     // shared-prefix seed entry only makes sense when the workload
     // actually shares a prefix across sessions.
     PrefixCacheSpec cache;
-    cache.budgetBytes =
-        static_cast<std::int64_t>(cache_mb * 1024.0 * 1024.0);
+    cache.budgetBytes = mibToBytes(cache_mb);
     cache.evictPolicy = evict;
     if (workload_id == "session")
         cache.sharedPrefixTokens = spec.sharedPrefixTokens;

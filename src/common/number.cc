@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 #include "common/log.hh"
@@ -22,6 +23,19 @@ parseFinite(const std::string &field)
         if (*end != ' ' && *end != '\t' && *end != '\r')
             return std::nullopt;
     return v;
+}
+
+std::int64_t
+mibToBytes(double mib)
+{
+    const double bytes = mib * 1024.0 * 1024.0;
+    if (!(bytes >= 0.0 && bytes <= static_cast<double>(kMaxExactWhole))) {
+        char text[32];
+        std::snprintf(text, sizeof(text), "%g", mib);
+        fatal(std::string("a ") + text +
+              " MiB budget is outside [0, 2^53] bytes");
+    }
+    return static_cast<std::int64_t>(bytes);
 }
 
 std::optional<std::int64_t>

@@ -32,6 +32,12 @@ constexpr std::int64_t kMaxExactWhole = std::int64_t{1} << 53;
 constexpr double kMaxClockSec =
     static_cast<double>(std::numeric_limits<PicoSec>::max() / kPsPerSec);
 
+/**
+ * @p mib mebibytes as bytes; fatal unless the byte count lies in
+ * [0, kMaxExactWhole], where the cast is exact.
+ */
+std::int64_t mibToBytes(double mib);
+
 /** The field as one finite number, or nullopt. */
 std::optional<double> parseFinite(const std::string &field);
 

@@ -180,6 +180,9 @@ FleetDriver::FleetDriver(FleetConfig config)
 {
     fatalIf(config_.instances < 1,
             "FleetDriver: need at least one instance");
+    fatalIf(config_.sim.maxStages < 1,
+            "FleetDriver: stage cap must be >= 1, got " +
+                std::to_string(config_.sim.maxStages));
     // Without autoscaling the ids are 0..instances-1 for the whole
     // run, so an event aimed past them could never fire.
     if (config_.scaling.enabled)
@@ -694,15 +697,8 @@ FleetDriver::scheduleRetry(Request request, int instance,
             o->onRetry(instance, request, attempt, true, now);
         return;
     }
-    // The retry restarts from prefill — the crashed KV is gone
-    // (chunked-prefill progress included).
-    request.retries = attempt;
-    request.generated = 0;
-    request.prefilled = 0;
-    request.cachedTokens = 0; // re-admission probes the cache again
-    request.firstToken = -1;
-    request.finished = -1;
-    request.tokenTimes.clear();
+    // The crashed KV is gone (chunked-prefill progress included).
+    request.restartFromPrefill();
     request.arrival = now + config_.retry.backoffFor(attempt);
     ++result_.retriesScheduled;
     for (FleetObserver *o : observers_)

@@ -256,18 +256,8 @@ ContinuousBatcher::preemptActive(std::size_t index)
     activeLifetimeKv_ -= victim.inputLen + victim.outputLen;
     preemptedTokens_ += victim.generated;
     ++preempted_;
-    // The victim's KV is gone with its batch slot, so it restarts
-    // from prefill — the same lifecycle reset the fleet's
-    // crash-retry path applies (fleet/fleet.cc scheduleRetry).
-    // The original arrival survives, so its eventual TTFT/E2E
-    // latency carries the full preemption penalty.
-    victim.retries += 1;
-    victim.generated = 0;
-    victim.prefilled = 0;
-    victim.cachedTokens = 0; // re-admission probes the cache again
-    victim.firstToken = -1;
-    victim.finished = -1;
-    victim.tokenTimes.clear();
+    // The victim's KV is gone with its batch slot.
+    victim.restartFromPrefill();
     ready_.push_back(std::move(victim));
 }
 

@@ -77,6 +77,10 @@ SimulationEngine::run()
 SimResult
 SimulationEngine::run(ServingSystem &system)
 {
+    // One check for both loops: the batcher's and a custom one.
+    fatalIf(config_.maxStages < 1,
+            "stage cap must be >= 1, got " +
+                std::to_string(config_.maxStages));
     ObserverMux mux(observers_);
     mux.onSimBegin(system, config_);
 

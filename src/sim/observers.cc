@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <limits>
 
+#include "common/log.hh"
+#include "common/table.hh"
+
 namespace duplex
 {
 
@@ -105,6 +108,14 @@ GroupUtilization::busyFraction(std::string_view name) const
         return 0.0;
     return static_cast<double>(g->busyTime) /
            static_cast<double>(elapsed_);
+}
+
+SloAttainment::SloAttainment(SloSpec slo) : slo_(slo)
+{
+    fatalIf(!(slo.t2ftMs > 0.0 && slo.tbtMs > 0.0),
+            "SLO objectives must be > 0 ms, got TTFT " +
+                formatDouble(slo.t2ftMs, 3) + ", TBT " +
+                formatDouble(slo.tbtMs, 3));
 }
 
 void

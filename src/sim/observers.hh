@@ -145,7 +145,8 @@ class GroupUtilization : public SimObserver
 class SloAttainment : public SimObserver
 {
   public:
-    explicit SloAttainment(SloSpec slo = {}) : slo_(slo) {}
+    /** Fatal unless both objectives are > 0 ms. */
+    explicit SloAttainment(SloSpec slo = {});
 
     void onRequestRetired(const Request &request,
                           PicoSec now) override;

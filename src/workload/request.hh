@@ -77,6 +77,24 @@ struct Request
     std::int64_t contextLen() const { return inputLen + generated; }
 
     bool done() const { return generated >= outputLen; }
+
+    /**
+     * Re-queue from prefill: the batch slot's KV is gone (a batcher
+     * preemption or a fleet crash retry), so count one more retry
+     * and clear every lifecycle field, cache probe included. The
+     * arrival is left alone: a preempted request keeps it, so its
+     * eventual TTFT/E2E carries the restart's full penalty.
+     */
+    void restartFromPrefill()
+    {
+        retries += 1;
+        generated = 0;
+        prefilled = 0;
+        cachedTokens = 0;
+        firstToken = -1;
+        finished = -1;
+        tokenTimes.clear();
+    }
 };
 
 } // namespace duplex

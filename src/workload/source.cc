@@ -36,15 +36,9 @@ mixPriorityHash(std::uint64_t x)
 Request
 WorkloadSource::next()
 {
-    Request r;
-    if (lookahead_.has_value()) {
-        r = *lookahead_;
-        lookahead_.reset();
-    } else {
-        panicIf(generatorRemaining() <= 0,
-                "WorkloadSource::next on an exhausted source");
-        r = generate();
-    }
+    panicIf(generatorRemaining() <= 0,
+            "WorkloadSource::next on an exhausted source");
+    Request r = generate();
     // Session stamping is arithmetic on the already-drawn id — no
     // RNG draws, so every golden request stream stays bit-identical
     // whether or not sessions are enabled. Recorded session ids
@@ -72,38 +66,17 @@ WorkloadSource::setPriorityFraction(double frac)
         static_cast<std::int64_t>(std::llround(frac * 10000.0));
 }
 
-PicoSec
-WorkloadSource::peekArrival()
-{
-    if (!lookahead_.has_value()) {
-        if (generatorRemaining() <= 0)
-            return -1;
-        lookahead_ = generate();
-    }
-    return lookahead_->arrival;
-}
-
 std::int64_t
 WorkloadSource::remaining() const
 {
-    const std::int64_t left = generatorRemaining();
-    if (left == kUnbounded)
-        return kUnbounded;
-    return left + (lookahead_.has_value() ? 1 : 0);
+    return generatorRemaining();
 }
 
 void
 WorkloadSource::notifyRetired(const Request &r, PicoSec now)
 {
-    if (!wantsRetirements())
-        return;
-    // A retirement may create a turn that precedes the buffered
-    // lookahead; give the buffer back so generate() re-orders.
-    if (lookahead_.has_value()) {
-        reabsorb(std::move(*lookahead_));
-        lookahead_.reset();
-    }
-    onRetired(r, now);
+    if (wantsRetirements())
+        onRetired(r, now);
 }
 
 void
@@ -112,10 +85,6 @@ WorkloadSource::restore(Request r)
     panicIf(!wantsRetirements(),
             "WorkloadSource::restore on a source without "
             "retirement feedback");
-    if (lookahead_.has_value()) {
-        reabsorb(std::move(*lookahead_));
-        lookahead_.reset();
-    }
     reabsorb(std::move(r));
 }
 

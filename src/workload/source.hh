@@ -8,8 +8,7 @@
  * loop consumes — synthetic truncated-Gaussian draws (the paper's
  * Section VI workload), recorded-trace replay, on/off bursty
  * arrivals, diurnal QPS ramps, or named scenario mixes — behind one
- * contract: next() / peekArrival() / remaining() / name() /
- * describe(). Sources are created by name through the
+ * contract: next() / remaining() / name() / describe(). Sources are created by name through the
  * WorkloadRegistry (workload/registry.hh); new workloads implement
  * this interface and register a factory, nothing else.
  *
@@ -119,9 +118,9 @@ struct WorkloadSpec : WorkloadConfig
  * are admitted whenever a slot frees, see sched/arrivals.hh).
  *
  * Subclasses implement generate() (draw one request) and
- * generatorRemaining(); the base class owns the one-request
- * lookahead that makes peekArrival() possible for generative
- * sources without perturbing the draw stream.
+ * generatorRemaining(); the base class stamps sessions and
+ * priorities on what next() returns. The one-request lookahead a
+ * driver loop needs lives in ArrivalQueue (sched/arrivals.hh).
  */
 class WorkloadSource
 {
@@ -134,13 +133,6 @@ class WorkloadSource
 
     /** Next request in arrival order; source must not be exhausted. */
     Request next();
-
-    /**
-     * Arrival timestamp of the request next() would return, without
-     * consuming it; -1 when the source is exhausted. Generative
-     * sources draw (and buffer) the request to answer this.
-     */
-    PicoSec peekArrival();
 
     /** Requests the source can still produce (kUnbounded if endless). */
     std::int64_t remaining() const;
@@ -191,9 +183,9 @@ class WorkloadSource
 
     /**
      * A driver loop retired @p r at time @p now. No-op unless
-     * wantsRetirements(). Reabsorbs the peekArrival() lookahead
-     * first (via reabsorb()) so a retirement-created request that
-     * precedes the buffered one is re-emitted in arrival order.
+     * wantsRetirements(). A driver holding a drawn lookahead hands
+     * it back through restore() first, so a retirement-created
+     * request that precedes it is re-emitted in arrival order.
      */
     void notifyRetired(const Request &r, PicoSec now);
 
@@ -208,7 +200,7 @@ class WorkloadSource
     /** Draw the next request; called only while remaining() > 0. */
     virtual Request generate() = 0;
 
-    /** Requests left to generate, excluding the lookahead buffer. */
+    /** Requests left to generate. */
     virtual std::int64_t generatorRemaining() const = 0;
 
     /** Retirement hook for wantsRetirements() sources; default no-op. */
@@ -223,7 +215,6 @@ class WorkloadSource
     virtual void reabsorb(Request r);
 
   private:
-    std::optional<Request> lookahead_;
     int numSessions_ = 0;
 
     /** Fixed-point (per-10000) priority threshold; 0 = off. */

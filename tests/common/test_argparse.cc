@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the flag parser.
+ * Unit tests for the flag parser and the conversions of flag
+ * values (common/number.hh).
  */
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "common/argparse.hh"
+#include "common/number.hh"
 
 namespace duplex
 {
@@ -189,6 +191,18 @@ TEST(ArgParser, NumericValuesInRangeParse)
     EXPECT_EQ(p.getInt("n"), -7);
     EXPECT_DOUBLE_EQ(p.getDouble("x"), 1e-3);
     EXPECT_EQ(p.getInt("big"), INT64_MAX);
+}
+
+TEST(Number, MibToBytesIsExactUpTo2To53Bytes)
+{
+    EXPECT_EQ(mibToBytes(0.0), 0);
+    EXPECT_EQ(mibToBytes(512.0), std::int64_t{512} << 20);
+    EXPECT_EQ(mibToBytes(8589934592.0), kMaxExactWhole); // 2^33 MiB
+    // 1e20 MiB is ~1e26 bytes: a bare int64 cast is undefined.
+    EXPECT_EXIT(mibToBytes(1e20), ::testing::ExitedWithCode(1),
+                "a 1e\\+20 MiB budget is outside \\[0, 2\\^53\\] bytes");
+    EXPECT_EXIT(mibToBytes(8589934593.0), ::testing::ExitedWithCode(1),
+                "outside");
 }
 
 } // namespace

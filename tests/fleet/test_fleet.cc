@@ -117,6 +117,17 @@ TEST(Fleet, OneInstanceMatchesBareEngineOnDuplex)
     expectGoldenEquivalence(sim);
 }
 
+TEST(Fleet, StageCapBelowOneIsFatal)
+{
+    FleetConfig fc;
+    fc.sim = baseSim();
+    fc.sim.maxStages = 0;
+    fc.instances = 2;
+    EXPECT_EXIT({ FleetDriver driver(fc); },
+                ::testing::ExitedWithCode(1),
+                "FleetDriver: stage cap must be >= 1, got 0");
+}
+
 TEST(Fleet, RunsAreDeterministicForEveryPolicy)
 {
     for (const std::string &policy :

@@ -277,12 +277,13 @@ TEST(Engine, ExpertRoutingCountsEmptyForDenseModels)
 
 TEST(Engine, SloAttainmentBoundsAndGoodput)
 {
-    // A vacuous SLO admits every request; an impossible one admits
-    // none — and goodput follows the attaining set.
+    // A vacuous SLO admits every request; an impossible one (a
+    // femtosecond, shorter than any stage) admits none — and
+    // goodput follows the attaining set.
     SimConfig c = goldenConfig("gpu");
     SimulationEngine engine(c);
     SloAttainment lenient({1e9, 1e9});
-    SloAttainment impossible({0.0, 0.0});
+    SloAttainment impossible({1e-12, 1e-12});
     engine.addObserver(&lenient);
     engine.addObserver(&impossible);
     const SimResult r = engine.run();
@@ -327,6 +328,34 @@ TEST(Engine, SloAttainmentMonotoneInTheObjective)
         EXPECT_LE(a->attainment(), a->t2ftAttainment());
         EXPECT_LE(a->attainment(), a->tbtAttainment());
         EXPECT_LE(a->attainedRequests(), a->totalRequests());
+    }
+}
+
+TEST(Engine, NonPositiveSloObjectiveIsFatal)
+{
+    // An objective <= 0 would report attainment 0.00 for any run.
+    EXPECT_EXIT({ SloAttainment({1500.0, -1.0}); },
+                ::testing::ExitedWithCode(1),
+                "SLO objectives must be > 0 ms, got TTFT 1500.000, "
+                "TBT -1.000");
+    EXPECT_EXIT({ SloAttainment({0.0, 40.0}); },
+                ::testing::ExitedWithCode(1),
+                "SLO objectives must be > 0 ms");
+}
+
+TEST(Engine, StageCapBelowOneIsFatal)
+{
+    // Both loops: the batcher's and the split system's own.
+    for (const char *system : {"gpu", "duplex-split"}) {
+        for (std::int64_t cap : {0, -5}) {
+            SimConfig c = goldenConfig(system);
+            c.maxStages = cap;
+            EXPECT_EXIT({ SimulationEngine(c).run(); },
+                        ::testing::ExitedWithCode(1),
+                        "stage cap must be >= 1, got " +
+                            std::to_string(cap))
+                << system;
+        }
     }
 }
 

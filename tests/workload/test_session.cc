@@ -9,7 +9,7 @@
  *    retiring a turn later shifts only its successor's arrival,
  *    never its lengths — the interleaving-independence the driver
  *    feedback channel relies on for byte-identical double runs.
- *  - The peekArrival() lookahead is reabsorbed on retirement, so a
+ *  - ArrivalQueue's lookahead is handed back on retirement, so a
  *    follow-up turn that precedes the buffered request re-emits in
  *    arrival order (arrivals stay non-decreasing).
  *  - Opt-in: only the session source wants retirements; notifying
@@ -20,6 +20,7 @@
 
 #include <map>
 
+#include "sched/arrivals.hh"
 #include "workload/registry.hh"
 #include "workload/source.hh"
 
@@ -138,24 +139,26 @@ TEST(SessionSource, TurnContentIsIndependentOfRetirementTime)
 
 TEST(SessionSource, RetirementReabsorbsTheLookaheadInOrder)
 {
-    const auto source = makeWorkload("session", sessionSpec());
-    const Request first = source->next(); // session 0, turn 0
+    ArrivalQueue queue(makeWorkload("session", sessionSpec()), 8);
+    const Request first = queue.pop(0); // session 0, turn 0
 
-    // Peek buffers session 1's first turn...
-    const PicoSec peeked = source->peekArrival();
-    EXPECT_GT(peeked, first.arrival);
+    // Reading the next arrival buffers session 1's first turn...
+    const PicoSec buffered = queue.nextArrival();
+    EXPECT_GT(buffered, first.arrival);
 
     // ...but retiring turn 0 with think 0 creates session 0's
     // second turn at the retire time, BEFORE the buffered request:
-    // the source must unwind the buffer and re-emit in order.
-    source->notifyRetired(first, first.arrival);
-    const Request second = source->next();
+    // the queue hands the buffer back and the source re-emits both
+    // in order, within the same request budget.
+    queue.notifyRetired(first, first.arrival);
+    EXPECT_EQ(queue.size(), 7u);
+    const Request second = queue.pop(first.arrival);
     EXPECT_EQ(second.sessionId, 0);
     EXPECT_EQ(second.arrival, first.arrival);
 
-    const Request third = source->next();
+    const Request third = queue.pop(buffered);
     EXPECT_EQ(third.sessionId, 1);
-    EXPECT_EQ(third.arrival, peeked);
+    EXPECT_EQ(third.arrival, buffered);
 }
 
 TEST(SessionSource, DoubleRunsAreBitIdentical)

@@ -3,8 +3,7 @@
  * WorkloadSource tests: the synthetic source's bit-identical
  * RequestGenerator wrap (the golden RNG-stream contract every
  * engine/split/figure pin rests on), trace replay, the bursty and
- * diurnal arrival processes, scenario mixes, and the lookahead
- * contract (peekArrival never perturbs the stream).
+ * diurnal arrival processes and scenario mixes.
  */
 
 #include <gtest/gtest.h>
@@ -47,28 +46,12 @@ TEST(WorkloadSource, SyntheticMatchesRequestGeneratorExactly)
     }
 }
 
-TEST(WorkloadSource, PeekArrivalDoesNotPerturbTheStream)
-{
-    WorkloadSpec spec;
-    spec.qps = 5.0;
-    RequestGenerator gen(spec);
-    const std::unique_ptr<WorkloadSource> source =
-        makeWorkload("synthetic", spec);
-    for (int i = 0; i < 64; ++i) {
-        const Request expected = gen.next();
-        // Peeking (repeatedly) buffers one draw, nothing more.
-        EXPECT_EQ(source->peekArrival(), expected.arrival);
-        EXPECT_EQ(source->peekArrival(), expected.arrival);
-        expectSameRequest(source->next(), expected);
-    }
-}
-
 TEST(WorkloadSource, SyntheticIsUnbounded)
 {
     const std::unique_ptr<WorkloadSource> source =
         makeWorkload("synthetic");
     EXPECT_EQ(source->remaining(), WorkloadSource::kUnbounded);
-    source->peekArrival(); // buffering must not break "unbounded"
+    source->next();
     EXPECT_EQ(source->remaining(), WorkloadSource::kUnbounded);
 }
 
@@ -82,12 +65,9 @@ TEST(WorkloadSource, TraceReplaysTimestampsVerbatim)
     TraceSource source("in-memory", recorded);
     EXPECT_TRUE(source.openLoop());
     EXPECT_EQ(source.remaining(), 24);
-    for (const Request &expected : recorded) {
-        EXPECT_EQ(source.peekArrival(), expected.arrival);
+    for (const Request &expected : recorded)
         expectSameRequest(source.next(), expected);
-    }
     EXPECT_EQ(source.remaining(), 0);
-    EXPECT_EQ(source.peekArrival(), -1);
 }
 
 TEST(WorkloadSource, TraceRejectsDecreasingArrivals)
