@@ -50,7 +50,7 @@ main()
 
     banner("Prior-work variants (added silicon per stack)");
     const HbmTiming timing = hbm3Timing();
-    const DramCalibration &cal = cachedCalibration();
+    const DramCalibration cal = hbm3Calibration();
     Table v({"Variant", "compute", "buffers", "softmax", "TSV",
              "total mm^2", "die %"});
     for (PimVariant kind :

@@ -21,7 +21,7 @@ main()
 {
     banner("Fig. 4(b): GPU roofline, Lin = 2048, Lout = 1024");
     const HbmTiming timing = hbm3Timing();
-    const EngineSpec gpu = h100Engine(timing, cachedCalibration());
+    const EngineSpec gpu = h100Engine(timing, hbm3Calibration());
     std::printf("GPU ridge point: %.0f Op/B, peak %.0f TFLOPS "
                 "(eff. %.0f)\n",
                 gpu.ridgeOpPerByte(), gpu.peakFlops / 1e12,

@@ -18,7 +18,7 @@ main()
     banner("Fig. 8: normalized EDAP by GEMM Op/B (weight 16384 x "
            "4096)");
     const HbmTiming timing = hbm3Timing();
-    const DramCalibration &cal = cachedCalibration();
+    const DramCalibration cal = hbm3Calibration();
     const AreaModel area;
     const EnergyModel energy;
 

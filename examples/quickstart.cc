@@ -710,6 +710,18 @@ main(int argc, char **argv)
         engine.addObserver(&utilizations[i]);
         const SimResult r = engine.run();
         cache_metrics[i] = r.prefixCache;
+        // A run cut at the stage cap says so on stderr, like the RSS
+        // line, so the golden stdout stays as it was.
+        if (r.stageCapped)
+            std::fprintf(stderr,
+                         "warning: %s stopped at --stages=%lld with "
+                         "%lld request(s) unfinished; latency "
+                         "percentiles cover a partial window\n",
+                         SystemRegistry::instance()
+                             .displayName(system)
+                             .c_str(),
+                         static_cast<long long>(c.maxStages),
+                         static_cast<long long>(r.unfinishedRequests));
         attainments.push_back(attainment);
         const double thr = r.metrics.throughputTokensPerSec();
         if (system == "gpu")

@@ -11,7 +11,7 @@
 #define DUPLEX_DEVICE_GPU_HH
 
 #include "device/device.hh"
-#include "dram/calibrate.hh"
+#include "dram/calibration.hh"
 
 namespace duplex
 {

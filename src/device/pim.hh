@@ -20,7 +20,7 @@
 
 #include "area/area.hh"
 #include "device/device.hh"
-#include "dram/calibrate.hh"
+#include "dram/calibration.hh"
 #include "energy/edap.hh"
 
 namespace duplex

@@ -1,7 +1,5 @@
 #include "dram/calibrate.hh"
 
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/log.hh"
@@ -73,7 +71,6 @@ concurrentXpuEff(const HbmTiming &t, Bytes bytes)
     PseudoChannel ch(t);
     XpuStreamEngine xpu(ch, banksExcludingBundle0(t), bytes);
     BundleStreamEngine pim(ch, 0, 0, bytes * 8, false);
-    std::vector<StreamEngine *> engines{&xpu, &pim};
     // Run until the xPU engine finishes; the PIM engine keeps going.
     while (!xpu.done()) {
         StreamEngine *next =
@@ -93,7 +90,6 @@ concurrentPimEff(const HbmTiming &t, Bytes bytes)
     PseudoChannel ch(t);
     BundleStreamEngine pim(ch, 0, 0, bytes, false);
     XpuStreamEngine xpu(ch, banksExcludingBundle0(t), bytes * 8);
-    std::vector<StreamEngine *> engines{&xpu, &pim};
     while (!pim.done()) {
         StreamEngine *next =
             (xpu.done() || pim.nextReadyTime() <= xpu.nextReadyTime())
@@ -123,15 +119,6 @@ calibrateDram(const HbmTiming &timing, Bytes bytes_per_pch)
     panicIf(cal.xpuStreamEff > 1.0 + 1e-9 ||
                 cal.pimStaggeredEff > 1.0 + 1e-9,
             "calibration exceeded provisioned bandwidth");
-    return cal;
-}
-
-const DramCalibration &
-cachedCalibration()
-{
-    static std::once_flag flag;
-    static DramCalibration cal;
-    std::call_once(flag, [] { cal = calibrateDram(hbm3Timing()); });
     return cal;
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Bandwidth calibration: measure what the cycle-level DRAM model
- * actually sustains instead of assuming datasheet peaks.
+ * Bandwidth calibration probes: measure what the cycle-level DRAM
+ * model actually sustains instead of assuming datasheet peaks.
  *
  * The probes stream multi-megabyte reads through one pseudo channel
  * and report sustained/provisioned efficiency for:
@@ -10,55 +10,21 @@
  *  - both paths concurrently on disjoint bundles (the co-processing
  *    case, which shares rank ACT windows and refresh).
  *
- * Device models consume these factors so every figure in the paper
- * reproduction rests on measured DRAM behaviour.
+ * Devices do not run these probes: they consume the committed
+ * constant hbm3Calibration() (dram/calibration.hh), and
+ * dram_test_calibrate checks that constant bit for bit against
+ * calibrateDram(hbm3Timing()). The probes and the cycle model they
+ * drive build into the duplex_dram library, which only the DRAM
+ * tests and bench_dram_bandwidth link.
  */
 
 #ifndef DUPLEX_DRAM_CALIBRATE_HH
 #define DUPLEX_DRAM_CALIBRATE_HH
 
-#include "dram/timing.hh"
+#include "dram/calibration.hh"
 
 namespace duplex
 {
-
-/** Sustained-bandwidth factors measured on the cycle model. */
-struct DramCalibration
-{
-    /** Sustained / peak for an xPU-path stream over all banks. */
-    double xpuStreamEff = 1.0;
-
-    /** Sustained / provisioned-4x for a staggered bundle stream. */
-    double pimStaggeredEff = 1.0;
-
-    /** Sustained / provisioned-4x for a lockstep (shared C/A) one. */
-    double pimLockstepEff = 1.0;
-
-    /** xPU efficiency while Logic-PIM streams other bundles. */
-    double xpuCoEff = 1.0;
-
-    /** Logic-PIM efficiency while xPU streams other bundles. */
-    double pimCoEff = 1.0;
-
-    /** Sustained xPU bytes/s for one stack. */
-    double xpuStackBps(const HbmTiming &t) const
-    {
-        return t.stackPeakBytesPerSec() * xpuStreamEff;
-    }
-
-    /** Sustained Logic-PIM bytes/s for one stack (staggered mode). */
-    double pimStackBps(const HbmTiming &t) const
-    {
-        return t.pchBundlePeakBytesPerSec() * t.pchPerStack *
-               pimStaggeredEff;
-    }
-
-    /** Measured Logic-PIM gain over the xPU path. */
-    double pimGain(const HbmTiming &t) const
-    {
-        return pimStackBps(t) / xpuStackBps(t);
-    }
-};
 
 /**
  * Run the probes. @p bytes_per_pch controls probe length; the default
@@ -66,12 +32,6 @@ struct DramCalibration
  */
 DramCalibration calibrateDram(const HbmTiming &timing,
                               Bytes bytes_per_pch = 2 * kMiB);
-
-/**
- * Memoized calibration for the default HBM3 timing; probes run once
- * per process.
- */
-const DramCalibration &cachedCalibration();
 
 } // namespace duplex
 

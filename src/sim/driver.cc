@@ -142,6 +142,10 @@ DriverLoop::finish()
             std::make_shared<const BoundedLatencyMetrics>(
                 accumulator_.takeBounded());
     result_.generatedTokens = batcher_.totalGenerated();
+    result_.unfinishedRequests = static_cast<std::int64_t>(
+        batcher_.pendingCount() + batcher_.activeCount());
+    result_.stageCapped =
+        stageCapped() && result_.unfinishedRequests > 0;
     result_.preemptions = batcher_.preemptions();
     result_.preemptedTokens = batcher_.preemptedTokens();
     warmup_.finalize(result_.metrics, now_,

@@ -142,6 +142,14 @@ struct SimResult
     int peakBatch = 0;
 
     /**
+     * True when the run stopped at SimConfig::maxStages with
+     * requests still pending or active (unfinishedRequests of
+     * them): the latency percentiles then cover a partial window.
+     */
+    bool stageCapped = false;
+    std::int64_t unfinishedRequests = 0;
+
+    /**
      * Decode preemptions the scheduling policy performed, and the
      * generated tokens those evictions discarded (victims restart
      * from prefill). Zero for non-preempting policies.

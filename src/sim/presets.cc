@@ -80,7 +80,7 @@ makeClusterConfig(const std::string &system_id,
         cfg.seed = seed;
         cfg.topo = defaultTopology(model, preset.doubled);
         cfg.deviceSpec =
-            preset.deviceSpec(hbm3Timing(), cachedCalibration());
+            preset.deviceSpec(hbm3Timing(), hbm3Calibration());
         cfg.expertPlacement =
             preset.expertTensorParallel && model.numExperts > 0
                 ? ExpertPlacement::ExpertTensorParallel
@@ -95,7 +95,7 @@ HeteroConfig
 makeHeteroConfig(const ModelConfig &model, std::uint64_t seed)
 {
     const HbmTiming timing = hbm3Timing();
-    const DramCalibration &cal = cachedCalibration();
+    const DramCalibration cal = hbm3Calibration();
 
     HeteroConfig cfg;
     cfg.model = model;

@@ -354,6 +354,10 @@ SplitSystem::runCustomLoop(const SimConfig &config,
             std::make_shared<const BoundedLatencyMetrics>(
                 accumulator.takeBounded());
     result.generatedTokens = total_generated;
+    result.unfinishedRequests = static_cast<std::int64_t>(
+        waiting.size() + transferred.size() + active.size());
+    result.stageCapped =
+        stages >= config.maxStages && result.unfinishedRequests > 0;
     result.metrics.totalTokens = total_generated;
     result.metrics.elapsed = std::max(prefill_now, decode_now);
     result.metrics.decodingOnlyStages = stages;

@@ -21,7 +21,7 @@ class CoprocessTest : public ::testing::Test
 {
   protected:
     HbmTiming timing = hbm3Timing();
-    const DramCalibration &cal = cachedCalibration();
+    const DramCalibration cal = hbm3Calibration();
     EngineSpec xpu = h100Engine(timing, cal);
     EngineSpec low = logicPimEngine(timing, cal, 5);
     LayerCosts costs{mixtralConfig()};
@@ -152,7 +152,7 @@ class SkewSweep : public ::testing::TestWithParam<double>
 TEST_P(SkewSweep, PartitionNeverWorse)
 {
     const HbmTiming timing = hbm3Timing();
-    const DramCalibration &cal = cachedCalibration();
+    const DramCalibration cal = hbm3Calibration();
     const EngineSpec xpu = h100Engine(timing, cal);
     const EngineSpec low = logicPimEngine(timing, cal, 5);
     LayerCosts costs{glamConfig()};

@@ -20,7 +20,7 @@ class DuplexDeviceTest : public ::testing::Test
 {
   protected:
     HbmTiming timing = hbm3Timing();
-    const DramCalibration &cal = cachedCalibration();
+    const DramCalibration cal = hbm3Calibration();
     LayerCosts costs{mixtralConfig()};
 
     HybridDeviceSpec

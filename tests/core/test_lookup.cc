@@ -18,7 +18,7 @@ class LutTest : public ::testing::Test
 {
   protected:
     HbmTiming timing = hbm3Timing();
-    const DramCalibration &cal = cachedCalibration();
+    const DramCalibration cal = hbm3Calibration();
     EngineSpec xpu = h100Engine(timing, cal);
     EngineSpec low = logicPimEngine(timing, cal, 5);
     LayerCosts costs{mixtralConfig()};

@@ -17,7 +17,7 @@ class GpuTest : public ::testing::Test
   protected:
     HbmTiming timing = hbm3Timing();
     HybridDeviceSpec spec =
-        h100DeviceSpec(timing, cachedCalibration());
+        h100DeviceSpec(timing, hbm3Calibration());
     GpuDevice dev{spec};
 };
 

@@ -16,7 +16,7 @@ class PimSpecTest : public ::testing::Test
 {
   protected:
     HbmTiming timing = hbm3Timing();
-    const DramCalibration &cal = cachedCalibration();
+    const DramCalibration cal = hbm3Calibration();
 };
 
 TEST_F(PimSpecTest, LogicPimPerStackFlops)

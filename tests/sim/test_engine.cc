@@ -359,6 +359,26 @@ TEST(Engine, StageCapBelowOneIsFatal)
     }
 }
 
+TEST(Engine, StageCappedRunsAreFlagged)
+{
+    // Both loops: an open-loop run cut at ten stages leaves requests
+    // queued or in flight and says so; a closed-loop run that drains
+    // under its cap does not.
+    for (const char *system : {"gpu", "duplex-split"}) {
+        SimConfig open = goldenConfig(system);
+        open.workload.qps = 2.0;
+        open.maxStages = 10;
+        const SimResult capped = SimulationEngine(open).run();
+        EXPECT_TRUE(capped.stageCapped) << system;
+        EXPECT_GT(capped.unfinishedRequests, 0) << system;
+
+        const SimResult drained =
+            SimulationEngine(goldenConfig(system)).run();
+        EXPECT_FALSE(drained.stageCapped) << system;
+        EXPECT_EQ(drained.unfinishedRequests, 0) << system;
+    }
+}
+
 TEST(Engine, OpenLoopIdleAdvanceJumpsExactlyToArrival)
 {
     // With Poisson arrivals and an idle batcher, the clock must
