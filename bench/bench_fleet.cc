@@ -12,18 +12,27 @@
  * on the SweepRunner worker pool via runTasks() — the generic
  * primitive under the figure benches' runSweep().
  *
+ * A second sweep measures the fleet step itself: host time per
+ * request as the fleet grows from 64 to 1024 instances with the
+ * load proportional to size (dense Llama3 gpu instances at 2 qps
+ * each, least-loaded routing). The sizes run one at a time on the
+ * calling thread, best of three, so each number is the driver's own
+ * cost; fleet.scaling_1024_over_64 is the ratio the perf gate caps.
+ *
  * Output discipline (same as bench_longrun): everything
  * deterministic (the policy table) goes to stdout — the CI
  * determinism job can diff two runs byte-for-byte. Wall-clock and
  * RSS go to stderr and, with --json=PATH, into a perf report
  * (bench_util.hh PerfReport) the CI perf gate reads
- * (fleet.requests_per_sec floor; see tools/check_perf.py).
+ * (fleet.requests_per_sec floor, fleet.scaling_1024_over_64
+ * ceiling; see tools/check_perf.py).
  *
- *   ./bench_fleet                       # the full sweep
- *   ./bench_fleet --requests=32         # quick smoke run
+ *   ./bench_fleet                       # both sweeps
+ *   ./bench_fleet --requests=32         # smaller policy sweep
  *   ./bench_fleet --json=BENCH_fleet.json
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -40,6 +49,11 @@ namespace
 
 constexpr int kFleetSizes[] = {2, 4};
 constexpr double kQpsPerInstance = 4.0;
+
+constexpr int kScaleSizes[] = {64, 128, 256, 512, 1024};
+constexpr double kScaleQpsPerInstance = 2.0;
+constexpr int kScaleRequests = 8192; //!< per size
+constexpr int kScaleReps = 3;
 
 /** One sweep cell: a policy on a fleet size, with its outcome. */
 struct FleetCell
@@ -75,6 +89,65 @@ cellConfig(const FleetCell &cell, int requests_per_instance)
     fc.instances = cell.size;
     fc.policy = cell.policy;
     return fc;
+}
+
+/** A size-sweep fleet: @p size dense gpu instances under load
+ *  proportional to size, every request retired. Each size serves
+ *  the same number of requests, so each run is long enough to time
+ *  (the smaller fleets simply run longer in simulated time). */
+FleetConfig
+scaleConfig(int size)
+{
+    FleetConfig fc;
+    fc.sim.systemName = "gpu";
+    fc.sim.model = llama3Config();
+    fc.sim.maxBatch = 16;
+    fc.sim.workload.meanInputLen = 256;
+    fc.sim.workload.meanOutputLen = 64;
+    fc.sim.workload.qps = kScaleQpsPerInstance * size;
+    fc.sim.numRequests = kScaleRequests;
+    fc.sim.maxStages = 2000000;
+    fc.instances = size;
+    fc.policy = "least-loaded";
+    return fc;
+}
+
+/**
+ * Host microseconds per retired request at each of kScaleSizes, best
+ * of kScaleReps, into @p report; stderr gets one line per size.
+ */
+void
+sizeSweep(PerfReport &report)
+{
+    std::vector<double> us_per_request;
+    for (int size : kScaleSizes) {
+        double best = 0.0;
+        for (int rep = 0; rep < kScaleReps; ++rep) {
+            std::int64_t retired = 0;
+            const double sec = timed([&] {
+                retired = FleetDriver(scaleConfig(size))
+                              .run()
+                              .requestsRetired;
+            });
+            const double us =
+                sec * 1e6 / static_cast<double>(std::max<std::int64_t>(
+                                1, retired));
+            best = rep == 0 ? us : std::min(best, us);
+        }
+        std::fprintf(stderr,
+                     "fleet size sweep: %4d instances, %.1f us of "
+                     "host time per request\n",
+                     size, best);
+        report.add("fleet.us_per_request." + std::to_string(size),
+                   best);
+        us_per_request.push_back(best);
+    }
+    const double scaling = us_per_request.back() / us_per_request.front();
+    std::fprintf(stderr,
+                 "fleet size sweep: %d over %d instances = %.2fx\n",
+                 kScaleSizes[std::size(kScaleSizes) - 1],
+                 kScaleSizes[0], scaling);
+    report.add("fleet.scaling_1024_over_64", scaling);
 }
 
 } // namespace
@@ -146,6 +219,9 @@ main(int argc, char **argv)
     std::printf("Attainment covers every retired request; "
                 "tokens/s and TBT are post-warm-up.\n");
 
+    PerfReport scaling;
+    sizeSweep(scaling);
+
     return reportSweep("fleet", cells.size(), total_retired, wall_sec,
-                       args.getString("json"));
+                       args.getString("json"), scaling);
 }

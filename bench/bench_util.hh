@@ -208,6 +208,13 @@ class PerfReport
         metrics_.emplace_back(std::move(key), value);
     }
 
+    /** Append every metric of @p other, in its order. */
+    void append(const PerfReport &other)
+    {
+        metrics_.insert(metrics_.end(), other.metrics_.begin(),
+                        other.metrics_.end());
+    }
+
     /** Write the report to @p path (%.17g: every value round-trips);
      *  false, said on stderr, if the file cannot be written. */
     bool write(const std::string &path) const
@@ -236,13 +243,14 @@ class PerfReport
  * The perf tail of the four sweep benches (fleet, faults, policies,
  * sessions): print the sweep's wall clock, requests/s and peak RSS
  * on stderr, never in the deterministic stdout, and, when
- * @p json_path is set, write them as "<section>.*" metrics.
- * Returns the bench's exit status.
+ * @p json_path is set, write them as "<section>.*" metrics followed
+ * by the bench's own @p extra ones. Returns the bench's exit status.
  */
 inline int
 reportSweep(const std::string &section, std::size_t runs,
             std::int64_t retired, double wall_sec,
-            const std::string &json_path)
+            const std::string &json_path,
+            const PerfReport &extra = {})
 {
     const double rss_mb = peakRssMb();
     const double req_per_sec =
@@ -263,6 +271,7 @@ reportSweep(const std::string &section, std::size_t runs,
     report.add(section + ".wall_sec", wall_sec);
     report.add(section + ".requests_per_sec", req_per_sec);
     report.add(section + ".peak_rss_mb", rss_mb);
+    report.append(extra);
     return report.write(json_path) ? 0 : 1;
 }
 

@@ -674,6 +674,18 @@ main(int argc, char **argv)
             }
         }
 
+        // Like the single-instance rows: a fleet cut at the
+        // per-instance stage cap says so on stderr only.
+        if (r.stageCapped)
+            std::fprintf(stderr,
+                         "warning: %s fleet stopped at --stages=%lld "
+                         "with %lld request(s) unfinished; latency "
+                         "percentiles cover a partial window\n",
+                         SystemRegistry::instance()
+                             .displayName(fc.sim.systemName)
+                             .c_str(),
+                         static_cast<long long>(fc.sim.maxStages),
+                         static_cast<long long>(r.unfinishedRequests));
         std::fprintf(stderr, "peak RSS %.1f MB (--metrics=%s)\n",
                      peakRssMb(), metrics_mode.c_str());
         return 0;
@@ -682,6 +694,7 @@ main(int argc, char **argv)
     Table t({"System", "tokens/s", "vs GPU", "TBT p50 ms",
              "stage p99 ms", "SLO att", "goodput/s", "J/token"});
     double gpu_thr = 0.0;
+    bool gpu_capped = false; //!< the "vs GPU" denominator is partial
     std::vector<GroupUtilization> utilizations(systems.size());
     std::vector<PrefixCacheStats> cache_stats(systems.size());
     std::vector<PrefixCacheMetrics> cache_metrics(systems.size());
@@ -711,17 +724,31 @@ main(int argc, char **argv)
         const SimResult r = engine.run();
         cache_metrics[i] = r.prefixCache;
         // A run cut at the stage cap says so on stderr, like the RSS
-        // line, so the golden stdout stays as it was.
+        // line, so the golden stdout stays as it was. The GPU row runs
+        // first, under the same cap, and is every row's "vs GPU"
+        // denominator.
+        const std::string display =
+            SystemRegistry::instance().displayName(system);
         if (r.stageCapped)
             std::fprintf(stderr,
                          "warning: %s stopped at --stages=%lld with "
                          "%lld request(s) unfinished; latency "
-                         "percentiles cover a partial window\n",
-                         SystemRegistry::instance()
-                             .displayName(system)
-                             .c_str(),
+                         "percentiles cover a partial window%s\n",
+                         display.c_str(),
                          static_cast<long long>(c.maxStages),
-                         static_cast<long long>(r.unfinishedRequests));
+                         static_cast<long long>(r.unfinishedRequests),
+                         gpu_capped ? ", and its vs GPU ratio compares "
+                                      "two partial windows"
+                                    : "");
+        else if (gpu_capped)
+            std::fprintf(stderr,
+                         "warning: %s vs GPU divides by the GPU's "
+                         "partial window (GPU stopped at "
+                         "--stages=%lld)\n",
+                         display.c_str(),
+                         static_cast<long long>(c.maxStages));
+        if (system == "gpu")
+            gpu_capped = r.stageCapped;
         attainments.push_back(attainment);
         const double thr = r.metrics.throughputTokensPerSec();
         if (system == "gpu")

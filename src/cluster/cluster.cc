@@ -357,6 +357,37 @@ Cluster::executeStageReference(const StageShape &stage)
     return priceStage(stage, true);
 }
 
+const Cluster::TokenGroups &
+Cluster::tokenGroups(std::int64_t node_tokens, bool reference)
+{
+    TokenGroups &g =
+        reference ? tokenScratch_
+                  : tokenMemo_[static_cast<std::size_t>(node_tokens) &
+                               (tokenMemo_.size() - 1)];
+    if (!reference && g.tokens == node_tokens)
+        return g;
+    const ModelConfig &m = cfg_.model;
+    const double tp_shard = plan_.tpShardFraction();
+    auto fc = [&](const OpCost &cost) {
+        return device_->runHighOpb(cost.scaled(tp_shard));
+    };
+    g.tokens = node_tokens;
+    g.embedding = fc(costs_.embedding(node_tokens));
+    g.qkv = fc(costs_.qkv(node_tokens));
+    g.projection = fc(costs_.projection(node_tokens));
+    g.elementwise = fc(costs_.elementwise(node_tokens));
+    g.ffn = m.numLayers > m.numMoeLayers()
+                ? fc(costs_.denseFfn(node_tokens))
+                : DeviceTiming{};
+    // All-reduce after the attention block and after the FFN/MoE
+    // block output.
+    const Bytes reduce_bytes =
+        static_cast<Bytes>(node_tokens) * m.hidden * kFp16Bytes;
+    g.denseComm = 2 * allReduceTime(reduce_bytes, plan_.tpDegree,
+                                    cfg_.topo.intraNode);
+    return g;
+}
+
 StageResult
 Cluster::priceStage(const StageShape &stage, bool reference)
 {
@@ -375,28 +406,25 @@ Cluster::priceStage(const StageShape &stage, bool reference)
         return device_->runHighOpb(cost.scaled(tp_shard));
     };
 
+    const TokenGroups &g = tokenGroups(node_tokens, reference);
     LayerTimings t;
     t.devices = static_cast<double>(plan_.tpDegree) * plan_.dpDegree;
     t.decodeDevices = t.devices;
-    t.embedding = fc(costs_.embedding(node_tokens));
-    t.qkv = fc(costs_.qkv(node_tokens));
+    t.embedding = g.embedding;
+    t.qkv = g.qkv;
     t.attention = device_->runAttention(
         costs_.attentionDecode(agg).scaled(tp_shard),
         costs_.attentionPrefill(agg).scaled(tp_shard));
-    t.projection = fc(costs_.projection(node_tokens));
-    t.elementwise = fc(costs_.elementwise(node_tokens));
-    if (m.numLayers > m.numMoeLayers())
-        t.ffn = fc(costs_.denseFfn(node_tokens));
+    t.projection = g.projection;
+    t.elementwise = g.elementwise;
+    t.ffn = g.ffn;
     // LM head: one next-token logit per decode sequence and per
     // prefill sequence.
     t.lmHead = fc(costs_.lmHead(agg.numDecode + agg.numPrefill));
 
-    // All-reduce after the attention block and after the FFN/MoE
-    // block output; MoE layers add their expert collectives.
-    const Bytes reduce_bytes =
-        static_cast<Bytes>(node_tokens) * m.hidden * kFp16Bytes;
-    t.denseComm = 2 * allReduceTime(reduce_bytes, plan_.tpDegree,
-                                    cfg_.topo.intraNode);
+    // MoE layers add their expert collectives to the dense layer's
+    // all-reduces.
+    t.denseComm = g.denseComm;
     DeviceTiming gate_t;
     if (m.numMoeLayers() > 0) {
         // Gate runs on every device over the node's tokens (DP

@@ -181,6 +181,37 @@ class Cluster
     std::vector<ExpertWork> moeWorkScratch_;
 
     /**
+     * The layer-invariant groups that depend on the node token
+     * count alone: embedding, QKV, projection, elementwise, the
+     * dense FFN and a dense layer's all-reduces.
+     */
+    struct TokenGroups
+    {
+        std::int64_t tokens = -1; //!< node token count; -1 = empty
+        DeviceTiming embedding;
+        DeviceTiming qkv;
+        DeviceTiming projection;
+        DeviceTiming elementwise;
+        DeviceTiming ffn;
+        PicoSec denseComm = 0;
+    };
+
+    /**
+     * Direct-mapped by node token count, like the per-token-count
+     * memo of Device::runMoeGroups: decode stages repeat a handful
+     * of batch sizes, and a collision just reprices. The devices are
+     * stateless for these groups, so a hit is bit-identical to
+     * pricing them again.
+     */
+    std::array<TokenGroups, 16> tokenMemo_{};
+    TokenGroups tokenScratch_; //!< the reference path's, never reused
+
+    /** The token-count groups for @p node_tokens: from the memo, or
+     *  priced afresh (bypassing it) when @p reference is set. */
+    const TokenGroups &tokenGroups(std::int64_t node_tokens,
+                                   bool reference);
+
+    /**
      * Sequences this node serves under data parallelism. Borrows
      * the original shape when one node serves everything; fills the
      * reused scratch shape otherwise. The returned reference is

@@ -27,7 +27,8 @@ SampleStats::merge(const SampleStats &other)
 {
     if (other.samples_.empty())
         return;
-    samples_.reserve(samples_.size() + other.samples_.size());
+    // No exact reserve: insert grows the capacity geometrically, so
+    // folding N sample sets copies O(total), not O(N x total).
     samples_.insert(samples_.end(), other.samples_.begin(),
                     other.samples_.end());
     sum_ += other.sum_;

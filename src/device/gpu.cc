@@ -61,13 +61,13 @@ GpuDevice::runMoeGroups(const std::vector<ExpertWork> &experts,
     // Grouped-GEMM execution: one dispatch per group, its experts
     // processed back to back. A direct-mapped per-token-count cache
     // is shared across the layer: decode stages repeat small counts
-    // heavily, while a collision just recomputes.
-    struct Memo
-    {
-        std::int64_t tokens = -1;
-        DeviceTiming t;
-    };
-    Memo memo[64];
+    // heavily, while a collision just recomputes. The key is the
+    // token count alone and a caller may price other work next call,
+    // so entries live for one call: a new generation drops them all
+    // without touching the table.
+    if (moeMemo_.empty())
+        moeMemo_.resize(64);
+    ++memoGeneration_;
     DeviceTiming total;
     const int num_groups =
         static_cast<int>(experts.size()) / group_size;
@@ -80,8 +80,11 @@ GpuDevice::runMoeGroups(const std::vector<ExpertWork> &experts,
             if (e.tokens == 0)
                 continue;
             any = true;
-            Memo &m = memo[e.tokens & 63];
-            if (m.tokens != e.tokens) {
+            MoeMemo &m = moeMemo_[static_cast<std::size_t>(e.tokens) &
+                                  (moeMemo_.size() - 1)];
+            if (m.generation != memoGeneration_ ||
+                m.tokens != e.tokens) {
+                m.generation = memoGeneration_;
                 m.tokens = e.tokens;
                 m.t.time = operatorTimeNoOverhead(
                     spec_.xpu, e.cost.flops, e.cost.bytes);

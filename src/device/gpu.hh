@@ -42,6 +42,18 @@ class GpuDevice : public Device
   private:
     HybridDeviceSpec spec_;
     EnergyModel energy_;
+
+    /** runMoeGroups' per-token-count cache; an entry is valid only
+     *  in the call whose generation it carries. Sized on the first
+     *  MoE layer, so a dense model's device never holds it. */
+    struct MoeMemo
+    {
+        std::uint64_t generation = 0;
+        std::int64_t tokens = -1;
+        DeviceTiming t;
+    };
+    std::vector<MoeMemo> moeMemo_;
+    std::uint64_t memoGeneration_ = 0;
 };
 
 } // namespace duplex

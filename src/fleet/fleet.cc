@@ -122,6 +122,12 @@ struct FleetDriver::Instance
     std::deque<std::int64_t> queuedKv;
     std::int64_t queuedKvSum = 0;
 
+    /** nextDue() as of the last FleetDriver::refileFaults. */
+    PicoSec dueAt = -1;
+
+    /** Listed in FleetDriver::overdue_. */
+    bool overdue = false;
+
     /** The router may hand it requests. */
     bool routable() const { return phase == Phase::Serving; }
 
@@ -163,6 +169,23 @@ struct FleetDriver::Instance
         if (phase == Phase::FaultDrained)
             return degradeEnd;
         return -1;
+    }
+
+    /**
+     * The earliest scheduled fault transition — a rejoin, a window
+     * close, the plan's next fault or a fanned-out domain crash —
+     * the first time serviceFaults would act on; -1 when none.
+     */
+    PicoSec nextDue() const
+    {
+        PicoSec next = -1;
+        const PicoSec fault = plan.pending() ? plan.nextAt() : -1;
+        const PicoSec domain =
+            domainPending.empty() ? -1 : domainPending.front().at;
+        for (PicoSec t : {rejoinAt, degradeEnd, fault, domain})
+            if (t >= 0 && (next < 0 || t < next))
+                next = t;
+        return next;
     }
 
     /** Drop the front entries the batcher admitted since last sync. */
@@ -217,30 +240,49 @@ FleetDriver::count(bool (Instance::*is)() const) const
         [is](const auto &inst) { return ((*inst).*is)(); }));
 }
 
-std::vector<InstanceStatus>
-FleetDriver::snapshot() const
+const std::vector<InstanceStatus> &
+FleetDriver::snapshot()
 {
-    std::vector<InstanceStatus> out;
-    out.reserve(instances_.size());
-    for (const auto &inst : instances_) {
-        // Only routable instances: down, draining and retired ones
-        // are ejected outright — the policy never sees one.
-        if (!inst->routable())
-            continue;
-        InstanceStatus s;
-        s.id = inst->id;
-        s.domain = inst->domain;
-        s.health = inst->health();
-        s.queueDepth = inst->loop->queueDepth();
-        s.activeCount = inst->loop->activeCount();
-        s.maxKvTokens = inst->loop->maxKvTokens();
-        s.kvHeadroom = s.maxKvTokens -
-                       inst->loop->activeLifetimeKv() -
-                       inst->queuedKvSum;
-        s.clock = inst->loop->now();
-        out.push_back(s);
+    if (!indexed_ || routingStale_) {
+        routing_.clear();
+        routingSlot_.assign(instances_.size(), -1);
+        for (const auto &inst : instances_) {
+            // Only routable instances: down, draining and retired
+            // ones are ejected outright — the policy never sees one.
+            if (!inst->routable())
+                continue;
+            routingSlot_[static_cast<std::size_t>(inst->id)] =
+                static_cast<int>(routing_.size());
+            InstanceStatus &s = routing_.emplace_back();
+            s.id = inst->id;
+            s.domain = inst->domain;
+            s.maxKvTokens = inst->loop->maxKvTokens();
+            refreshStatus(*inst);
+        }
+        routingStale_ = false;
     }
-    return out;
+    // Under the lazy march every routable clock is at least the
+    // idle floor (busy ones already are), so this is clockOf().
+    if (lazyIdle_)
+        for (InstanceStatus &s : routing_)
+            s.clock = std::max(s.clock, idleFloor_);
+    return routing_;
+}
+
+/** Rewrite @p inst's routing-snapshot entry, if it has one. */
+void
+FleetDriver::refreshStatus(const Instance &inst)
+{
+    const auto id = static_cast<std::size_t>(inst.id);
+    if (id >= routingSlot_.size() || routingSlot_[id] < 0)
+        return;
+    InstanceStatus &s = routing_[static_cast<std::size_t>(routingSlot_[id])];
+    s.health = inst.health();
+    s.queueDepth = inst.loop->queueDepth();
+    s.activeCount = inst.loop->activeCount();
+    s.kvHeadroom = s.maxKvTokens - inst.loop->activeLifetimeKv() -
+                   inst.queuedKvSum;
+    s.clock = clockOf(inst);
 }
 
 FleetDriver::Instance &
@@ -280,6 +322,9 @@ FleetDriver::spawn(PicoSec now)
         inst->domain = config_.faults.domainFor(inst->id);
     Instance &ref = *inst;
     instances_.push_back(std::move(inst));
+    countPhase(ref.phase, +1);
+    routingStale_ = true;
+    refileFaults(ref);
     for (FleetObserver *o : observers_)
         o->onInstanceUp(ref.id, now);
     return ref;
@@ -324,7 +369,7 @@ FleetDriver::maybeScale(PicoSec now)
     const double qps = observedQps(now);
     if (now - lastScaleTime_ < secToPs(spec.cooldownSec))
         return;
-    const int accepting = count(&Instance::accepting);
+    const int accepting = accepting_;
     // Availability-aware mode: thresholds act on effective capacity
     // accepting x (1 - observed unavailability) — the MTTR/MTBF
     // share the fleet is losing gets provisioned as spare headroom.
@@ -356,10 +401,10 @@ FleetDriver::maybeScale(PicoSec now)
         // Never drain the last routable instance while the rest are
         // down or fault-drained: the request in hand would have
         // nowhere to go.
-        if (victim->routable() && count(&Instance::routable) == 1)
+        if (victim->routable() && routable_ == 1)
             return;
-        victim->phase =
-            victim->down() ? Phase::RetiringDown : Phase::Retiring;
+        setPhase(*victim, victim->down() ? Phase::RetiringDown
+                                         : Phase::Retiring);
         event.kind = ScaleEvent::Kind::Drain;
         event.instance = victim->id;
         event.acceptingAfter = accepting - 1;
@@ -378,14 +423,25 @@ FleetDriver::retire(Instance &inst)
             "retiring a fleet instance with in-flight requests");
     // A draining instance can crash out (its work already evicted
     // and re-routed); retirement closes the downtime interval.
+    settleIdle(inst);
     if (inst.down())
         closeDowntime(inst, inst.loop->now());
-    inst.phase = Phase::Retired;
+    setPhase(inst, Phase::Retired);
+    refileFaults(inst);
+    // The furthest live clock may have left with the instance.
+    if (indexed_ && faultsEnabled_ &&
+        inst.loop->now() == latestClock_) {
+        latestClock_ = 0;
+        for (const auto &other : instances_)
+            if (other->live())
+                latestClock_ =
+                    std::max(latestClock_, other->loop->now());
+    }
     ScaleEvent event;
     event.kind = ScaleEvent::Kind::Retire;
     event.time = inst.loop->now();
     event.instance = inst.id;
-    event.acceptingAfter = count(&Instance::accepting);
+    event.acceptingAfter = accepting_;
     recordScale(event);
 }
 
@@ -448,10 +504,45 @@ FleetDriver::serviceFaults(Instance &inst, PicoSec horizon)
  * plans pump first (their draws are interleaving-free, so the
  * furthest clock is a safe horizon), then each live member applies
  * what is due by @p at or its own clock, whichever is later — faults
- * strike at stage boundaries. Returns true when anything fired.
+ * strike at stage boundaries — in id order. Only the members with
+ * something due are visited: those whose next due time is at most
+ * @p at (faultDue_) and those it is overdue on at their own clock
+ * (overdue_, filed by reindex). Servicing one member never changes
+ * what is due on another, so skipping the rest changes nothing.
+ * Returns true when anything fired.
  */
 bool
 FleetDriver::serviceFaults(PicoSec at)
+{
+    if (!indexed_)
+        return serviceFaultsScan(at);
+    if (!domainPlans_.empty())
+        serviceDomainFaults(std::max(at, latestClock_));
+    std::vector<int> &due = dueScratch_;
+    due.clear();
+    for (int id : overdue_) {
+        instances_[static_cast<std::size_t>(id)]->overdue = false;
+        due.push_back(id);
+    }
+    overdue_.clear();
+    while (!faultDue_.empty() && faultDue_.topKey() <= at)
+        due.push_back(faultDue_.pop());
+    std::sort(due.begin(), due.end());
+    due.erase(std::unique(due.begin(), due.end()), due.end());
+    bool changed = false;
+    for (int id : due) {
+        Instance &inst = *instances_[static_cast<std::size_t>(id)];
+        if (inst.live() &&
+            serviceFaults(inst, std::max(at, inst.loop->now())))
+            changed = true;
+        refileFaults(inst);
+    }
+    return changed;
+}
+
+/** serviceFaults(at) by a pass over every instance. */
+bool
+FleetDriver::serviceFaultsScan(PicoSec at)
 {
     if (!domainPlans_.empty()) {
         PicoSec horizon = at;
@@ -479,13 +570,21 @@ FleetDriver::serviceFaults(PicoSec at)
 void
 FleetDriver::serviceDomainFaults(PicoSec horizon)
 {
+    if (nextDomainAt_ < 0 || horizon < nextDomainAt_)
+        return;
+    nextDomainAt_ = -1;
     for (FaultPlan &plan : domainPlans_) {
         while (plan.pending() && plan.nextAt() <= horizon) {
             const FaultEvent e = plan.pop();
             for (auto &inst : instances_)
-                if (inst->live() && inst->domain == e.domain)
+                if (inst->live() && inst->domain == e.domain) {
                     inst->domainPending.push_back(e);
+                    refileFaults(*inst);
+                }
         }
+        if (plan.pending() &&
+            (nextDomainAt_ < 0 || plan.nextAt() < nextDomainAt_))
+            nextDomainAt_ = plan.nextAt();
     }
 }
 
@@ -510,8 +609,8 @@ FleetDriver::crash(Instance &inst, const FaultEvent &event)
         inst.loop->setTimeScale(1.0);
         inst.degradeEnd = -1;
     }
-    inst.phase =
-        inst.retiring() ? Phase::RetiringDown : Phase::Down;
+    setPhase(inst,
+             inst.retiring() ? Phase::RetiringDown : Phase::Down);
     inst.downSince = now;
     inst.rejoinAt = event.duration < 0
                         ? -1
@@ -549,7 +648,7 @@ FleetDriver::faultDrain(Instance &inst, const FaultEvent &event,
                         PicoSec now)
 {
     if (inst.phase == Phase::Serving)
-        inst.phase = Phase::FaultDrained;
+        setPhase(inst, Phase::FaultDrained);
     std::vector<Request> queued;
     inst.loop->evictQueued(queued);
     inst.queuedKv.clear();
@@ -581,7 +680,7 @@ FleetDriver::closeWindow(Instance &inst)
     // The window that drove a proactive drain closed: the instance
     // admits again.
     if (inst.phase == Phase::FaultDrained)
-        inst.phase = Phase::Serving;
+        setPhase(inst, Phase::Serving);
 }
 
 void
@@ -589,8 +688,7 @@ FleetDriver::rejoin(Instance &inst, PicoSec at)
 {
     panicIf(!inst.down(), "rejoining an instance that is not down");
     closeDowntime(inst, at);
-    inst.phase =
-        inst.retiring() ? Phase::Retiring : Phase::Serving;
+    setPhase(inst, inst.retiring() ? Phase::Retiring : Phase::Serving);
     // Empty batch, clock resumed at the repair time (no-op when the
     // crash-frozen clock already sits past it).
     inst.loop->advanceTo(at);
@@ -631,6 +729,7 @@ FleetDriver::advanceToEarliestTransition()
         if (!best->down() && best->loop->idle())
             best->loop->advanceTo(at);
     }
+    refileFaults(*best);
     return true;
 }
 
@@ -707,11 +806,416 @@ FleetDriver::scheduleRetry(Request request, int instance,
     pushRetry(std::move(request));
 }
 
+void
+FleetDriver::countPhase(Phase phase, int delta)
+{
+    if (phase == Phase::Serving)
+        routable_ += delta;
+    if (phase == Phase::Serving || phase == Phase::FaultDrained ||
+        phase == Phase::Down)
+        accepting_ += delta;
+    if (phase != Phase::Retired)
+        live_ += delta;
+}
+
+/** Every phase change goes through here, so the lifecycle counts
+ *  and the retiring list cannot drift from the phases. */
+void
+FleetDriver::setPhase(Instance &inst, Phase phase)
+{
+    const bool was_retiring = inst.retiring();
+    if (inst.routable() != (phase == Phase::Serving))
+        routingStale_ = true;
+    countPhase(inst.phase, -1);
+    inst.phase = phase;
+    countPhase(phase, +1);
+    if (inst.retiring() && !was_retiring)
+        retiring_.insert(std::upper_bound(retiring_.begin(),
+                                          retiring_.end(), inst.id),
+                         inst.id);
+    else if (was_retiring && !inst.retiring())
+        retiring_.erase(
+            std::find(retiring_.begin(), retiring_.end(), inst.id));
+}
+
+/**
+ * The instance clock the fleet reasons with. Under the lazy idle
+ * march an idle steppable instance stands at the fleet's idle floor
+ * even before its loop is moved there (settleIdle).
+ */
+PicoSec
+FleetDriver::clockOf(const Instance &inst) const
+{
+    const PicoSec now = inst.loop->now();
+    if (lazyIdle_ && now < idleFloor_ && inst.steppable() &&
+        inst.loop->idle())
+        return idleFloor_;
+    return now;
+}
+
+/** Apply the idle march the lazy floor deferred to @p inst's loop:
+ *  the advanceTo the eager march would have made. */
+void
+FleetDriver::settleIdle(Instance &inst)
+{
+    const PicoSec now = clockOf(inst);
+    if (now == inst.loop->now())
+        return;
+    inst.loop->advanceTo(now);
+    reindex(inst);
+}
+
+namespace
+{
+
+void
+place(IndexedMinHeap &heap, int id, bool in, PicoSec key)
+{
+    if (in)
+        heap.set(id, key);
+    else
+        heap.erase(id);
+}
+
+} // namespace
+
+/**
+ * File @p inst in the step index after its clock, its work or its
+ * phase changed: O(log N), and a step that leaves the instance busy
+ * moves one key.
+ */
+void
+FleetDriver::reindex(Instance &inst)
+{
+    if (!indexed_)
+        return;
+    const PicoSec now = inst.loop->now();
+    const bool steppable = inst.steppable();
+    const bool idle = inst.loop->idle();
+    const bool capped = inst.loop->stageCapped();
+    // The lazy march relies on it: the gate routes nothing past a
+    // busy clock, so no busy instance stands below the idle floor.
+    panicIf(lazyIdle_ && steppable && !idle && now < idleFloor_,
+            "FleetDriver: busy instance behind the idle floor");
+    place(stepOrder_, inst.id, steppable && !idle && !capped, now);
+    place(cappedBusy_, inst.id, steppable && !idle && capped, now);
+    place(idleClocks_, inst.id, steppable && idle, now);
+    if (!routingStale_)
+        refreshStatus(inst);
+    if (!faultsEnabled_)
+        return;
+    if (inst.live())
+        latestClock_ = std::max(latestClock_, now);
+    if (inst.dueAt >= 0 && inst.dueAt <= now && !inst.overdue) {
+        inst.overdue = true;
+        overdue_.push_back(inst.id);
+    }
+}
+
+/** reindex, after @p inst's fault schedule may have changed. */
+void
+FleetDriver::refileFaults(Instance &inst)
+{
+    if (indexed_ && faultsEnabled_) {
+        inst.dueAt = inst.live() ? inst.nextDue() : -1;
+        place(faultDue_, inst.id, inst.dueAt >= 0, inst.dueAt);
+    }
+    reindex(inst);
+}
+
+/** Retire the drained instances that went idle, in id order. */
+void
+FleetDriver::retireIdle()
+{
+    if (!indexed_) {
+        for (auto &inst : instances_)
+            if (inst->retiring() && inst->loop->idle())
+                retire(*inst);
+        return;
+    }
+    // retire() takes the instance off retiring_.
+    for (std::size_t i = 0; i < retiring_.size();) {
+        Instance &inst =
+            *instances_[static_cast<std::size_t>(retiring_[i])];
+        if (inst.loop->idle())
+            retire(inst);
+        else
+            ++i;
+    }
+}
+
+/** Least clock over busy instances; max() when none is busy. */
+PicoSec
+FleetDriver::busyMin() const
+{
+    PicoSec least = std::numeric_limits<PicoSec>::max();
+    if (indexed_) {
+        if (!stepOrder_.empty())
+            least = stepOrder_.topKey();
+        if (!cappedBusy_.empty())
+            least = std::min(least, cappedBusy_.topKey());
+        return least;
+    }
+    for (const auto &inst : instances_)
+        if (inst->steppable() && !inst->loop->idle())
+            least = std::min(least, inst->loop->now());
+    return least;
+}
+
+/** Least clock over steppable instances, idle ones included. */
+PicoSec
+FleetDriver::earliestClock()
+{
+    PicoSec least = std::numeric_limits<PicoSec>::max();
+    if (!indexed_) {
+        for (const auto &inst : instances_)
+            if (inst->steppable())
+                least = std::min(least, inst->loop->now());
+        return least;
+    }
+    // idleClocks_ is keyed by loop clocks; settle the tops the lazy
+    // floor lifts until the top is exact (a settled clock only
+    // grows, so every other key stays a lower bound).
+    while (!idleClocks_.empty()) {
+        Instance &inst =
+            *instances_[static_cast<std::size_t>(idleClocks_.top())];
+        if (clockOf(inst) == inst.loop->now()) {
+            least = idleClocks_.topKey();
+            break;
+        }
+        settleIdle(inst);
+    }
+    return std::min(least, busyMin());
+}
+
+/** The steppable instance with a stage to run that is furthest
+ *  behind (lowest id on ties); nullptr when there is none. */
+FleetDriver::Instance *
+FleetDriver::nextToStep() const
+{
+    if (indexed_)
+        return stepOrder_.empty()
+                   ? nullptr
+                   : instances_[static_cast<std::size_t>(
+                                    stepOrder_.top())]
+                         .get();
+    Instance *next = nullptr;
+    for (const auto &inst : instances_) {
+        if (!inst->steppable() || inst->loop->done())
+            continue;
+        if (next == nullptr || inst->loop->now() < next->loop->now())
+            next = inst.get();
+    }
+    return next;
+}
+
+/** A stage-capped instance still holds work (nothing can step). */
+bool
+FleetDriver::anyCappedWithWork() const
+{
+    if (indexed_)
+        return !cappedBusy_.empty();
+    return std::any_of(instances_.begin(), instances_.end(),
+                       [](const auto &i) {
+                           return i->live() && i->loop->stageCapped() &&
+                                  !i->loop->idle();
+                       });
+}
+
+/**
+ * March every idle steppable instance up to @p t (the engine's
+ * idleAdvance, fleet-wide). Only idle instances can stand below
+ * @p t: the gate routes nothing past a busy clock. The lazy form
+ * raises the idle floor in O(1); the eager one moves the idle
+ * instances behind @p t, found from the top of idleClocks_.
+ */
+void
+FleetDriver::marchIdle(PicoSec t)
+{
+    if (!indexed_) {
+        for (auto &inst : instances_)
+            if (inst->steppable() && inst->loop->idle())
+                inst->loop->advanceTo(t);
+        return;
+    }
+    if (lazyIdle_) {
+        if (t >= idleFloor_) {
+            idleFloor_ = t;
+            return;
+        }
+        // Routed arrivals never go back in time, so this is not
+        // expected; if one does, settle every deferred march and
+        // continue eagerly, which is exact either way.
+        for (auto &inst : instances_)
+            settleIdle(*inst);
+        lazyIdle_ = false;
+    }
+    while (!idleClocks_.empty() && idleClocks_.topKey() < t) {
+        Instance &inst =
+            *instances_[static_cast<std::size_t>(idleClocks_.top())];
+        inst.loop->advanceTo(t);
+        reindex(inst);
+    }
+}
+
+/** Hand @p request, routable from @p at, to the policy's pick. */
+void
+FleetDriver::route(Request request, PicoSec at)
+{
+    const std::vector<InstanceStatus> &statuses = snapshot();
+    panicIf(statuses.empty(),
+            "fleet has no accepting instance to route to");
+    const int target = policy_->route(request, statuses);
+    panicIf(target < 0 ||
+                target >= static_cast<int>(instances_.size()) ||
+                !instances_[target]->routable(),
+            "routing policy '" + config_.policy +
+                "' picked an unroutable instance");
+    Instance &inst = *instances_[target];
+    // The chosen instance admits at the arrival time exactly as the
+    // bare engine would.
+    settleIdle(inst);
+    const std::int64_t kv = request.inputLen + request.outputLen;
+    for (FleetObserver *o : observers_)
+        o->onRequestRouted(target, request, at);
+    inst.loop->pushArrival(std::move(request));
+    inst.queuedKv.push_back(kv);
+    inst.queuedKvSum += kv;
+    if (inst.domain >= 0)
+        ++result_.perDomain[static_cast<std::size_t>(inst.domain)]
+              .routed;
+    ++result_.requestsRouted;
+    reindex(inst);
+}
+
+/**
+ * The stepping loop. Interleaving rule (the determinism contract):
+ * an arrival routes once no busy instance is behind it, and the
+ * instance furthest behind steps next, lowest id on ties. run()
+ * answers each question from the heaps and counts, in O(log N) per
+ * step; runReference() answers it by scanning every instance.
+ */
+void
+FleetDriver::stepLoop(ArrivalQueue &shared)
+{
+    for (;;) {
+        // Retire drained instances the moment they go idle, so they
+        // stop participating in the min-clock order.
+        retireIdle();
+        if (!indexed_)
+            panicIf(count(&Instance::routable) != routable_ ||
+                        count(&Instance::accepting) != accepting_ ||
+                        count(&Instance::live) != live_,
+                    "FleetDriver: lifecycle counts disagree with "
+                    "the phases");
+
+        // Fire faults due at each instance's own clock before any
+        // routing or stepping decision reads fleet state — the last
+        // step may have carried an instance's clock past a
+        // scheduled strike.
+        if (faultsEnabled_)
+            serviceFaults(0);
+
+        // Route every arrival no BUSY instance is still behind: a
+        // busy instance's state at the arrival time is not yet
+        // known, so routing must wait for it; an idle instance has
+        // nothing to do until the arrival, so its clock simply
+        // marches forward (the engine's idleAdvance, applied
+        // fleet-wide). Closed loop: arrivals carry no timestamps,
+        // so the whole stream routes up front and the queued-KV
+        // accounting makes the balancing policies spread it
+        // sensibly. Crash retries re-enter here, merged with the
+        // shared stream in timestamp order and gated like open-loop
+        // arrivals; down instances neither gate routing nor appear
+        // in the snapshot.
+        for (;;) {
+            const bool haveShared = !shared.empty();
+            if (!haveShared && retries_.empty())
+                break;
+            if (faultsEnabled_ && routable_ == 0) {
+                fatalIf(!advanceToEarliestTransition(),
+                        "fleet: every instance is down or draining "
+                        "with no rejoin scheduled and requests still "
+                        "pending");
+                continue;
+            }
+            // Retries carry real timestamps even under a closed
+            // loop; the timestamp-less closed-loop stream routes
+            // first there, open loop merges by earliest time
+            // (shared stream wins ties — it was in line first).
+            bool fromRetry = !haveShared;
+            if (haveShared && !retries_.empty() &&
+                !shared.closedLoop())
+                fromRetry =
+                    retries_.front().req.arrival < shared.front().arrival;
+            const bool timed = fromRetry || !shared.closedLoop();
+            const PicoSec arrival = fromRetry
+                                        ? retries_.front().req.arrival
+                                        : shared.front().arrival;
+            if (timed && arrival > busyMin())
+                break;
+            const PicoSec at = timed ? arrival : earliestClock();
+            // Fire anything due by the routing time (rejoins
+            // included), then re-evaluate: a crash changes who is
+            // busy and may have queued earlier retries.
+            if (faultsEnabled_ && serviceFaults(at))
+                continue;
+            // A closed-loop draw is stamped with the routing time.
+            Request r = fromRetry ? popRetry() : shared.pop(at);
+            // March idle instances up to the arrival so the
+            // policy's clock snapshot is consistent.
+            if (timed)
+                marchIdle(at);
+            if (config_.scaling.enabled) {
+                arrivalWindow_.push_back(at);
+                maybeScale(at);
+            }
+            route(std::move(r), at);
+        }
+        result_.peakInstances = std::max(result_.peakInstances, live_);
+
+        if (Instance *next = nextToStep()) {
+            next->loop->step();
+            next->syncQueuedKv();
+            reindex(*next);
+            continue;
+        }
+
+        if (shared.empty() && retries_.empty())
+            break;
+        // Nothing can step. A stage-capped instance with work still
+        // queued ends the run (engine stage-cap semantics);
+        // otherwise all are idle — march them to the next arrival
+        // (or pending retry) and route it.
+        if (anyCappedWithWork())
+            break;
+        PicoSec t = std::numeric_limits<PicoSec>::max();
+        if (!shared.empty())
+            t = shared.front().arrival;
+        if (!retries_.empty())
+            t = std::min(t, retries_.front().req.arrival);
+        marchIdle(t);
+    }
+}
+
 FleetResult
 FleetDriver::run()
 {
+    return runWith(true);
+}
+
+FleetResult
+FleetDriver::runReference()
+{
+    return runWith(false);
+}
+
+FleetResult
+FleetDriver::runWith(bool indexed)
+{
     panicIf(ran_, "FleetDriver::run called twice");
     ran_ = true;
+    indexed_ = indexed;
 
     policy_ = makeRoutingPolicy(config_.policy);
     int initial = config_.instances;
@@ -737,6 +1241,9 @@ FleetDriver::run()
     // Fault injection: decided before the first spawn so every
     // instance (initial and autoscaled) gets its fault timeline.
     faultsEnabled_ = config_.faults.enabled();
+    // Faults read and move idle clocks at their own times, so the
+    // idle march is lazy only in a fault-free run.
+    lazyIdle_ = indexed_ && !faultsEnabled_;
     if (faultsEnabled_) {
         fatalIf(config_.retry.maxAttempts < 0,
                 "RetrySpec: negative maxAttempts");
@@ -755,6 +1262,9 @@ FleetDriver::run()
             domainPlans_.push_back(FaultPlan::forDomain(
                 config_.faults, d, config_.sim.seed));
     }
+    // The first domain pass finds the plans' earliest strike.
+    if (!domainPlans_.empty())
+        nextDomainAt_ = 0;
 
     for (int i = 0; i < initial; ++i)
         spawn(0);
@@ -767,152 +1277,7 @@ FleetDriver::run()
 
     result_.peakInstances = initial;
 
-    for (;;) {
-        // Retire drained instances the moment they go idle, so they
-        // stop participating in the min-clock scan.
-        for (auto &inst : instances_)
-            if (inst->retiring() && inst->loop->idle())
-                retire(*inst);
-
-        // Fire faults due at each instance's own clock before any
-        // routing or stepping decision reads fleet state — the last
-        // step may have carried an instance's clock past a
-        // scheduled strike.
-        if (faultsEnabled_)
-            serviceFaults(0);
-
-        // Route every arrival no BUSY instance is still behind: a
-        // busy instance's state at the arrival time is not yet
-        // known, so routing must wait for it; an idle instance has
-        // nothing to do until the arrival, so its clock simply
-        // marches forward (the engine's idleAdvance, applied
-        // fleet-wide). Closed loop: arrivals carry no timestamps,
-        // so the whole stream routes up front and the queued-KV
-        // accounting makes the balancing policies spread it
-        // sensibly. Crash retries re-enter here, merged with the
-        // shared stream in timestamp order and gated like open-loop
-        // arrivals; down instances neither gate routing nor appear
-        // in the snapshot.
-        for (;;) {
-            const bool haveShared = !shared.empty();
-            if (!haveShared && retries_.empty())
-                break;
-            if (faultsEnabled_ && count(&Instance::routable) == 0) {
-                fatalIf(!advanceToEarliestTransition(),
-                        "fleet: every instance is down or draining "
-                        "with no rejoin scheduled and requests still "
-                        "pending");
-                continue;
-            }
-            PicoSec busyMin = std::numeric_limits<PicoSec>::max();
-            PicoSec allMin = std::numeric_limits<PicoSec>::max();
-            for (const auto &inst : instances_) {
-                if (!inst->steppable())
-                    continue;
-                allMin = std::min(allMin, inst->loop->now());
-                if (!inst->loop->idle())
-                    busyMin =
-                        std::min(busyMin, inst->loop->now());
-            }
-            // Retries carry real timestamps even under a closed
-            // loop; the timestamp-less closed-loop stream routes
-            // first there, open loop merges by earliest time
-            // (shared stream wins ties — it was in line first).
-            bool fromRetry = !haveShared;
-            if (haveShared && !retries_.empty() &&
-                !shared.closedLoop())
-                fromRetry =
-                    retries_.front().req.arrival < shared.front().arrival;
-            const PicoSec arrival = fromRetry
-                                        ? retries_.front().req.arrival
-                                        : shared.front().arrival;
-            if ((fromRetry || !shared.closedLoop()) &&
-                arrival > busyMin)
-                break;
-            const PicoSec at =
-                !fromRetry && shared.closedLoop() ? allMin
-                                                  : arrival;
-            // Fire anything due by the routing time (rejoins
-            // included), then re-evaluate: a crash changes who is
-            // busy and may have queued earlier retries.
-            if (faultsEnabled_ && serviceFaults(at))
-                continue;
-            Request r = fromRetry ? popRetry() : shared.pop(allMin);
-            // March idle instances up to the arrival so the
-            // policy's clock snapshot is consistent, and so the
-            // chosen instance admits at the arrival time exactly
-            // as the bare engine would.
-            if (fromRetry || !shared.closedLoop())
-                for (auto &inst : instances_)
-                    if (inst->steppable() && inst->loop->idle())
-                        inst->loop->advanceTo(at);
-            if (config_.scaling.enabled) {
-                arrivalWindow_.push_back(at);
-                maybeScale(at);
-            }
-            const std::vector<InstanceStatus> statuses = snapshot();
-            panicIf(statuses.empty(),
-                    "fleet has no accepting instance to route to");
-            const int target = policy_->route(r, statuses);
-            panicIf(target < 0 ||
-                        target >= static_cast<int>(
-                                      instances_.size()) ||
-                        !instances_[target]->routable(),
-                    "routing policy '" + config_.policy +
-                        "' picked an unroutable instance");
-            Instance &inst = *instances_[target];
-            const std::int64_t kv = r.inputLen + r.outputLen;
-            for (FleetObserver *o : observers_)
-                o->onRequestRouted(target, r, at);
-            inst.loop->pushArrival(std::move(r));
-            inst.queuedKv.push_back(kv);
-            inst.queuedKvSum += kv;
-            if (inst.domain >= 0)
-                ++result_.perDomain[
-                    static_cast<std::size_t>(inst.domain)].routed;
-            ++result_.requestsRouted;
-        }
-        result_.peakInstances =
-            std::max(result_.peakInstances, count(&Instance::live));
-
-        // Step the live instance furthest behind in simulated time
-        // (lowest id on ties) — the deterministic interleaving.
-        Instance *next = nullptr;
-        for (const auto &inst : instances_) {
-            if (!inst->steppable() || inst->loop->done())
-                continue;
-            if (next == nullptr ||
-                inst->loop->now() < next->loop->now())
-                next = inst.get();
-        }
-        if (next != nullptr) {
-            next->loop->step();
-            next->syncQueuedKv();
-            continue;
-        }
-
-        if (shared.empty() && retries_.empty())
-            break;
-        // Every live instance is done. A stage-capped instance with
-        // work still queued ends the run (engine stage-cap
-        // semantics); otherwise all are idle — march them to the
-        // next arrival (or pending retry) and route it.
-        const bool capped = std::any_of(
-            instances_.begin(), instances_.end(), [](const auto &i) {
-                return i->live() && i->loop->stageCapped() &&
-                       !i->loop->idle();
-            });
-        if (capped)
-            break;
-        PicoSec t = std::numeric_limits<PicoSec>::max();
-        if (!shared.empty())
-            t = shared.front().arrival;
-        if (!retries_.empty())
-            t = std::min(t, retries_.front().req.arrival);
-        for (auto &inst : instances_)
-            if (inst->steppable())
-                inst->loop->advanceTo(t);
-    }
+    stepLoop(shared);
 
     shared_ = nullptr;
 
@@ -920,6 +1285,8 @@ FleetDriver::run()
     // loops are finished here too — their state froze at
     // retirement).
     result_.perInstance.reserve(instances_.size());
+    for (auto &inst : instances_)
+        settleIdle(*inst);
     PicoSec makespan = 0;
     for (const auto &inst : instances_)
         makespan = std::max(makespan, inst->loop->now());
@@ -948,6 +1315,7 @@ FleetDriver::run()
         result_.peakBatch = std::max(result_.peakBatch, sr.peakBatch);
         result_.prefixCache.merge(sr.prefixCache);
         result_.requestsRetired += inst->observer->retired();
+        result_.unfinishedRequests += sr.unfinishedRequests;
         result_.perInstance.push_back(std::move(sr));
         if (inst->domain >= 0) {
             DomainAvailability &da = result_.perDomain[
@@ -957,6 +1325,10 @@ FleetDriver::run()
         }
     }
     result_.metrics.elapsed = makespan;
+    // The loop ends with work left only at the stage cap.
+    result_.unfinishedRequests +=
+        static_cast<std::int64_t>(shared.size() + retries_.size());
+    result_.stageCapped = result_.unfinishedRequests > 0;
 
     // Per-domain availability, time-based, over the run window.
     for (DomainAvailability &da : result_.perDomain)

@@ -49,6 +49,16 @@
  * disabled is byte-identical to one that never heard of them, and
  * every faulted run double-runs byte-identical.
  *
+ * Stepping costs O(log N) per stage, not O(N): run() keeps the
+ * furthest-behind order, the busy clocks and each instance's next
+ * due fault time in heaps, the routable, accepting and live counts
+ * in the lifecycle transitions, and the routing snapshot up to date
+ * entry by entry. Without faults an idle instance's clock follows a
+ * fleet-wide idle floor and reaches its loop only when the instance
+ * is next routed to. runReference() makes every one of those
+ * decisions by a scan instead, and the two are pinned equal callback
+ * for callback (tests/fleet/test_step_order.cc).
+ *
  * Each instance is in one lifecycle state at a time (fleet.cc
  * draws the state machine). When no instance is routable, the
  * driver applies the earliest scheduled transition that makes one
@@ -64,6 +74,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/indexed_heap.hh"
 #include "fleet/faults.hh"
 #include "fleet/policy.hh"
 #include "sim/driver.hh"
@@ -286,6 +297,20 @@ struct FleetResult
     }
 
     std::vector<ScaleEvent> scaleEvents;
+
+    /**
+     * The run ended at the per-instance stage cap with work left:
+     * the latency percentiles cover a partial window. Never set on a
+     * run that drained.
+     */
+    bool stageCapped = false;
+
+    /**
+     * Requests the run never finished: those still queued or in a
+     * batch on some instance, left unrouted in the shared stream,
+     * or waiting in the retry heap. 0 when the run drained.
+     */
+    std::int64_t unfinishedRequests = 0;
 };
 
 /**
@@ -400,6 +425,17 @@ class FleetDriver
     /** Execute the fleet run; call exactly once. */
     FleetResult run();
 
+    /**
+     * Reference for run(), for the equivalence tests only: every
+     * stepping and routing decision comes from a linear scan over
+     * the instances (the furthest-behind pick, the busy and overall
+     * minimum clocks, the idle march, the fault pass, the retire
+     * sweep) instead of the heaps and counts run() keeps. It also
+     * checks the lifecycle counts against a recount every pass.
+     * Byte-identical to run(); call exactly once, instead of run().
+     */
+    FleetResult runReference();
+
   private:
     enum class Phase;
     struct Instance;
@@ -413,6 +449,55 @@ class FleetDriver
     std::vector<std::unique_ptr<Instance>> instances_;
     std::unique_ptr<RoutingPolicy> policy_;
     bool ran_ = false;
+
+    /** run() steps by the index below; runReference() by scans. */
+    bool indexed_ = true;
+
+    // --- the step index (run() only) -----------------------------
+    // Heaps keyed by instance clock, ties to the lower id. Every
+    // steppable instance is in exactly one of the first three.
+
+    /** Busy instances below the stage cap: the step order. */
+    IndexedMinHeap stepOrder_;
+    /** Busy instances at the stage cap (their clocks are frozen). */
+    IndexedMinHeap cappedBusy_;
+    /** Idle instances, keyed by their loop clocks. */
+    IndexedMinHeap idleClocks_;
+    /** Live instances keyed by their next due fault transition. */
+    IndexedMinHeap faultDue_;
+    /** Instances whose next fault is due at their own clock. */
+    std::vector<int> overdue_;
+    std::vector<int> dueScratch_; //!< serviceFaults' id list, reused
+    /** Furthest clock over live instances (faults only): the
+     *  domain-fault horizon. Recounted when its holder retires. */
+    PicoSec latestClock_ = 0;
+
+    /**
+     * Lazy idle advance (fault-free runs): an idle steppable
+     * instance's clock is max(its loop clock, idleFloor_), applied
+     * to the loop only when the instance is next routed to, retired
+     * or folded. With faults the march stays eager.
+     */
+    bool lazyIdle_ = false;
+    PicoSec idleFloor_ = 0;
+
+    /**
+     * The routing snapshot: the status of every routable instance,
+     * in id order. run() keeps each entry current as its instance
+     * changes and rebuilds the list only when the routable set
+     * changes; runReference() rebuilds it for every route.
+     */
+    std::vector<InstanceStatus> routing_;
+    std::vector<int> routingSlot_; //!< id -> index in routing_, or -1
+    bool routingStale_ = true;
+
+    /** Scale-drained instances not yet retired, ascending id. */
+    std::vector<int> retiring_;
+
+    // Lifecycle counts, kept by setPhase().
+    int routable_ = 0;
+    int accepting_ = 0;
+    int live_ = 0;
 
     /** The shared stream's admission discipline, mirrored by every
      *  instance's push-fed queue. Set before the first spawn. */
@@ -462,9 +547,34 @@ class FleetDriver
      *  without a domain map or with faults disabled). */
     std::vector<FaultPlan> domainPlans_;
 
+    /** Earliest pending strike over domainPlans_; -1 when none. */
+    PicoSec nextDomainAt_ = -1;
+
     /** Instances for which the Instance predicate @p is holds. */
     int count(bool (Instance::*is)() const) const;
-    std::vector<InstanceStatus> snapshot() const;
+    const std::vector<InstanceStatus> &snapshot();
+    void refreshStatus(const Instance &inst);
+
+    FleetResult runWith(bool indexed);
+    void stepLoop(ArrivalQueue &shared);
+
+    // The stepping queries: heap and count reads in run(), linear
+    // scans in runReference().
+    void retireIdle();
+    PicoSec busyMin() const;
+    PicoSec earliestClock();
+    Instance *nextToStep() const;
+    bool anyCappedWithWork() const;
+    void marchIdle(PicoSec t);
+
+    // The index's upkeep.
+    PicoSec clockOf(const Instance &inst) const;
+    void settleIdle(Instance &inst);
+    void reindex(Instance &inst);
+    void refileFaults(Instance &inst);
+    void setPhase(Instance &inst, Phase phase);
+    void countPhase(Phase phase, int delta);
+    void route(Request request, PicoSec at);
     double observedQps(PicoSec now);
     double observedUnavailability(PicoSec now) const;
 
@@ -482,6 +592,7 @@ class FleetDriver
     bool advanceToEarliestTransition();
 
     bool serviceFaults(PicoSec at);
+    bool serviceFaultsScan(PicoSec at);
     bool serviceFaults(Instance &inst, PicoSec horizon);
     void serviceDomainFaults(PicoSec horizon);
     void closeDowntime(Instance &inst, PicoSec end);

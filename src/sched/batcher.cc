@@ -87,11 +87,16 @@ ContinuousBatcher::snapshot(PicoSec now,
     return s;
 }
 
-StageShape
+const StageShape &
 ContinuousBatcher::formStage(PicoSec now)
 {
     panicIf(stageOpen_, "formStage called with a stage in flight");
-    StageShape stage;
+    // One shape reused stage after stage: its vectors keep their
+    // capacity, so forming a mixed stage allocates nothing.
+    StageShape &stage = stage_;
+    stage.decodeContexts.clear();
+    stage.prefillLengths.clear();
+    stage.agg = {};
 
     if (config_.prefillChunkTokens > 0) {
         // Continuing chunks: requests admitted in earlier stages
@@ -267,18 +272,24 @@ ContinuousBatcher::completeStage(PicoSec now)
     panicIf(!stageOpen_, "completeStage without a stage in flight");
     stageOpen_ = false;
 
+    // Compact the batch in place, in order: a request moves only
+    // when an earlier retirement left a gap before it.
     const std::int64_t chunk = config_.prefillChunkTokens;
-    std::vector<Request> &still_active = stillActiveScratch_;
-    still_active.clear();
-    still_active.reserve(active_.size());
-    for (auto &r : active_) {
+    std::size_t kept = 0;
+    const auto keep = [&](Request &r, std::size_t at) {
+        if (kept != at)
+            active_[kept] = std::move(r);
+        ++kept;
+    };
+    for (std::size_t i = 0; i < active_.size(); ++i) {
+        Request &r = active_[i];
         if (chunk > 0 && r.prefilled < r.inputLen) {
             // Chunked prefill: this stage ran prefillSpan(r) prompt
             // tokens; only the chunk that finishes the prompt
             // produces the first token (the fall-through below).
             r.prefilled += prefillSpan(r);
             if (r.prefilled < r.inputLen) {
-                still_active.push_back(std::move(r));
+                keep(r, i);
                 continue;
             }
         }
@@ -308,10 +319,11 @@ ContinuousBatcher::completeStage(PicoSec now)
             finished_.push_back(std::move(r));
         } else {
             decodeAgg_.addDecode(r.contextLen());
-            still_active.push_back(std::move(r));
+            keep(r, i);
         }
     }
-    std::swap(active_, still_active);
+    active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(kept),
+                  active_.end());
 }
 
 void

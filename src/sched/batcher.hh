@@ -132,9 +132,10 @@ class ContinuousBatcher
     /**
      * Form the next stage at time @p now: admit what fits, return
      * the stage composition. Returns an empty stage if nothing can
-     * run (open loop, before the next arrival).
+     * run (open loop, before the next arrival). The shape is owned
+     * by the batcher and valid until the next formStage call.
      */
-    StageShape formStage(PicoSec now);
+    const StageShape &formStage(PicoSec now);
 
     /**
      * Earliest arrival among pending requests (open loop); used to
@@ -145,7 +146,9 @@ class ContinuousBatcher
     /**
      * Account for the stage formed by the last formStage() call
      * finishing at @p now: prefills produce their first token,
-     * decodes one more; finished requests retire.
+     * decodes one more; finished requests retire. The batch is
+     * compacted in place: the active order and the retirement order
+     * are both admission order.
      */
     void completeStage(PicoSec now);
 
@@ -260,7 +263,7 @@ class ContinuousBatcher
     std::vector<Request> active_;
     bool stageOpen_ = false;
     std::vector<Request> finished_;
-    std::vector<Request> stillActiveScratch_; //!< completeStage reuse
+    StageShape stage_; //!< formStage's result, reused
     std::vector<std::size_t> victimScratch_;
     StageAggregates decodeAgg_; //!< active decode sequences
 

@@ -62,7 +62,7 @@ void
 DriverLoop::step()
 {
     panicIf(done(), "DriverLoop::step on a finished loop");
-    StageShape stage = batcher_.formStage(now_);
+    const StageShape &stage = batcher_.formStage(now_);
     if (stage.totalTokens() == 0) {
         // Open loop and idle: idleAdvance (sched/arrivals.hh) jumps
         // exactly to the next arrival, with the one-picosecond bump

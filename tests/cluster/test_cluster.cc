@@ -169,6 +169,76 @@ TEST(Cluster, EnergySumsAcrossDevices)
     EXPECT_NEAR(j2, j1, j1 * 0.25);
 }
 
+/** Token counts 5, 69, 133 and 197 share one slot of the 64-entry
+ *  token-count memo; 69 comes back as a mixed stage too. */
+std::vector<StageShape>
+collidingStages()
+{
+    return {decodeStage(5, 1024),  decodeStage(69, 1024),
+            decodeStage(133, 512), decodeStage(5, 2048),
+            mixedStage(5, 1024, 64), decodeStage(197, 256),
+            decodeStage(69, 4096), decodeStage(5, 1024)};
+}
+
+void
+expectSameStage(const StageResult &a, const StageResult &b)
+{
+    EXPECT_EQ(a.time, b.time);
+    for (int c = 0; c < kNumLayerClasses; ++c) {
+        EXPECT_EQ(a.byClass[c].time, b.byClass[c].time) << c;
+        EXPECT_EQ(a.byClass[c].energy.dramJ, b.byClass[c].energy.dramJ)
+            << c;
+        EXPECT_EQ(a.byClass[c].energy.computeJ,
+                  b.byClass[c].energy.computeJ)
+            << c;
+    }
+}
+
+TEST(Cluster, TokenMemoMatchesFreshPricingOnCollisions)
+{
+    // Dense models draw nothing, so a fresh cluster per stage (an
+    // empty memo) prices each stage exactly as a long-lived one must
+    // after every colliding fill and hit.
+    for (const ClusterPreset &preset : clusterPresets()) {
+        for (const ModelConfig &m : {llama3Config(), optConfig()}) {
+            SCOPED_TRACE(std::string(preset.id) + " " + m.name);
+            Cluster memo(makeClusterConfig(preset.id, m));
+            for (const StageShape &s : collidingStages()) {
+                Cluster fresh(makeClusterConfig(preset.id, m));
+                expectSameStage(memo.executeStage(s),
+                                fresh.executeStage(s));
+            }
+        }
+    }
+}
+
+TEST(Cluster, TokenMemoMatchesReferenceOnMoeCollisions)
+{
+    // MoE models draw experts, so the twin runs the same sequence
+    // through executeStageReference, which prices the token-count
+    // groups afresh every stage: times exact, energies within the
+    // reference's 1e-12 relative.
+    for (const ClusterPreset &preset : clusterPresets()) {
+        for (const ModelConfig &m : {mixtralConfig(), grok1Config()}) {
+            SCOPED_TRACE(std::string(preset.id) + " " + m.name);
+            Cluster memo(makeClusterConfig(preset.id, m));
+            Cluster ref(makeClusterConfig(preset.id, m));
+            for (const StageShape &s : collidingStages()) {
+                const StageResult a = memo.executeStage(s);
+                const StageResult b = ref.executeStageReference(s);
+                EXPECT_EQ(a.time, b.time);
+                EXPECT_EQ(a.expertTokens, b.expertTokens);
+                for (int c = 0; c < kNumLayerClasses; ++c) {
+                    EXPECT_EQ(a.byClass[c].time, b.byClass[c].time);
+                    EXPECT_NEAR(a.byClass[c].energy.totalJ(),
+                                b.byClass[c].energy.totalJ(),
+                                1e-12 * b.byClass[c].energy.totalJ());
+                }
+            }
+        }
+    }
+}
+
 TEST(HeteroCluster, ExecutesAndSplitsClasses)
 {
     HeteroCluster h(makeHeteroConfig(mixtralConfig()));

@@ -388,6 +388,53 @@ TEST(ContinuousBatcher, DrainFinishedMatchesRetainedStream)
     }
 }
 
+TEST(ContinuousBatcher, CompletionKeepsActiveAndRetirementOrder)
+{
+    // Retirements punch gaps into the middle of the batch; the
+    // survivors must keep admission order (the exact view lists
+    // their contexts in batch order, and prompts grow with the id),
+    // and each stage's retirements must drain in admission order.
+    const std::vector<std::int64_t> outputs = {3, 1, 4, 1, 5, 2, 6, 1};
+    std::vector<Request> reqs;
+    for (std::size_t i = 0; i < outputs.size(); ++i) {
+        Request r;
+        r.id = static_cast<std::int64_t>(i);
+        r.inputLen = 100 + 10 * static_cast<std::int64_t>(i);
+        r.outputLen = outputs[i];
+        reqs.push_back(r);
+    }
+    BatcherConfig cfg;
+    cfg.maxBatch = 8;
+    cfg.maxPrefillsPerStage = 8;
+    cfg.exactStageView = true;
+    ContinuousBatcher b(cfg, ArrivalQueue(reqs, true), fcfs());
+
+    std::vector<std::int64_t> retired;
+    std::vector<Request> drained;
+    PicoSec now = 0;
+    for (int stage = 1; !b.allDone(); ++stage) {
+        const StageShape &s = b.formStage(now);
+        ASSERT_GT(s.totalTokens(), 0);
+        // Survivors of stage k are the ids with outputLen >= k, in
+        // id order; every one has generated k - 1 tokens.
+        std::vector<std::int64_t> expect;
+        for (std::size_t i = 0; i < outputs.size(); ++i)
+            if (stage > 1 && outputs[i] >= stage)
+                expect.push_back(100 + 10 * static_cast<std::int64_t>(i) +
+                                 stage - 1);
+        EXPECT_EQ(s.decodeContexts, expect) << "stage " << stage;
+        now += 1000;
+        b.completeStage(now);
+        b.drainFinished(drained);
+        for (std::size_t i = 1; i < drained.size(); ++i)
+            EXPECT_LT(drained[i - 1].id, drained[i].id);
+        for (const Request &r : drained)
+            retired.push_back(r.id);
+    }
+    EXPECT_EQ(retired,
+              (std::vector<std::int64_t>{1, 3, 7, 5, 0, 2, 4, 6}));
+}
+
 TEST(ContinuousBatcher, ContextGrowsEachStage)
 {
     BatcherConfig cfg;
