@@ -275,6 +275,9 @@ ContinuousBatcher::completeStage(PicoSec now)
     // Compact the batch in place, in order: a request moves only
     // when an earlier retirement left a gap before it.
     const std::int64_t chunk = config_.prefillChunkTokens;
+    // This stage's log index: the first token it produces appends
+    // `now` there, so a stage of prompt chunks alone logs nothing.
+    const std::int64_t stage = stageLog_.next();
     std::size_t kept = 0;
     const auto keep = [&](Request &r, std::size_t at) {
         if (kept != at)
@@ -293,6 +296,8 @@ ContinuousBatcher::completeStage(PicoSec now)
                 continue;
             }
         }
+        if (stageLog_.next() == stage)
+            stageLog_.append(now);
         // A request admitted by the stage just completed has not
         // produced a token yet — generated == 0 is the per-request
         // prefill flag (requests enter active_ only through
@@ -305,11 +310,13 @@ ContinuousBatcher::completeStage(PicoSec now)
             // rejoins below at the grown context unless retired.
             decodeAgg_.removeDecode(r.contextLen());
             r.generated += 1;
+            if (r.decodeFrom < 0)
+                r.decodeFrom = stage;
         }
-        r.tokenTimes.push_back(now);
         ++totalGenerated_;
         if (r.done()) {
             r.finished = now;
+            stageLog_.fillTokenTimes(r);
             activeLifetimeKv_ -= r.inputLen + r.outputLen;
             // The session's full context (prompt + completion)
             // moves from the live batch into the prefix cache so
@@ -324,6 +331,7 @@ ContinuousBatcher::completeStage(PicoSec now)
     }
     active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(kept),
                   active_.end());
+    stageLog_.trim(active_);
 }
 
 void

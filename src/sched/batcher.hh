@@ -21,6 +21,7 @@
 #include "model/layers.hh"
 #include "sched/arrivals.hh"
 #include "sched/policy.hh"
+#include "sched/stage_log.hh"
 #include "workload/generator.hh"
 #include "workload/request.hh"
 
@@ -146,11 +147,16 @@ class ContinuousBatcher
     /**
      * Account for the stage formed by the last formStage() call
      * finishing at @p now: prefills produce their first token,
-     * decodes one more; finished requests retire. The batch is
-     * compacted in place: the active order and the retirement order
-     * are both admission order.
+     * decodes one more; finished requests retire with their
+     * tokenTimes filled from the stage log. The batch is compacted
+     * in place: the active order and the retirement order are both
+     * admission order.
      */
     void completeStage(PicoSec now);
+
+    /** The loop's stage-end log retired requests read token times
+     *  from; its size is bounded by the longest live request. */
+    const StageLog &stageLog() const { return stageLog_; }
 
     /**
      * Retired requests with full lifecycle timestamps — the
@@ -266,6 +272,7 @@ class ContinuousBatcher
     StageShape stage_; //!< formStage's result, reused
     std::vector<std::size_t> victimScratch_;
     StageAggregates decodeAgg_; //!< active decode sequences
+    StageLog stageLog_; //!< stage ends active decodes read
 
     /**
      * Incrementally maintained sum over active_ of

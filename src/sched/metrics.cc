@@ -1,7 +1,5 @@
 #include "sched/metrics.hh"
 
-#include <algorithm>
-
 #include "common/log.hh"
 
 namespace duplex
@@ -25,14 +23,8 @@ MetricsAccumulator::ingest(const Request &request)
             t2ft.add(psToMs(request.firstToken - request.arrival));
         if (request.finished >= 0)
             e2e.add(psToMs(request.finished - request.arrival));
-        double worst = -1.0;
-        for (std::size_t t = 1; t < request.tokenTimes.size();
-             ++t) {
-            const double gap = psToMs(request.tokenTimes[t] -
-                                      request.tokenTimes[t - 1]);
-            tbt.add(gap);
-            worst = std::max(worst, gap);
-        }
+        const double worst = visitTokenGapsMs(
+            request, [&](double gap) { tbt.add(gap); });
         if (worst >= 0.0)
             worst_gap.add(worst);
     };

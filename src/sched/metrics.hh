@@ -16,6 +16,7 @@
 #ifndef DUPLEX_SCHED_METRICS_HH
 #define DUPLEX_SCHED_METRICS_HH
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
@@ -120,6 +121,25 @@ struct BoundedLatencyMetrics
     {
     }
 };
+
+/**
+ * The token-gap rule, in one copy: call @p visit with each gap
+ * between consecutive tokenTimes of a retired @p request, in ms and
+ * in order, and return the worst gap (-1 when there is none).
+ */
+template <typename Visit>
+double
+visitTokenGapsMs(const Request &request, Visit &&visit)
+{
+    double worst = -1.0;
+    for (std::size_t t = 1; t < request.tokenTimes.size(); ++t) {
+        const double gap = psToMs(request.tokenTimes[t] -
+                                  request.tokenTimes[t - 1]);
+        visit(gap);
+        worst = std::max(worst, gap);
+    }
+    return worst;
+}
 
 /**
  * Streams retired requests into latency metrics so the driver loop

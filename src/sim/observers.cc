@@ -126,14 +126,9 @@ SloAttainment::onRequestRetired(const Request &request,
     const bool t2ft_ok =
         request.firstToken >= 0 &&
         psToMs(request.firstToken - request.arrival) <= slo_.t2ftMs;
-    bool tbt_ok = true;
-    for (std::size_t t = 1; t < request.tokenTimes.size(); ++t) {
-        if (psToMs(request.tokenTimes[t] -
-                   request.tokenTimes[t - 1]) > slo_.tbtMs) {
-            tbt_ok = false;
-            break;
-        }
-    }
+    // Every gap meets the objective exactly when the worst does.
+    const bool tbt_ok =
+        visitTokenGapsMs(request, [](double) {}) <= slo_.tbtMs;
     t2ftOk_ += t2ft_ok ? 1 : 0;
     tbtOk_ += tbt_ok ? 1 : 0;
     if (request.cachedTokens > 0) {

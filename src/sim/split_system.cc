@@ -6,6 +6,7 @@
 
 #include "common/log.hh"
 #include "sched/arrivals.hh"
+#include "sched/stage_log.hh"
 #include "sim/engine.hh"
 #include "workload/registry.hh"
 
@@ -192,6 +193,10 @@ SplitSystem::runCustomLoop(const SimConfig &config,
     std::int64_t active_lifetime_kv = 0;
     StageAggregates decode_agg;
 
+    // The decode group's stage ends: each retiring request reads
+    // its decode token times from here (sched/stage_log.hh).
+    StageLog decode_log;
+
     while ((!waiting.empty() || !transferred.empty() ||
             !active.empty()) &&
            stages < config.maxStages) {
@@ -231,7 +236,6 @@ SplitSystem::runCustomLoop(const SimConfig &config,
             for (auto &r : batch) {
                 r.firstToken = prefill_now;
                 r.generated = 1;
-                r.tokenTimes.push_back(prefill_now);
                 ++total_generated;
                 // Migrate the prompt KV to the decode group: a free
                 // parallel copy in the seed model, a FIFO-serialized
@@ -314,15 +318,19 @@ SplitSystem::runCustomLoop(const SimConfig &config,
                           &group_scratch});
         ++stages;
 
+        const std::int64_t log_index = decode_log.next();
+        decode_log.append(decode_now);
         std::vector<Request> still;
         still.reserve(active.size());
         for (auto &r : active) {
             decode_agg.removeDecode(r.contextLen());
             r.generated += 1;
-            r.tokenTimes.push_back(decode_now);
+            if (r.decodeFrom < 0)
+                r.decodeFrom = log_index;
             ++total_generated;
             if (r.done()) {
                 r.finished = decode_now;
+                decode_log.fillTokenTimes(r);
                 active_lifetime_kv -= r.inputLen + r.outputLen;
                 observer.onRequestRetired(r, decode_now);
                 // Retirement feedback: a session workload releases
@@ -339,6 +347,7 @@ SplitSystem::runCustomLoop(const SimConfig &config,
             }
         }
         active = std::move(still);
+        decode_log.trim(active);
         result.peakBatch = std::max(
             result.peakBatch,
             static_cast<int>(stage.agg.numDecode));

@@ -71,7 +71,19 @@ struct Request
      */
     std::int64_t cachedTokens = 0;
 
-    std::vector<PicoSec> tokenTimes; //!< completion time per token
+    /**
+     * Index, in the driver loop's StageLog (sched/stage_log.hh), of
+     * the first stage this request decoded in; -1 until then.
+     */
+    std::int64_t decodeFrom = -1;
+
+    /**
+     * Completion time per token: firstToken, then one stage end
+     * per decode token. The driver loop fills it once, at exact
+     * size, when the request retires and before any observer or
+     * metric sees it; it stays empty while the request is active.
+     */
+    std::vector<PicoSec> tokenTimes;
 
     /** Context length the KV cache holds for this request. */
     std::int64_t contextLen() const { return inputLen + generated; }
@@ -93,6 +105,7 @@ struct Request
         cachedTokens = 0;
         firstToken = -1;
         finished = -1;
+        decodeFrom = -1;
         tokenTimes.clear();
     }
 };

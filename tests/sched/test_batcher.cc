@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "sched/batcher.hh"
 #include "sched/policy.hh"
 
@@ -451,6 +453,68 @@ TEST(ContinuousBatcher, ContextGrowsEachStage)
     b.completeStage(++now);
     const StageShape s2 = b.formStage(now);
     EXPECT_EQ(s2.decodeContexts[0], 102);
+}
+
+TEST(ContinuousBatcher, StageLogStaysBoundedOnALongOpenLoop)
+{
+    // 20k open-loop requests with a long length tail: the stage log
+    // must never hold more than max(kMinTrim, 2 x the longest live
+    // decode span so far) entries, however long the run.
+    WorkloadConfig w;
+    w.meanInputLen = 128;
+    w.meanOutputLen = 64;
+    w.lengthCv = 0.5;
+    w.qps = 40.0;
+    BatcherConfig cfg;
+    cfg.maxBatch = 32;
+    ContinuousBatcher b(cfg, ArrivalQueue(w, 20000), fcfs());
+
+    struct Span
+    {
+        std::int64_t first, last; //!< decode stage indices
+    };
+    std::vector<Span> spans;
+    std::vector<std::size_t> sizes; // log size after each stage
+    std::vector<Request> drained;
+    PicoSec now = 0;
+    while (!b.allDone()) {
+        if (b.formStage(now).totalTokens() == 0) {
+            now = idleAdvance(now, b.nextArrival());
+            continue;
+        }
+        now += 10 * kPsPerMs;
+        b.completeStage(now);
+        const auto stage = static_cast<std::int64_t>(sizes.size());
+        sizes.push_back(b.stageLog().size());
+        b.drainFinished(drained);
+        for (const Request &r : drained) {
+            const auto decoded =
+                static_cast<std::int64_t>(r.tokenTimes.size()) - 1;
+            if (decoded > 0)
+                spans.push_back({stage - decoded + 1, stage});
+        }
+    }
+    // Every stage produced tokens: log index == stage index.
+    ASSERT_EQ(b.stageLog().next(),
+              static_cast<std::int64_t>(sizes.size()));
+
+    std::vector<std::int64_t> live(sizes.size(), 0);
+    for (const Span &s : spans)
+        for (std::int64_t t = s.first; t <= s.last; ++t)
+            live[static_cast<std::size_t>(t)] =
+                std::max(live[static_cast<std::size_t>(t)],
+                         t - s.first + 1);
+    std::int64_t longest = 0;
+    std::size_t peak = 0;
+    for (std::size_t t = 0; t < sizes.size(); ++t) {
+        longest = std::max(longest, live[t]);
+        ASSERT_LE(sizes[t],
+                  std::max(StageLog::kMinTrim,
+                           2 * static_cast<std::size_t>(longest)))
+            << "stage " << t;
+        peak = std::max(peak, sizes[t]);
+    }
+    EXPECT_GT(sizes.size(), 20 * peak) << "the run never outgrew the log";
 }
 
 } // namespace

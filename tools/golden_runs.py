@@ -48,7 +48,8 @@ RUNS = [
      "--lin=256 --lout=64"),
     ("longrun-streaming", "bench_longrun --requests=50000"),
     ("fleet-least-loaded",
-     "quickstart --fleet=4 --policy=least-loaded --qps=8"),
+     "quickstart --fleet=4 --policy=least-loaded --qps=8 "
+     "--stages=100000"),
     ("fleet-policy-sweep", "bench_fleet --requests=48"),
     ("fleet-random-faults",
      "quickstart --fleet=4 --policy=least-loaded --qps=8 --mtbf=1.5 "
