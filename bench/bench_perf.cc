@@ -263,7 +263,11 @@ main()
     std::printf("prefix cache %25.0f acquire+install/s\n",
                 prefix_cache_ops);
 
+    // 164 and 830 tokens are moe-longrun's decode and mixed stages,
+    // on either side of the lane crossover.
     const Rate draw_probes[] = {
+        {"mixtral_164", probeMoeDraw(8, 164)},
+        {"mixtral_830", probeMoeDraw(8, 830)},
         {"mixtral_256", probeMoeDraw(8, 256)},
         {"mixtral_4096", probeMoeDraw(8, 4096)},
         {"glam_256", probeMoeDraw(64, 256)},
@@ -272,6 +276,7 @@ main()
     for (const Rate &p : draw_probes)
         std::printf("moe draw %-16s %12.0f tokens/s\n", p.name,
                     p.perSec);
+    std::printf("moe draw lane width %d\n", Rng::laneWidth());
 
     const SweepProbe sweeps[] = {
         timeSweep("fig11-throughput", fig11SweepConfigs()),
@@ -296,6 +301,7 @@ main()
     report.add("prefix_cache.ops_per_sec", prefix_cache_ops);
     for (const Rate &p : draw_probes)
         report.add(std::string("moe_draw.") + p.name, p.perSec);
+    report.add("moe_draw.lane_width", Rng::laneWidth());
     for (const SweepProbe &s : sweeps) {
         const std::string key = std::string("figure_sweeps.") + s.name;
         report.add(key + ".configs", s.configs);

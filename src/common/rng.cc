@@ -1,8 +1,13 @@
 #include "common/rng.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/log.hh"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace duplex
 {
@@ -20,7 +25,110 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
+constexpr Gf2Poly
+gf2Xor(Gf2Poly a, const Gf2Poly &b)
+{
+    for (int w = 0; w < 4; ++w)
+        a[w] ^= b[w];
+    return a;
+}
+
+/** a(x) * x mod p(x). */
+constexpr Gf2Poly
+gf2MulX(const Gf2Poly &a)
+{
+    const std::uint64_t carry = a[3] >> 63;
+    Gf2Poly r = {a[0] << 1, (a[1] << 1) | (a[0] >> 63),
+                 (a[2] << 1) | (a[1] >> 63),
+                 (a[3] << 1) | (a[2] >> 63)};
+    return carry ? gf2Xor(r, kXoshiroCharPoly) : r;
+}
+
+/** The 16 multiples v(x) * a(x) mod p(x), deg v < 4. */
+constexpr std::array<Gf2Poly, 16>
+gf2Multiples(const Gf2Poly &a)
+{
+    std::array<Gf2Poly, 16> m{};
+    m[1] = a;
+    for (int v = 2; v < 16; v <<= 1)
+        m[v] = gf2MulX(m[v >> 1]);
+    for (int v = 3; v < 16; ++v)
+        if (v & (v - 1))
+            m[v] = gf2Xor(m[v & (v - 1)], m[v & -v]);
+    return m;
+}
+
+/** v(x) * x^256 mod p(x): folds the 4 bits a shift by x^4 drops. */
+constexpr std::array<Gf2Poly, 16> kFoldHigh4 =
+    gf2Multiples(kXoshiroCharPoly);
+
+/** Byte k of kSpreadBits[v] is bit k of v. */
+constexpr std::array<std::uint64_t, 256> kSpreadBits = [] {
+    std::array<std::uint64_t, 256> t{};
+    for (int v = 0; v < 256; ++v)
+        for (int k = 0; k < 8; ++k)
+            t[v] |= static_cast<std::uint64_t>((v >> k) & 1) << (8 * k);
+    return t;
+}();
+
 } // namespace
+
+Gf2Poly
+gf2MulMod(const Gf2Poly &a, const Gf2Poly &b)
+{
+    // Horner over b's 4-bit digits, high to low:
+    // acc = acc * x^4 + a * digit, each step reduced mod p.
+    const std::array<Gf2Poly, 16> multiples = gf2Multiples(a);
+    Gf2Poly acc{};
+    for (int digit = 63; digit >= 0; --digit) {
+        const Gf2Poly &fold = kFoldHigh4[acc[3] >> 60];
+        const Gf2Poly &add =
+            multiples[(b[digit / 16] >> (4 * (digit % 16))) & 15];
+        acc = {(acc[0] << 4) ^ fold[0] ^ add[0],
+               ((acc[1] << 4) | (acc[0] >> 60)) ^ fold[1] ^ add[1],
+               ((acc[2] << 4) | (acc[1] >> 60)) ^ fold[2] ^ add[2],
+               ((acc[3] << 4) | (acc[2] >> 60)) ^ fold[3] ^ add[3]};
+    }
+    return acc;
+}
+
+Gf2Poly
+xoshiroJumpPoly(std::uint64_t d)
+{
+    // The top 8 bits of d give a monomial below x^256 outright;
+    // each lower bit squares, then multiplies by x when set.
+    const int bits = 64 - __builtin_clzll(d | 1);
+    const int low = std::max(0, bits - 8);
+    const std::uint64_t top = d >> low;
+    Gf2Poly q{};
+    q[top / 64] = std::uint64_t{1} << (top % 64);
+    for (int i = low - 1; i >= 0; --i) {
+        q = gf2MulMod(q, q);
+        if ((d >> i) & 1)
+            q = gf2MulX(q);
+    }
+    return q;
+}
+
+LaneJumps
+laneJumps(std::uint64_t stride)
+{
+    LaneJumps jumps{};
+    jumps.steps[0] = 1; // lane 0: x^0
+    const Gf2Poly first = xoshiroJumpPoly(stride);
+    Gf2Poly q = {1, 0, 0, 0};
+    for (int lane = 1; lane < 8; ++lane) {
+        // Below x^256 a lane's polynomial is a monomial: no product.
+        const std::uint64_t distance = lane * stride;
+        q = distance < 256 ? xoshiroJumpPoly(distance)
+                           : gf2MulMod(q, first);
+        for (int byte = 0; byte < 32; ++byte)
+            jumps.steps[byte] |=
+                kSpreadBits[(q[byte / 8] >> (8 * (byte % 8))) & 0xff]
+                << lane;
+    }
+    return jumps;
+}
 
 Rng::Rng(std::uint64_t seed)
 {
@@ -28,6 +136,75 @@ Rng::Rng(std::uint64_t seed)
     for (auto &word : state_)
         word = splitmix64(s);
 }
+
+void
+Rng::jump(std::uint64_t d)
+{
+    const Gf2Poly q = xoshiroJumpPoly(d);
+    std::uint64_t walk[4] = {state_[0], state_[1], state_[2], state_[3]};
+    std::uint64_t sum[4] = {0, 0, 0, 0};
+    for (int i = 0; i < 256; ++i) {
+        const std::uint64_t take = -((q[i / 64] >> (i % 64)) & 1);
+        for (int w = 0; w < 4; ++w)
+            sum[w] ^= walk[w] & take;
+        step(walk);
+    }
+    setState(sum);
+}
+
+#if defined(__x86_64__)
+
+int
+Rng::laneWidth()
+{
+    static const int width = __builtin_cpu_supports("avx512f") ? 8 : 1;
+    return width;
+}
+
+__attribute__((target("avx512f"))) void
+Rng::laneStarts(const LaneJumps &jumps, std::uint64_t lanes[4][8]) const
+{
+    std::uint64_t walk[4] = {state_[0], state_[1], state_[2], state_[3]};
+    __m512i sum[4] = {_mm512_setzero_si512(), _mm512_setzero_si512(),
+                      _mm512_setzero_si512(), _mm512_setzero_si512()};
+    // Two steps per round, folded into the sums by one three-way
+    // XOR (0x96) per word.
+    for (int i = 0; i < 256; i += 2) {
+        const std::uint64_t masks = jumps.steps[i / 8] >> (8 * (i % 8));
+        const auto mask = static_cast<__mmask8>(masks);
+        const auto next_mask = static_cast<__mmask8>(masks >> 8);
+        __m512i first[4];
+        for (int w = 0; w < 4; ++w)
+            first[w] = _mm512_maskz_set1_epi64(
+                mask, static_cast<long long>(walk[w]));
+        step(walk);
+        for (int w = 0; w < 4; ++w)
+            sum[w] = _mm512_ternarylogic_epi64(
+                sum[w], first[w],
+                _mm512_maskz_set1_epi64(
+                    next_mask, static_cast<long long>(walk[w])),
+                0x96);
+        step(walk);
+    }
+    for (int w = 0; w < 4; ++w)
+        _mm512_storeu_si512(lanes[w], sum[w]);
+}
+
+#else
+
+int
+Rng::laneWidth()
+{
+    return 1;
+}
+
+void
+Rng::laneStarts(const LaneJumps &, std::uint64_t[4][8]) const
+{
+    panic("Rng::laneStarts: no SIMD lanes on this host");
+}
+
+#endif
 
 double
 Rng::gaussian()

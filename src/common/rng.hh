@@ -6,11 +6,22 @@
  * Gaussian distributions, expert choices uniformly, and request
  * arrivals from a Poisson process. Everything here is seeded
  * explicitly so a simulation is reproducible bit-for-bit.
+ *
+ * Jump-ahead. xoshiro256's state update is linear over GF(2), so
+ * the state d outputs ahead is a fixed polynomial in the update
+ * applied to today's state. ExpertSelector uses this to draw one MoE
+ * layer's tokens in eight SIMD lanes: each lane starts from the
+ * state its block of tokens would have reached serially
+ * (laneJumps, Rng::laneStarts), so the stream is consumed draw for
+ * draw as one serial generator consumes it, and the generator ends
+ * where the serial loop leaves it. Only hosts with AVX-512F take
+ * that path (Rng::laneWidth()); the jump math itself is portable.
  */
 
 #ifndef DUPLEX_COMMON_RNG_HH
 #define DUPLEX_COMMON_RNG_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -18,6 +29,56 @@
 
 namespace duplex
 {
+
+/**
+ * A polynomial over GF(2) of degree below 256: bit i % 64 of word
+ * i / 64 is the coefficient of x^i.
+ */
+using Gf2Poly = std::array<std::uint64_t, 4>;
+
+/**
+ * p(x), the characteristic polynomial of xoshiro256's linear engine
+ * (the state update without the ** scrambler), less its leading
+ * x^256 term. A committed constant, so nothing derives it at run
+ * time; `Rng.PinnedCharacteristicPolynomial` re-derives it by
+ * Berlekamp-Massey from 512 state bits. Primitive, weight 115.
+ */
+inline constexpr Gf2Poly kXoshiroCharPoly = {
+    0x9d116f2bb0f0f001ull, 0x0280002bcefd1a5eull,
+    0x04b4edcf26259f85ull, 0x0003c03c3f3ecb19ull};
+
+/** a(x) * b(x) mod p(x). */
+Gf2Poly gf2MulMod(const Gf2Poly &a, const Gf2Poly &b);
+
+/**
+ * x^d mod p(x). The state update T is linear over GF(2) and
+ * p(T) = 0, so T^d = q(T) for this q: the state d steps ahead is
+ * the sum of T^i(state) over the coefficients i that q sets.
+ * O(log d) products.
+ */
+Gf2Poly xoshiroJumpPoly(std::uint64_t d);
+
+/**
+ * Eight sub-streams of one generator, @p stride outputs apart: lane
+ * j starts where j * stride calls of next() would leave it. Lane
+ * j's jump polynomial is x^(j * stride) mod p, stored transposed as
+ * one 8-bit mask per step: bit j of step i is its coefficient of
+ * x^i (lane 0 is x^0, the start itself). Byte i % 8 of word i / 8
+ * holds step i.
+ */
+struct LaneJumps
+{
+    std::uint64_t steps[32];
+};
+
+/**
+ * The LaneJumps of eight lanes @p stride outputs apart: up to seven
+ * products mod p, a few microseconds. They depend on the stride
+ * alone, so a caller that repeats a stride keeps them
+ * (ExpertSelector holds the last one per thread, so workers of a
+ * sweep never share one).
+ */
+LaneJumps laneJumps(std::uint64_t stride);
 
 /**
  * A small, fast, deterministic generator (xoshiro256**) with the
@@ -36,16 +97,42 @@ class Rng
     std::uint64_t next()
     {
         const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-        const std::uint64_t t = state_[1] << 17;
-
-        state_[2] ^= state_[0];
-        state_[3] ^= state_[1];
-        state_[1] ^= state_[2];
-        state_[0] ^= state_[3];
-        state_[2] ^= t;
-        state_[3] = rotl(state_[3], 45);
-
+        step(state_);
         return result;
+    }
+
+    /**
+     * Advance the stream as @p d calls of next() would, in 256
+     * linear steps plus xoshiroJumpPoly(d). Leaves the Gaussian
+     * spare alone.
+     */
+    void jump(std::uint64_t d);
+
+    /**
+     * How many sub-streams this host steps at once: 8 when the CPU
+     * has AVX-512F (checked once, on first call), else 1, and then
+     * laneStarts() must not be called.
+     */
+    static int laneWidth();
+
+    /**
+     * The eight lane starts of @p jumps from the current state, by
+     * one 256-step walk of the state: at step i, every lane whose
+     * mask bit is set adds (XOR) T^i(state). Word w of lane j goes
+     * to lanes[w][j]. The state does not move. Needs
+     * laneWidth() == 8.
+     */
+    void laneStarts(const LaneJumps &jumps,
+                    std::uint64_t lanes[4][8]) const;
+
+    /** The raw state, four words. */
+    const std::uint64_t *state() const { return state_; }
+
+    /** Continue from a state a lane kernel stepped to. */
+    void setState(const std::uint64_t state[4])
+    {
+        for (int w = 0; w < 4; ++w)
+            state_[w] = state[w];
     }
 
     /** Uniform double in [0, 1). */
@@ -119,6 +206,19 @@ class Rng
     static std::uint64_t rotl(std::uint64_t x, int k)
     {
         return (x << k) | (x >> (64 - k));
+    }
+
+    /** The linear engine T: one state update, no output. */
+    static void step(std::uint64_t s[4])
+    {
+        const std::uint64_t t = s[1] << 17;
+
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = rotl(s[3], 45);
     }
 };
 

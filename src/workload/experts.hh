@@ -54,12 +54,39 @@ class ExpertSelector
      * Allocation-free sample(): resets and fills @p hist (resized
      * to numExperts). Same draws as sample(), so the two can be
      * mixed without perturbing the stream; the simulators call this
-     * once per MoE layer with a reused scratch histogram. The
-     * uniform top-2 gate runs a kernel specialised on the expert
-     * count (8 and 64, the paper models' gates).
+     * once per MoE layer with a reused scratch histogram.
+     *
+     * The uniform top-2 gate over 8 or 64 experts (the paper
+     * models' gates) runs a kernel specialised on the expert count.
+     * From laneMinTokens() tokens on, on a host whose
+     * Rng::laneWidth() is 8, it splits the first 8 * (T / 8) tokens
+     * into eight blocks and draws each in an AVX-512 lane, from the
+     * stream state its block starts at (Rng::laneStarts); the T % 8
+     * remainder is drawn after the last block, serially. Below the
+     * crossover, or without AVX-512F, the serial kernels run
+     * (top2PairCells<8>, top2Direct<64>). Either way the stream is
+     * consumed draw for draw as the per-token loop consumes it:
+     * every token draws the same two outputs, the histogram is the
+     * same, and @p rng is left at the same state.
+     *
+     * The lane starts depend on the block size alone, so the last
+     * block size's jump masks are kept in a one-entry memo; every
+     * MoE layer of a stage draws the same T, so it misses at most
+     * once per stage. The memo is thread_local, not a member: this
+     * method stays const, one selector can serve several threads,
+     * and sweep workers never share or lock an entry.
      */
     void sampleInto(Rng &rng, std::int64_t tokens,
                     std::vector<std::int64_t> &hist) const;
+
+    /**
+     * Token count from which the uniform top-2 gate over
+     * @p num_experts draws on SIMD lanes, when Rng::laneWidth() is
+     * 8; 0 for expert counts without a lane kernel. Measured
+     * constants: below them the lane walk costs more than the lanes
+     * save.
+     */
+    static std::int64_t laneMinTokens(int num_experts);
 
     /**
      * Per-token reference implementation of sample(), retained to

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
 #include <set>
+#include <vector>
 
 #include "common/rng.hh"
 
@@ -163,6 +166,122 @@ TEST(Rng, ChooseDistinctUniformish)
     const double expected = trials * 2.0 / 8.0;
     for (int c : counts)
         EXPECT_NEAR(c, expected, expected * 0.05);
+}
+
+// Committed, so nothing computes p(x) at start-up: it must be a
+// constant expression. A primitive polynomial has a constant term.
+static_assert(kXoshiroCharPoly[0] & 1);
+
+constexpr std::uint64_t kJumpDistances[] = {
+    0, 1, 2, 255, 256, 257, 12345, (std::uint64_t{1} << 20) + 3};
+
+TEST(Rng, JumpEqualsRepeatedNext)
+{
+    for (std::uint64_t seed : {1ull, 42ull, 424242ull}) {
+        for (std::uint64_t d : kJumpDistances) {
+            SCOPED_TRACE(::testing::Message()
+                         << "seed=" << seed << " d=" << d);
+            Rng jumped(seed);
+            Rng stepped(seed);
+            jumped.jump(d);
+            for (std::uint64_t i = 0; i < d; ++i)
+                stepped.next();
+            for (int i = 0; i < 4; ++i)
+                EXPECT_EQ(jumped.next(), stepped.next());
+        }
+    }
+}
+
+TEST(Rng, JumpPolynomialsCompose)
+{
+    // x^a * x^b = x^(a+b) mod p, across the monomial / squaring
+    // boundary at 256.
+    for (std::uint64_t a : kJumpDistances)
+        for (std::uint64_t b : {0ull, 3ull, 200ull, 70000ull})
+            EXPECT_EQ(gf2MulMod(xoshiroJumpPoly(a), xoshiroJumpPoly(b)),
+                      xoshiroJumpPoly(a + b))
+                << "a=" << a << " b=" << b;
+}
+
+TEST(Rng, PinnedCharacteristicPolynomial)
+{
+    // Berlekamp-Massey over 512 bits of one state bit: the linear
+    // engine has a primitive characteristic polynomial, so the
+    // sequence's minimal polynomial is all of it.
+    std::uint64_t state[4] = {0x0123456789abcdefull,
+                              0xfedcba9876543210ull,
+                              0x0f0f0f0f0f0f0f0full,
+                              0x1111111111111111ull};
+    Rng rng;
+    rng.setState(state);
+    constexpr int kBits = 512;
+    std::vector<int> bits(kBits);
+    for (int i = 0; i < kBits; ++i) {
+        // A state bit, not an output bit: the ** scrambler's carries
+        // are not linear.
+        bits[i] = static_cast<int>(rng.state()[0] & 1);
+        rng.next();
+    }
+    std::vector<int> c(kBits + 1, 0), b(kBits + 1, 0);
+    c[0] = b[0] = 1;
+    int length = 0;
+    int shift = 1;
+    for (int n = 0; n < kBits; ++n) {
+        int discrepancy = bits[n];
+        for (int i = 1; i <= length; ++i)
+            discrepancy ^= c[i] & bits[n - i];
+        if (!discrepancy) {
+            ++shift;
+            continue;
+        }
+        const std::vector<int> previous = c;
+        for (int i = 0; i + shift <= kBits; ++i)
+            c[i + shift] ^= b[i];
+        if (2 * length <= n) {
+            length = n + 1 - length;
+            b = previous;
+            shift = 1;
+        } else {
+            ++shift;
+        }
+    }
+    ASSERT_EQ(length, 256);
+    // Connection polynomial c(x) = x^256 p(1/x).
+    Gf2Poly derived{};
+    for (int i = 1; i <= length; ++i)
+        if (c[i])
+            derived[(length - i) / 64] |=
+                std::uint64_t{1} << ((length - i) % 64);
+    EXPECT_EQ(derived, kXoshiroCharPoly);
+    if (HasFailure())
+        std::printf("derived p(x): {0x%016llxull, 0x%016llxull, "
+                    "0x%016llxull, 0x%016llxull}\n",
+                    static_cast<unsigned long long>(derived[0]),
+                    static_cast<unsigned long long>(derived[1]),
+                    static_cast<unsigned long long>(derived[2]),
+                    static_cast<unsigned long long>(derived[3]));
+}
+
+TEST(Rng, LaneStartsMatchScalarJumps)
+{
+    if (Rng::laneWidth() != 8)
+        GTEST_SKIP() << "no AVX-512F: the lane walk does not run here";
+    for (std::uint64_t stride : {2ull, 64ull, 208ull, 2050ull}) {
+        const LaneJumps jumps = laneJumps(stride);
+        const Rng start(99 + stride);
+        std::uint64_t lanes[4][8];
+        start.laneStarts(jumps, lanes);
+        for (int j = 0; j < 8; ++j) {
+            Rng expected = start;
+            expected.jump(j * stride);
+            Rng lane;
+            const std::uint64_t s[4] = {lanes[0][j], lanes[1][j],
+                                        lanes[2][j], lanes[3][j]};
+            lane.setState(s);
+            EXPECT_EQ(lane.next(), expected.next())
+                << "stride=" << stride << " lane=" << j;
+        }
+    }
 }
 
 /** Parameterized sweep: chooseDistinct(n, k) stays in bounds. */

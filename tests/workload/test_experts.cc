@@ -8,8 +8,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <iterator>
 #include <numeric>
+#include <vector>
 
 #include "workload/experts.hh"
 
@@ -112,11 +114,50 @@ TEST(ExpertSelector, DeterministicGivenRngState)
 constexpr int kTop2Experts[] = {2, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65, 128};
 constexpr std::int64_t kTop2Tokens[] = {0, 1, 2, 3, 255, 256, 4097};
 
+/**
+ * kTop2Tokens plus, for the lane kernels of 8 and 64 experts: the
+ * crossover less one, the crossover and the next seven (every
+ * T % 8 remainder), a moe-longrun mixed stage, and counts past the
+ * 255-row flush of the byte counters.
+ */
+std::vector<std::int64_t>
+top2Tokens()
+{
+    std::vector<std::int64_t> tokens(std::begin(kTop2Tokens),
+                                     std::end(kTop2Tokens));
+    for (int n : {8, 64}) {
+        const std::int64_t crossover = ExpertSelector::laneMinTokens(n);
+        for (std::int64_t t = crossover - 1; t <= crossover + 7; ++t)
+            tokens.push_back(t);
+    }
+    for (std::int64_t t : {830, 8192 + 5, 65536 + 3})
+        tokens.push_back(t);
+    return tokens;
+}
+
+TEST(ExpertSelector, ReportsWhichKernelRan)
+{
+    // One line in the test log: did this host run the lane path?
+    if (Rng::laneWidth() == 8)
+        std::printf("[ kernel   ] uniform top-2: 8 AVX-512 lanes from "
+                    "%lld tokens (8 experts) and %lld (64 experts)\n",
+                    static_cast<long long>(
+                        ExpertSelector::laneMinTokens(8)),
+                    static_cast<long long>(
+                        ExpertSelector::laneMinTokens(64)));
+    else
+        std::printf("[ kernel   ] uniform top-2: serial kernels only "
+                    "(no AVX-512F); the lane path is untested here\n");
+    EXPECT_GT(ExpertSelector::laneMinTokens(8), 0);
+    EXPECT_GT(ExpertSelector::laneMinTokens(64), 0);
+    EXPECT_EQ(ExpertSelector::laneMinTokens(16), 0);
+}
+
 TEST(ExpertSelector, Top2KernelsMatchPerTokenReference)
 {
     for (int n : kTop2Experts) {
         const ExpertSelector sel(n, 2);
-        for (std::int64_t tokens : kTop2Tokens) {
+        for (std::int64_t tokens : top2Tokens()) {
             SCOPED_TRACE(::testing::Message()
                          << "n=" << n << " tokens=" << tokens);
             Rng fast(1000 + n);
@@ -137,16 +178,40 @@ TEST(ExpertSelector, Top2KernelsInterleavedOnOneStream)
     Rng fast(77);
     Rng ref(77);
     std::vector<std::int64_t> hist;
+    const std::vector<std::int64_t> counts = top2Tokens();
     int call = 0;
     for (int round = 0; round < 3; ++round) {
         for (int n : kTop2Experts) {
             const ExpertSelector sel(n, 2);
-            const std::int64_t tokens =
-                kTop2Tokens[call++ % std::size(kTop2Tokens)];
+            const std::int64_t tokens = counts[call++ % counts.size()];
             SCOPED_TRACE(::testing::Message()
                          << "call=" << call << " n=" << n);
             sel.sampleInto(fast, tokens, hist);
             ASSERT_EQ(hist, sel.sampleReference(ref, tokens));
+        }
+    }
+    EXPECT_EQ(fast.next(), ref.next());
+}
+
+TEST(ExpertSelector, LaneJumpMemoHitsMissesAndHitsAgain)
+{
+    // Sizes below and above each crossover on one stream: the lane
+    // jump memo hits, is bypassed by the serial kernel, hits again,
+    // misses on a new block size, and is shared by both gates.
+    Rng fast(91);
+    Rng ref(91);
+    std::vector<std::int64_t> hist;
+    for (int n : {8, 64}) {
+        const ExpertSelector sel(n, 2);
+        const std::int64_t c = ExpertSelector::laneMinTokens(n);
+        for (std::int64_t tokens :
+             {c + 9, c + 9, c - 1, c + 9, c + 17, c + 13, c + 9, c + 9,
+              c - 100, std::int64_t{830}}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "n=" << n << " tokens=" << tokens);
+            sel.sampleInto(fast, tokens, hist);
+            ASSERT_EQ(hist, sel.sampleReference(ref, tokens));
+            ASSERT_EQ(fast.state()[0], ref.state()[0]);
         }
     }
     EXPECT_EQ(fast.next(), ref.next());
