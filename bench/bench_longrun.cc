@@ -8,9 +8,8 @@
  * The run uses MetricsMode::Bounded by default: retired requests
  * are drained and dropped every stage and latency lands in
  * fixed-bin histograms, so peak RSS stays flat in the request
- * count. --metrics=retained runs the legacy keep-every-request
- * path in a separate invocation for contrast (RSS is a
- * process-wide peak, so the two modes cannot share a process).
+ * count. --metrics=streaming keeps exact latency samples instead
+ * (RSS then grows with the token count).
  *
  * Output discipline: everything deterministic (request/token
  * counts, simulated time, approximate percentiles) goes to stdout
@@ -22,7 +21,7 @@
  *
  *   ./bench_longrun                        # the 1M-request gate
  *   ./bench_longrun --requests=50000       # determinism-job size
- *   ./bench_longrun --metrics=retained     # RSS contrast run
+ *   ./bench_longrun --metrics=streaming    # exact percentiles
  *   ./bench_longrun --json=BENCH_longrun.json
  */
 
@@ -77,7 +76,7 @@ main(int argc, char **argv)
                  "queue stays stationary over a million requests)",
                  "200");
     args.addFlag("metrics",
-                 "bounded | streaming | retained (see "
+                 "bounded | streaming (see "
                  "sched/metrics.hh; bounded keeps RSS flat)",
                  "bounded");
     args.addFlag("json",
@@ -109,8 +108,6 @@ main(int argc, char **argv)
         c.boundedLatency = {60000.0, 60000};
     } else if (metrics_mode == "streaming") {
         c.metricsMode = MetricsMode::Streaming;
-    } else if (metrics_mode == "retained") {
-        c.metricsMode = MetricsMode::Retained;
     } else {
         std::fprintf(stderr, "unknown --metrics=%s\n",
                      metrics_mode.c_str());

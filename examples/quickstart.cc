@@ -11,7 +11,6 @@
  *   ./quickstart --workload=mixed --qps=8 # scenario mix, open loop
  *   ./quickstart --save-trace=run.csv     # dump the request stream
  *   ./quickstart --trace=run.csv          # ... and replay it
- *   ./quickstart --metrics=retained       # legacy metrics path
  *   ./quickstart --fleet=4 --policy=least-loaded --qps=8
  *                                         # routed multi-instance fleet
  *   ./quickstart --fleet=1 --autoscale --workload=diurnal
@@ -35,11 +34,10 @@
  *   ./quickstart --list-scheds
  *   ./quickstart --list-evictions
  *
- * Every run reports its peak RSS on stderr; the default
- * --metrics=streaming drains retired requests each stage so no
- * finished Request is ever retained (only the extracted latency
- * samples grow; bench_longrun's bounded mode is the truly
- * flat-memory path).
+ * Every run reports its peak RSS on stderr; retired requests are
+ * drained each stage so no finished Request is ever retained (only
+ * the extracted latency samples grow; bench_longrun's bounded mode
+ * is the truly flat-memory path).
  *
  * Also demonstrates the observer API: a StageTimeHistogram and an
  * SloAttainment observer ride along with every run (stage-latency
@@ -107,13 +105,6 @@ main(int argc, char **argv)
                  "40");
     args.addFlag("ttft-slo", "TTFT SLO in ms (attainment column)",
                  "1500");
-    args.addFlag("metrics",
-                 "streaming (default: retired requests are drained "
-                 "and dropped each stage; only latency samples are "
-                 "kept) | retained (legacy keep-every-request "
-                 "reference path); both produce bit-identical "
-                 "tables",
-                 "streaming");
     args.addFlag("fleet",
                  "run N serving instances behind a router instead "
                  "of the single-instance comparison (0 = off)",
@@ -308,16 +299,6 @@ main(int argc, char **argv)
     fatalIf(args.getInt("shared-prefix") < 0,
             "--shared-prefix must be >= 0");
 
-    const std::string metrics_mode = args.getString("metrics");
-    MetricsMode mode = MetricsMode::Streaming;
-    if (metrics_mode == "retained") {
-        mode = MetricsMode::Retained;
-    } else if (metrics_mode != "streaming") {
-        std::fprintf(stderr, "unknown --metrics=%s\n",
-                     metrics_mode.c_str());
-        return 1;
-    }
-
     // Each --list-* flag prints one registry; the system and
     // workload tables also carry the display name.
     const auto list = [](const auto &registry, bool named) {
@@ -457,7 +438,6 @@ main(int argc, char **argv)
         fc.sim.warmupRequests =
             defaultWarmupRequests(batch) / fleet_size;
         fc.sim.maxStages = args.getInt("stages");
-        fc.sim.metricsMode = mode;
         fc.sim.schedPolicy = sched;
         fc.sim.prefillChunkTokens = prefill_chunk;
         fc.sim.prefixCache = cache;
@@ -686,8 +666,7 @@ main(int argc, char **argv)
                              .c_str(),
                          static_cast<long long>(fc.sim.maxStages),
                          static_cast<long long>(r.unfinishedRequests));
-        std::fprintf(stderr, "peak RSS %.1f MB (--metrics=%s)\n",
-                     peakRssMb(), metrics_mode.c_str());
+        std::fprintf(stderr, "peak RSS %.1f MB\n", peakRssMb());
         return 0;
     }
 
@@ -710,7 +689,6 @@ main(int argc, char **argv)
         c.numRequests = num_requests;
         c.warmupRequests = defaultWarmupRequests(c.maxBatch);
         c.maxStages = args.getInt("stages");
-        c.metricsMode = mode;
         c.schedPolicy = sched;
         c.prefillChunkTokens = prefill_chunk;
         c.prefixCache = cache;
@@ -822,9 +800,7 @@ main(int argc, char **argv)
 
     // Memory-win visibility: peak RSS goes to stderr so the CI
     // determinism job's stdout diffs never see a non-deterministic
-    // byte. Compare --metrics=streaming vs --metrics=retained on a
-    // large --stages run to watch the retained vector's cost.
-    std::fprintf(stderr, "peak RSS %.1f MB (--metrics=%s)\n",
-                 peakRssMb(), metrics_mode.c_str());
+    // byte.
+    std::fprintf(stderr, "peak RSS %.1f MB\n", peakRssMb());
     return 0;
 }

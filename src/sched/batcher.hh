@@ -159,21 +159,12 @@ class ContinuousBatcher
     const StageLog &stageLog() const { return stageLog_; }
 
     /**
-     * Retired requests with full lifecycle timestamps — the
-     * retained view. Grows for the whole run unless the caller
-     * drains it; streaming driver loops use drainFinished()
-     * instead so memory stays flat in the request count.
-     */
-    const std::vector<Request> &finished() const { return finished_; }
-
-    /**
      * Move the requests retired since the last drain into @p out
-     * (clearing it first) and reset the internal finished buffer.
-     * The two buffers swap storage, so a drain-per-stage loop is
-     * allocation-free at steady state. Retirement order — the
-     * observer-contract order — is preserved. Mixing drainFinished
-     * with end-of-run finished() walks sees only the undrained
-     * tail.
+     * (clearing it first), with full lifecycle timestamps, and
+     * reset the internal finished buffer. The two buffers swap
+     * storage, so a drain-per-stage loop is allocation-free at
+     * steady state. Retirement order — the observer-contract
+     * order — is preserved.
      */
     void drainFinished(std::vector<Request> &out);
 

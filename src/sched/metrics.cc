@@ -13,10 +13,8 @@ MetricsAccumulator::ingest(const Request &request)
         return; // warm-up request, excluded by completion order
     // One copy of the extraction rule, dispatched to either sink
     // family (SampleStats or BoundedStats — both expose add()).
-    // The order mirrors the retained-vector collectMetrics walk
-    // exactly (T2FT, E2E, then the token gaps), so the exact
-    // mode's SampleStats — including the running float sums — are
-    // bit-identical to the legacy path.
+    // The order (T2FT, E2E, then the token gaps) fixes the running
+    // float sums: the golden outputs depend on it.
     const auto extract = [&](auto &t2ft, auto &e2e, auto &tbt,
                              auto &worst_gap) {
         if (request.firstToken >= 0)

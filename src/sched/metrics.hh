@@ -81,30 +81,24 @@ struct ServingMetrics
 };
 
 /**
- * How a driver loop retains latency metrics over a run:
+ * How a driver loop keeps latency metrics over a run. Either way
+ * retired requests are drained from the scheduler each stage, fed
+ * to a MetricsAccumulator and dropped:
  *
- *  - Streaming (default): retired requests are drained from the
- *    scheduler each stage and fed to a MetricsAccumulator; the
- *    Request (and its per-token timestamp vector) is dropped
- *    immediately. Sample-for-sample identical to Retained — the
- *    golden path. Only the extracted latency samples are kept
+ *  - Streaming (default): the accumulator keeps exact SampleStats,
+ *    bit-identical to collectMetrics over the same retirements —
+ *    the golden path. Only the extracted latency samples are kept
  *    (doubles, O(tokens) over the run), not the Request objects;
  *    for truly flat memory use Bounded.
- *  - Retained: the legacy path — every finished Request is kept
- *    until the end of the run and collectMetrics walks the vector.
- *    Kept as the reference the streaming path is property-tested
- *    against, and for callers that want the raw requests.
- *  - Bounded: streaming retirement into fixed-bin BoundedStats
- *    histograms — truly O(1) memory in the request count, but
- *    latency percentiles are approximate (NOT the golden path).
- *    The run's SimResult carries the histograms in
- *    boundedLatency; its ServingMetrics latency SampleStats stay
- *    empty.
+ *  - Bounded: fixed-bin BoundedStats histograms — truly O(1)
+ *    memory in the request count, but latency percentiles are
+ *    approximate (NOT the golden path). The run's SimResult
+ *    carries the histograms in boundedLatency; its ServingMetrics
+ *    latency SampleStats stay empty.
  */
 enum class MetricsMode
 {
     Streaming,
-    Retained,
     Bounded,
 };
 
@@ -147,18 +141,17 @@ visitTokenGapsMs(const Request &request, Visit &&visit)
  * TTFT/E2E/worst-gap/TBT samples and the caller drops the request.
  *
  * The first @p skip_requests ingested (warm-up, by completion
- * order) contribute nothing — the same exclusion collectMetrics
- * applies by index. In the default exact mode the extracted samples
- * land in SampleStats in the exact order collectMetrics would have
- * produced, so takeMetrics() is bit-identical to the retained
- * vector path (pinned in tests/sim/test_streaming_metrics.cc). In
- * bounded mode ([skip, BoundedSpec] constructor) samples land in
+ * order) contribute nothing. In the default exact mode the samples
+ * land in SampleStats in retirement order, so a run's streamed
+ * metrics are bit-identical to collectMetrics over the requests an
+ * observer saw retire (pinned in tests/sim/test_streaming_metrics.cc).
+ * In bounded mode ([skip, BoundedSpec] constructor) samples land in
  * fixed-bin histograms instead and memory stays O(bins).
  */
 class MetricsAccumulator
 {
   public:
-    /** Exact mode: SampleStats, bit-identical to collectMetrics. */
+    /** Exact mode: SampleStats. */
     explicit MetricsAccumulator(std::size_t skip_requests = 0)
         : skip_(skip_requests)
     {
@@ -183,7 +176,7 @@ class MetricsAccumulator
      * Move the accumulated metrics out (latency samples, exact
      * mode; empty SampleStats in bounded mode). Throughput-window
      * fields (totalTokens, elapsed, stage counts) are the driver
-     * loop's to fill, exactly as with collectMetrics.
+     * loop's to fill.
      */
     ServingMetrics takeMetrics() { return std::move(metrics_); }
 
@@ -207,10 +200,9 @@ class MetricsAccumulator
 
 /**
  * The accumulator a driver loop needs for @p mode: bounded
- * histograms for MetricsMode::Bounded, exact SampleStats otherwise
- * (Retained-mode drivers build one too but route results through
- * collectMetrics instead). One place, so the engine and custom
- * loops cannot diverge on warm-up-skip or histogram wiring.
+ * histograms for MetricsMode::Bounded, exact SampleStats otherwise.
+ * One place, so the engine and custom loops cannot diverge on
+ * warm-up-skip or histogram wiring.
  */
 inline MetricsAccumulator
 makeMetricsAccumulator(MetricsMode mode, std::size_t skip_requests,
@@ -223,8 +215,9 @@ makeMetricsAccumulator(MetricsMode mode, std::size_t skip_requests,
 
 /**
  * Collect latency metrics from finished requests, skipping the first
- * @p skip_requests (warm-up) by completion order. A shim over
- * MetricsAccumulator, kept for retained-vector callers.
+ * @p skip_requests (warm-up) by completion order: the whole-run
+ * reference the streaming accumulator is tested against, over the
+ * requests an observer captures from onRequestRetired.
  */
 ServingMetrics collectMetrics(const std::vector<Request> &finished,
                               std::size_t skip_requests = 0);
@@ -234,7 +227,7 @@ ServingMetrics collectMetrics(const std::vector<Request> &finished,
  * throughput is reported over the post-warm-up window only (the
  * batch ramp-up distorts it), falling back to the whole run when it
  * ends before the window closes. Latency percentiles use
- * warm-up-request skipping (collectMetrics) instead.
+ * warm-up-request skipping (MetricsAccumulator) instead.
  */
 class WarmupWindow
 {

@@ -27,6 +27,12 @@ batcherConfig(const SimConfig &config, ServingSystem &system)
     return bcfg;
 }
 
+/**
+ * Stages excluded from the throughput window (batch ramp-up);
+ * latency percentiles skip SimConfig::warmupRequests instead.
+ */
+constexpr std::int64_t kWarmupStages = 40;
+
 } // namespace
 
 DriverLoop::DriverLoop(const SimConfig &config,
@@ -42,18 +48,15 @@ DriverLoop::DriverLoop(const SimConfig &config,
                 : nullptr),
       batcher_(batcherConfig(config, system), std::move(arrivals),
                *policy_, pool_.get()),
-      // Retirement streaming (the default): finished requests are
-      // drained every stage, their latency samples extracted by the
-      // accumulator, and the Request — tokenTimes vector included —
-      // dropped on the spot. Retained mode keeps the legacy
-      // grow-forever vector as the reference path (bit-identical by
-      // property test).
-      retained_(config.metricsMode == MetricsMode::Retained),
+      // Retirement streaming: finished requests are drained every
+      // stage, their latency samples extracted by the accumulator,
+      // and the Request — tokenTimes vector included — dropped on
+      // the spot.
       accumulator_(makeMetricsAccumulator(
           config.metricsMode,
           static_cast<std::size_t>(config.warmupRequests),
           config.boundedLatency)),
-      now_(start), warmup_(config.warmupStages)
+      now_(start), warmup_(kWarmupStages)
 {
     maxKvTokens_ = system.maxKvTokens();
 }
@@ -98,24 +101,14 @@ DriverLoop::step()
     observer_.onStage({stages_, stage_start, now_, stage, sr,
                        stage.contextTokens()});
     ++stages_;
-    if (retained_) {
-        for (; retiredSeen_ < batcher_.finished().size();
-             ++retiredSeen_) {
-            observer_.onRequestRetired(
-                batcher_.finished()[retiredSeen_], now_);
-            // Retirement feedback after the observers: a
-            // session source releases the next turn only once
-            // the previous one has been fully accounted.
-            batcher_.notifyRetired(
-                batcher_.finished()[retiredSeen_], now_);
-        }
-    } else {
-        batcher_.drainFinished(drained_);
-        for (const Request &r : drained_) {
-            observer_.onRequestRetired(r, now_);
-            accumulator_.ingest(r);
-            batcher_.notifyRetired(r, now_);
-        }
+    batcher_.drainFinished(drained_);
+    for (const Request &r : drained_) {
+        observer_.onRequestRetired(r, now_);
+        accumulator_.ingest(r);
+        // Retirement feedback last: a session source releases the
+        // next turn only once the previous one has been fully
+        // accounted.
+        batcher_.notifyRetired(r, now_);
     }
 }
 
@@ -132,12 +125,8 @@ DriverLoop::finish()
 {
     panicIf(finished_, "DriverLoop::finish called twice");
     finished_ = true;
-    result_.metrics =
-        retained_ ? collectMetrics(batcher_.finished(),
-                                   static_cast<std::size_t>(
-                                       config_.warmupRequests))
-                  : accumulator_.takeMetrics();
-    if (config_.metricsMode == MetricsMode::Bounded)
+    result_.metrics = accumulator_.takeMetrics();
+    if (accumulator_.bounded())
         result_.boundedLatency =
             std::make_shared<const BoundedLatencyMetrics>(
                 accumulator_.takeBounded());

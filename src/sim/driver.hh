@@ -198,14 +198,12 @@ class DriverLoop
     std::unique_ptr<PrefixCachePool> pool_;
 
     ContinuousBatcher batcher_;
-    bool retained_;
     MetricsAccumulator accumulator_;
     std::vector<Request> drained_;
     SimResult result_;
     PicoSec now_;
     WarmupWindow warmup_;
     std::int64_t stages_ = 0;
-    std::size_t retiredSeen_ = 0;
     std::int64_t maxKvTokens_ = 0;
     double timeScale_ = 1.0;
     bool finished_ = false;

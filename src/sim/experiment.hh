@@ -64,12 +64,6 @@ struct SimConfig
     /** Stage cap; throughput sweeps cut off here. */
     std::int64_t maxStages = 100000;
 
-    /**
-     * Stages excluded from the throughput window (batch ramp-up);
-     * latency percentiles use warmupRequests instead.
-     */
-    std::int64_t warmupStages = 40;
-
     /** Prefills admitted per stage (see BatcherConfig). */
     int maxPrefillsPerStage = 4;
 
@@ -89,13 +83,11 @@ struct SimConfig
     std::int64_t prefillChunkTokens = 0;
 
     /**
-     * How the driver loop retains latency metrics (see
-     * sched/metrics.hh). Streaming (default) drains retired
-     * requests each stage — bit-identical results at flat memory;
-     * Retained is the legacy keep-every-request reference path;
-     * Bounded streams into fixed-bin histograms (boundedLatency
-     * below) for O(1)-memory campaigns, with approximate
-     * percentiles.
+     * How the driver loop keeps latency metrics (see
+     * sched/metrics.hh). Streaming (default) keeps exact latency
+     * samples; Bounded streams into fixed-bin histograms
+     * (boundedLatency below) for O(1)-memory campaigns, with
+     * approximate percentiles.
      */
     MetricsMode metricsMode = MetricsMode::Streaming;
 

@@ -238,52 +238,4 @@ PrefixCacheStats::coldT2ftMs() const
                      : 0.0;
 }
 
-void
-ProgressPrinter::onSimBegin(const ServingSystem &system,
-                            const SimConfig &config)
-{
-    retired_ = 0;
-    std::fprintf(out_, "[sim] %s: %d requests, max batch %d\n",
-                 system.describe().c_str(), config.numRequests,
-                 config.maxBatch);
-}
-
-void
-ProgressPrinter::onStage(const StageObservation &obs)
-{
-    if (every_ > 0 && (obs.index + 1) % every_ == 0) {
-        // decodeTokens(), not decodeContexts.size(): the default
-        // stage view is aggregate-only.
-        std::fprintf(out_,
-                     "[sim] stage %lld: t=%.1f ms, batch %lld+%zu, "
-                     "%lld requests done\n",
-                     static_cast<long long>(obs.index + 1),
-                     psToMs(obs.end),
-                     static_cast<long long>(
-                         obs.shape.decodeTokens()),
-                     obs.shape.prefillLengths.size(),
-                     static_cast<long long>(retired_));
-    }
-}
-
-void
-ProgressPrinter::onRequestRetired(const Request &request,
-                                  PicoSec now)
-{
-    (void)request;
-    (void)now;
-    ++retired_;
-}
-
-void
-ProgressPrinter::onSimEnd(const SimResult &result)
-{
-    std::fprintf(out_,
-                 "[sim] done: %lld tokens, %.0f tok/s, peak batch "
-                 "%d\n",
-                 static_cast<long long>(result.generatedTokens),
-                 result.metrics.throughputTokensPerSec(),
-                 result.peakBatch);
-}
-
 } // namespace duplex

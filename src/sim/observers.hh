@@ -15,14 +15,11 @@
  *                         goodput (tokens from attaining requests
  *                         only) — the metric bursty/diurnal
  *                         workloads are judged by.
- *  - ProgressPrinter:     periodic progress/trace sink for long
- *                         sweeps; prints to any FILE*.
  */
 
 #ifndef DUPLEX_SIM_OBSERVERS_HH
 #define DUPLEX_SIM_OBSERVERS_HH
 
-#include <cstdio>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -241,29 +238,6 @@ class PrefixCacheStats : public SimObserver
     std::int64_t cachedTokens_ = 0;
     double warmT2ftMsSum_ = 0.0;
     double coldT2ftMsSum_ = 0.0;
-};
-
-/** Prints one progress line every @p every stages. */
-class ProgressPrinter : public SimObserver
-{
-  public:
-    explicit ProgressPrinter(std::int64_t every = 200,
-                             std::FILE *out = stderr)
-        : every_(every), out_(out)
-    {
-    }
-
-    void onSimBegin(const ServingSystem &system,
-                    const SimConfig &config) override;
-    void onStage(const StageObservation &obs) override;
-    void onRequestRetired(const Request &request,
-                          PicoSec now) override;
-    void onSimEnd(const SimResult &result) override;
-
-  private:
-    std::int64_t every_;
-    std::FILE *out_;
-    std::int64_t retired_ = 0;
 };
 
 } // namespace duplex

@@ -163,15 +163,11 @@ SplitSystem::runCustomLoop(const SimConfig &config,
     std::vector<Request> active;
 
     // Retirement streaming, mirroring the engine loop: retired
-    // requests are ingested (and dropped) immediately unless the
-    // caller asked for the retained reference path.
-    const bool retained =
-        config.metricsMode == MetricsMode::Retained;
+    // requests are ingested and dropped on the spot.
     MetricsAccumulator accumulator = makeMetricsAccumulator(
         config.metricsMode,
         static_cast<std::size_t>(config.warmupRequests),
         config.boundedLatency);
-    std::vector<Request> finished;
 
     LinkQueue link(nvlink_);
 
@@ -318,11 +314,12 @@ SplitSystem::runCustomLoop(const SimConfig &config,
                           &group_scratch});
         ++stages;
 
+        // Retire in place, in order: a request moves only when an
+        // earlier retirement left a gap before it.
         const std::int64_t log_index = decode_log.next();
         decode_log.append(decode_now);
-        std::vector<Request> still;
-        still.reserve(active.size());
-        for (auto &r : active) {
+        std::size_t kept = 0;
+        for (Request &r : active) {
             decode_agg.removeDecode(r.contextLen());
             r.generated += 1;
             if (r.decodeFrom < 0)
@@ -333,32 +330,29 @@ SplitSystem::runCustomLoop(const SimConfig &config,
                 decode_log.fillTokenTimes(r);
                 active_lifetime_kv -= r.inputLen + r.outputLen;
                 observer.onRequestRetired(r, decode_now);
+                accumulator.ingest(r);
                 // Retirement feedback: a session workload releases
                 // its next turn through the shared arrival stream
                 // (no-op for every other source).
                 waiting.notifyRetired(r, decode_now);
-                if (retained)
-                    finished.push_back(std::move(r));
-                else
-                    accumulator.ingest(r); // then dropped
             } else {
                 decode_agg.addDecode(r.contextLen());
-                still.push_back(std::move(r));
+                if (&active[kept] != &r)
+                    active[kept] = std::move(r);
+                ++kept;
             }
         }
-        active = std::move(still);
+        active.erase(active.begin() +
+                         static_cast<std::ptrdiff_t>(kept),
+                     active.end());
         decode_log.trim(active);
         result.peakBatch = std::max(
             result.peakBatch,
             static_cast<int>(stage.agg.numDecode));
     }
 
-    result.metrics =
-        retained ? collectMetrics(finished,
-                                  static_cast<std::size_t>(
-                                      config.warmupRequests))
-                 : accumulator.takeMetrics();
-    if (config.metricsMode == MetricsMode::Bounded)
+    result.metrics = accumulator.takeMetrics();
+    if (accumulator.bounded())
         result.boundedLatency =
             std::make_shared<const BoundedLatencyMetrics>(
                 accumulator.takeBounded());

@@ -41,6 +41,16 @@ fcfs()
     return *policy;
 }
 
+/** Every request @p b retired since its last drain, in retirement
+ *  order: the whole run when the test never drained before. */
+std::vector<Request>
+drained(ContinuousBatcher &b)
+{
+    std::vector<Request> out;
+    b.drainFinished(out);
+    return out;
+}
+
 TEST(ContinuousBatcher, FirstStageIsMixed)
 {
     BatcherConfig cfg;
@@ -83,8 +93,9 @@ TEST(ContinuousBatcher, RunsToCompletion)
         now += 1000;
         b.completeStage(now);
     }
-    EXPECT_EQ(b.finished().size(), 2u);
-    for (const auto &r : b.finished()) {
+    const std::vector<Request> done = drained(b);
+    EXPECT_EQ(done.size(), 2u);
+    for (const auto &r : done) {
         EXPECT_EQ(r.generated, 3);
         EXPECT_EQ(r.tokenTimes.size(), 3u);
         EXPECT_GT(r.finished, r.firstToken);
@@ -113,7 +124,7 @@ TEST(ContinuousBatcher, ClosedLoopRefillsSlots)
     }
     // Replacement prefills create later mixed stages.
     EXPECT_GT(mixed_after_start, 0);
-    EXPECT_EQ(b.finished().size(), 4u);
+    EXPECT_EQ(drained(b).size(), 4u);
 }
 
 TEST(ContinuousBatcher, StageTypeCounting)
@@ -172,11 +183,12 @@ TEST(ContinuousBatcher, OpenLoopT2ftIncludesQueueing)
     b.completeStage(5000);
     b.formStage(5000);
     b.completeStage(9000);
-    ASSERT_EQ(b.finished().size(), 2u);
-    EXPECT_EQ(b.finished()[0].firstToken, 5000);
+    const std::vector<Request> done = drained(b);
+    ASSERT_EQ(done.size(), 2u);
+    EXPECT_EQ(done[0].firstToken, 5000);
     // The queued request keeps its arrival of 0.
-    EXPECT_EQ(b.finished()[1].arrival, 0);
-    EXPECT_EQ(b.finished()[1].firstToken, 9000);
+    EXPECT_EQ(done[1].arrival, 0);
+    EXPECT_EQ(done[1].firstToken, 9000);
 }
 
 TEST(ContinuousBatcher, ClosedLoopArrivalIsAdmission)
@@ -190,7 +202,9 @@ TEST(ContinuousBatcher, ClosedLoopArrivalIsAdmission)
     b.formStage(5000);
     b.completeStage(9000);
     // The second request was admitted at 5000, so T2FT is 4000.
-    EXPECT_EQ(b.finished()[1].arrival, 5000);
+    const std::vector<Request> done = drained(b);
+    ASSERT_EQ(done.size(), 2u);
+    EXPECT_EQ(done[1].arrival, 5000);
 }
 
 TEST(ContinuousBatcher, MaxBatchHonored)
@@ -256,7 +270,7 @@ TEST(ContinuousBatcher, IncrementalAggregatesSurviveChurn)
         b.completeStage(now);
         ++stages;
     }
-    EXPECT_EQ(b.finished().size(), 24u);
+    EXPECT_EQ(drained(b).size(), 24u);
     // Every request retired: the decode set must be empty again.
     EXPECT_EQ(b.activeDecodeAggregates(), StageAggregates{});
 }
@@ -317,11 +331,12 @@ TEST(ContinuousBatcher, AggregateOnlyViewMatchesExactView)
     EXPECT_EQ(exact.mixedStages(), fast.mixedStages());
     EXPECT_EQ(exact.decodingOnlyStages(),
               fast.decodingOnlyStages());
-    ASSERT_EQ(exact.finished().size(), fast.finished().size());
-    for (std::size_t i = 0; i < exact.finished().size(); ++i) {
-        EXPECT_EQ(exact.finished()[i].id, fast.finished()[i].id);
-        EXPECT_EQ(exact.finished()[i].finished,
-                  fast.finished()[i].finished);
+    const std::vector<Request> exact_done = drained(exact);
+    const std::vector<Request> fast_done = drained(fast);
+    ASSERT_EQ(exact_done.size(), fast_done.size());
+    for (std::size_t i = 0; i < exact_done.size(); ++i) {
+        EXPECT_EQ(exact_done[i].id, fast_done[i].id);
+        EXPECT_EQ(exact_done[i].finished, fast_done[i].finished);
     }
 }
 
@@ -349,39 +364,41 @@ TEST(ContinuousBatcher, KvHeadroomMatchesWalkUnderChurn)
         now += 50;
         b.completeStage(now);
     }
-    EXPECT_EQ(b.finished().size(), 32u);
+    EXPECT_EQ(drained(b).size(), 32u);
 }
 
-TEST(ContinuousBatcher, DrainFinishedMatchesRetainedStream)
+TEST(ContinuousBatcher, DrainEveryStageMatchesOneDrainAtTheEnd)
 {
     // Draining every stage must see the same requests, in the same
-    // retirement order, as the retained finished() vector — and
+    // retirement order, as one drain at the end of the run — and
     // leave nothing behind.
     BatcherConfig cfg;
     cfg.maxBatch = 4;
-    ContinuousBatcher retained(
+    ContinuousBatcher once(
         cfg, ArrivalQueue(churnRequests(16), true), fcfs());
     ContinuousBatcher streaming(
         cfg, ArrivalQueue(churnRequests(16), true), fcfs());
     std::vector<Request> drained_all;
     std::vector<Request> scratch;
     PicoSec now = 0;
-    while (!retained.allDone()) {
-        retained.formStage(now);
+    while (!once.allDone()) {
+        once.formStage(now);
         streaming.formStage(now);
         now += 50;
-        retained.completeStage(now);
+        once.completeStage(now);
         streaming.completeStage(now);
         streaming.drainFinished(scratch);
         for (Request &r : scratch)
             drained_all.push_back(std::move(r));
     }
     EXPECT_TRUE(streaming.allDone());
-    EXPECT_TRUE(streaming.finished().empty()); // fully drained
-    ASSERT_EQ(drained_all.size(), retained.finished().size());
+    EXPECT_TRUE(drained(streaming).empty()); // fully drained
+    const std::vector<Request> at_end = drained(once);
+    ASSERT_EQ(drained_all.size(), at_end.size());
+    EXPECT_EQ(at_end.size(), 16u);
     for (std::size_t i = 0; i < drained_all.size(); ++i) {
         const Request &a = drained_all[i];
-        const Request &b = retained.finished()[i];
+        const Request &b = at_end[i];
         EXPECT_EQ(a.id, b.id);
         EXPECT_EQ(a.arrival, b.arrival);
         EXPECT_EQ(a.firstToken, b.firstToken);

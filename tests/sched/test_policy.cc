@@ -77,11 +77,31 @@ TEST(Policy, TtftProtectWidensPrefillCapUnderBacklog)
     EXPECT_EQ(policy->prefillBudget(snap), 8);
 }
 
+/** Every request @p b retired since its last drain, in retirement
+ *  order. */
+std::vector<Request>
+drained(ContinuousBatcher &b)
+{
+    std::vector<Request> out;
+    b.drainFinished(out);
+    return out;
+}
+
 using Lifecycle = std::tuple<int, PicoSec, PicoSec>;
 
-/** Run @p b to completion, one formStage attempt every 1000 ps,
- *  and return (id, firstToken, finished) per retired request. */
+/** (id, firstToken, finished) per request of @p retired. */
 std::vector<Lifecycle>
+lifecycles(const std::vector<Request> &retired)
+{
+    std::vector<Lifecycle> out;
+    for (const Request &r : retired)
+        out.emplace_back(r.id, r.firstToken, r.finished);
+    return out;
+}
+
+/** Run @p b to completion, one formStage attempt every 1000 ps,
+ *  and return the requests it retired, in retirement order. */
+std::vector<Request>
 runToCompletion(ContinuousBatcher &b, PicoSec now = 0)
 {
     int guard = 0;
@@ -95,10 +115,7 @@ runToCompletion(ContinuousBatcher &b, PicoSec now = 0)
         if (s.totalTokens() > 0)
             b.completeStage(now);
     }
-    std::vector<Lifecycle> out;
-    for (const Request &r : b.finished())
-        out.emplace_back(r.id, r.firstToken, r.finished);
-    return out;
+    return drained(b);
 }
 
 BatcherConfig
@@ -120,7 +137,7 @@ TEST(Policy, FcfsPinnedLifecyclesClosedLoop)
         {0, 1000, 5000},   {1, 1000, 5000},   {2, 2000, 6000},
         {3, 6000, 10000},  {4, 6000, 10000},  {5, 7000, 11000},
         {6, 11000, 15000}, {7, 11000, 15000}};
-    EXPECT_EQ(runToCompletion(b), want);
+    EXPECT_EQ(lifecycles(runToCompletion(b)), want);
 }
 
 TEST(Policy, FcfsPinnedLifecyclesOpenLoop)
@@ -133,7 +150,7 @@ TEST(Policy, FcfsPinnedLifecyclesOpenLoop)
         {0, 1000, 5000},   {1, 3000, 7000},   {2, 4000, 8000},
         {3, 6000, 10000},  {4, 8000, 12000},  {5, 9000, 13000},
         {6, 11000, 15000}, {7, 13000, 17000}};
-    EXPECT_EQ(runToCompletion(b), want);
+    EXPECT_EQ(lifecycles(runToCompletion(b)), want);
 }
 
 TEST(Policy, FcfsPinnedLifecyclesChunkedPrefill)
@@ -149,7 +166,7 @@ TEST(Policy, FcfsPinnedLifecyclesChunkedPrefill)
         {0, 3000, 7000},   {1, 5000, 9000},   {2, 6000, 10000},
         {3, 10000, 14000}, {4, 12000, 16000}, {5, 13000, 17000},
         {6, 17000, 21000}, {7, 19000, 23000}};
-    EXPECT_EQ(runToCompletion(b), want);
+    EXPECT_EQ(lifecycles(runToCompletion(b)), want);
 }
 
 TEST(Policy, ChunkedPrefillSplitsPromptAcrossStages)
@@ -178,9 +195,10 @@ TEST(Policy, ChunkedPrefillSplitsPromptAcrossStages)
     EXPECT_EQ(s.prefillLengths.size(), 0u);
     EXPECT_EQ(s.agg.numDecode, 1);
     b.completeStage(now + 1000);
-    EXPECT_EQ(b.finished().size(), 1u);
-    EXPECT_EQ(b.finished()[0].firstToken, 4000);
-    EXPECT_EQ(b.finished()[0].tokenTimes.size(), 2u);
+    const std::vector<Request> done = drained(b);
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_EQ(done[0].firstToken, 4000);
+    EXPECT_EQ(done[0].tokenTimes.size(), 2u);
 }
 
 TEST(Policy, ChunkedPrefillImprovesWorstTokenGap)
@@ -246,12 +264,13 @@ TEST(Policy, PreemptionAccountingInvariantHolds)
     }
     EXPECT_EQ(b.preemptions(), 1);
     EXPECT_GT(b.preemptedTokens(), 0);
-    ASSERT_EQ(b.finished().size(), 3u);
+    const std::vector<Request> done = drained(b);
+    ASSERT_EQ(done.size(), 3u);
     EXPECT_EQ(b.admissions(),
-              static_cast<std::int64_t>(b.finished().size()) +
+              static_cast<std::int64_t>(done.size()) +
                   b.preemptions());
     int victims_restarted = 0;
-    for (const Request &r : b.finished()) {
+    for (const Request &r : done) {
         EXPECT_EQ(r.generated, r.outputLen);
         if (r.retries == 1) {
             ++victims_restarted;
@@ -338,9 +357,10 @@ TEST(Policy, PriorityReclaimsCacheBeforePreempting)
 
     const std::vector<Lifecycle> want = {
         {0, 1000, 20000}, {2, 2000, 41000}, {1, 21000, 50000}};
-    EXPECT_EQ(runToCompletion(b, 2000), want);
-    ASSERT_EQ(b.finished().size(), 3u);
-    EXPECT_EQ(b.finished()[2].retries, 1);
+    const std::vector<Request> done = runToCompletion(b, 2000);
+    EXPECT_EQ(lifecycles(done), want);
+    ASSERT_EQ(done.size(), 3u);
+    EXPECT_EQ(done[2].retries, 1);
 }
 
 TEST(PolicyTrace, PriorityClassRoundTrips)

@@ -1,17 +1,22 @@
 /**
  * @file
- * Retirement-streaming property tests: the drainFinished() +
- * MetricsAccumulator path (MetricsMode::Streaming, the default)
- * must be bit-identical to the retained-vector collectMetrics path
- * (MetricsMode::Retained) on closed and open loops, for both the
- * engine's batcher loop and the split system's custom loop —
- * including the warm-up-request exclusion edge cases. Also covers
- * the Bounded histogram mode's contract: exact counts/extremes,
- * approximate percentiles, empty SampleStats.
+ * Retirement-streaming property tests: the latency metrics a run
+ * streams through MetricsAccumulator (MetricsMode::Streaming, the
+ * default) must be bit-identical to collectMetrics over the
+ * requests an observer captures from onRequestRetired, on closed
+ * and open loops, for the engine's batcher loop, the split
+ * system's custom loop and a faulted fleet — including the
+ * warm-up-request exclusion edge cases. Also covers the Bounded
+ * histogram mode's contract: exact counts/extremes, approximate
+ * percentiles, empty SampleStats.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "fleet/faults.hh"
+#include "fleet/fleet.hh"
 #include "sim/engine.hh"
 #include "sim/observers.hh"
 
@@ -50,65 +55,129 @@ expectSameSamples(const SampleStats &a, const SampleStats &b,
             << what << " p" << p;
 }
 
+/** The latency samples of @p a and @p b, bit for bit. */
 void
-expectStreamingMatchesRetained(SimConfig config)
+expectSameLatency(const ServingMetrics &a, const ServingMetrics &b)
+{
+    expectSameSamples(a.tbtMs, b.tbtMs, "tbt");
+    expectSameSamples(a.t2ftMs, b.t2ftMs, "t2ft");
+    expectSameSamples(a.e2eMs, b.e2eMs, "e2e");
+}
+
+/** Every retired request, in retirement order: the input of the
+ *  collectMetrics reference. */
+class RetiredCapture : public SimObserver
+{
+  public:
+    std::vector<Request> retired;
+
+    void onRequestRetired(const Request &r, PicoSec now) override
+    {
+        (void)now;
+        retired.push_back(r);
+    }
+};
+
+void
+expectStreamingMatchesReference(SimConfig config)
 {
     config.metricsMode = MetricsMode::Streaming;
-    const SimResult streaming = SimulationEngine(config).run();
-    config.metricsMode = MetricsMode::Retained;
-    const SimResult retained = SimulationEngine(config).run();
-
-    EXPECT_EQ(streaming.metrics.elapsed, retained.metrics.elapsed);
-    EXPECT_EQ(streaming.metrics.totalTokens,
-              retained.metrics.totalTokens);
-    EXPECT_EQ(streaming.generatedTokens, retained.generatedTokens);
-    EXPECT_EQ(streaming.peakBatch, retained.peakBatch);
-    EXPECT_EQ(streaming.metrics.decodingOnlyStages,
-              retained.metrics.decodingOnlyStages);
-    EXPECT_EQ(streaming.metrics.mixedStages,
-              retained.metrics.mixedStages);
-    EXPECT_EQ(streaming.totals.time, retained.totals.time);
-    EXPECT_EQ(streaming.totals.totalEnergyJ(),
-              retained.totals.totalEnergyJ());
-    expectSameSamples(streaming.metrics.tbtMs,
-                      retained.metrics.tbtMs, "tbt");
-    expectSameSamples(streaming.metrics.t2ftMs,
-                      retained.metrics.t2ftMs, "t2ft");
-    expectSameSamples(streaming.metrics.e2eMs,
-                      retained.metrics.e2eMs, "e2e");
+    SimulationEngine engine(config);
+    RetiredCapture capture;
+    engine.addObserver(&capture);
+    const SimResult streaming = engine.run();
+    EXPECT_EQ(capture.retired.size(),
+              static_cast<std::size_t>(config.numRequests));
+    expectSameLatency(
+        streaming.metrics,
+        collectMetrics(capture.retired, static_cast<std::size_t>(
+                                            config.warmupRequests)));
 }
 
-TEST(StreamingMetrics, EngineClosedLoopMatchesRetained)
+TEST(StreamingMetrics, EngineClosedLoopMatchesReference)
 {
-    expectStreamingMatchesRetained(baseConfig("gpu"));
+    expectStreamingMatchesReference(baseConfig("gpu"));
 }
 
-TEST(StreamingMetrics, EngineOpenLoopMatchesRetained)
+TEST(StreamingMetrics, EngineOpenLoopMatchesReference)
 {
     SimConfig c = baseConfig("gpu");
     c.workload.qps = 4.0;
-    expectStreamingMatchesRetained(c);
+    expectStreamingMatchesReference(c);
 }
 
-TEST(StreamingMetrics, SplitClosedLoopMatchesRetained)
+TEST(StreamingMetrics, SplitClosedLoopMatchesReference)
 {
-    expectStreamingMatchesRetained(baseConfig("duplex-split"));
+    expectStreamingMatchesReference(baseConfig("duplex-split"));
 }
 
-TEST(StreamingMetrics, SplitOpenLoopMatchesRetained)
+TEST(StreamingMetrics, SplitOpenLoopMatchesReference)
 {
     SimConfig c = baseConfig("duplex-split");
     c.workload.qps = 4.0;
-    expectStreamingMatchesRetained(c);
+    expectStreamingMatchesReference(c);
 }
 
-TEST(StreamingMetrics, ContendedSplitMatchesRetained)
+TEST(StreamingMetrics, ContendedSplitMatchesReference)
 {
     // The contended link reorders decode admissions relative to
     // the free-copy model; retirement streaming must track it.
     SimConfig c = baseConfig("duplex-split-contended");
     c.workload.qps = 6.0;
-    expectStreamingMatchesRetained(c);
+    expectStreamingMatchesReference(c);
+}
+
+/** Every retired request per fleet instance, in retirement order. */
+class FleetRetiredCapture : public FleetObserver
+{
+  public:
+    std::map<int, std::vector<Request>> retired;
+
+    void onRequestRetired(int instance, const Request &r,
+                          PicoSec now) override
+    {
+        (void)now;
+        retired[instance].push_back(r);
+    }
+};
+
+TEST(StreamingMetrics, FaultedFleetMergeMatchesReference)
+{
+    // Each instance skips its own warm-up retirements; the fleet
+    // merges the instances' samples in instance-id order. Crashes
+    // move work between instances, so a request retires on an
+    // instance other than the one it was first routed to.
+    FleetConfig fc;
+    fc.sim = baseConfig("gpu");
+    fc.sim.workload.qps = 16.0;
+    fc.sim.numRequests = 128;
+    fc.instances = 2;
+    fc.policy = "least-loaded";
+    fc.faults.events =
+        parseFaultList("crash@1.0:0:0.5;crash@2.5:1:0.5");
+
+    FleetRetiredCapture capture;
+    FleetDriver driver(fc);
+    driver.addObserver(&capture);
+    const FleetResult r = driver.run();
+    EXPECT_EQ(r.crashes, 2);
+    EXPECT_GT(r.retriesScheduled, 0);
+    EXPECT_EQ(r.requestsRetired, fc.sim.numRequests);
+    ASSERT_EQ(r.perInstance.size(), 2u);
+
+    const auto skip = static_cast<std::size_t>(fc.sim.warmupRequests);
+    ServingMetrics merged;
+    for (std::size_t i = 0; i < r.perInstance.size(); ++i) {
+        const std::vector<Request> &mine =
+            capture.retired[static_cast<int>(i)];
+        EXPECT_GT(mine.size(), skip) << "instance " << i;
+        const ServingMetrics reference = collectMetrics(mine, skip);
+        expectSameLatency(r.perInstance[i].metrics, reference);
+        merged.tbtMs.merge(reference.tbtMs);
+        merged.t2ftMs.merge(reference.t2ftMs);
+        merged.e2eMs.merge(reference.e2eMs);
+    }
+    expectSameLatency(r.metrics, merged);
 }
 
 TEST(StreamingMetrics, WarmupExclusionEdges)
@@ -118,7 +187,7 @@ TEST(StreamingMetrics, WarmupExclusionEdges)
     for (int warmup : {0, 48, 1000}) {
         SimConfig c = baseConfig("gpu");
         c.warmupRequests = warmup;
-        expectStreamingMatchesRetained(c);
+        expectStreamingMatchesReference(c);
     }
     SimConfig c = baseConfig("gpu");
     c.warmupRequests = 1000; // > every retirement
@@ -131,8 +200,8 @@ TEST(StreamingMetrics, WarmupExclusionEdges)
 
 TEST(StreamingMetrics, ObserverStreamIdenticalAcrossModes)
 {
-    // The retirement order is part of the observer contract: both
-    // modes must fire the same onRequestRetired sequence.
+    // The retirement order is part of the observer contract: every
+    // metrics mode must fire the same onRequestRetired sequence.
     class RetireLog : public SimObserver
     {
       public:
@@ -151,11 +220,11 @@ TEST(StreamingMetrics, ObserverStreamIdenticalAcrossModes)
     streaming.addObserver(&a);
     streaming.run();
 
-    c.metricsMode = MetricsMode::Retained;
-    SimulationEngine retained(c);
+    c.metricsMode = MetricsMode::Bounded;
+    SimulationEngine bounded(c);
     RetireLog b;
-    retained.addObserver(&b);
-    retained.run();
+    bounded.addObserver(&b);
+    bounded.run();
 
     EXPECT_EQ(a.log, b.log);
     EXPECT_EQ(a.log.size(), 48u);
@@ -197,7 +266,7 @@ TEST(StreamingMetrics, BoundedModeApproximatesExact)
     EXPECT_LE(h.worstGapMs.count(), 40u);
     EXPECT_GE(h.worstGapMs.min(), exact.metrics.tbtMs.min());
     EXPECT_EQ(h.worstGapMs.max(), exact.metrics.tbtMs.max());
-    // Streaming/retained runs carry no histograms.
+    // Streaming runs carry no histograms.
     EXPECT_EQ(exact.boundedLatency, nullptr);
 }
 

@@ -5,8 +5,9 @@
  * the loop that decoded it — recorded here independently, from the
  * observers' stage callbacks, not from the loop's StageLog. Runs
  * over chunked prefill, priority preemption, sessions with a prefix
- * cache, a fleet with crashes and retries, the split loop, and
- * Retained mode against Streaming mode.
+ * cache, a fleet with crashes and retries and the split loop; and
+ * the streamed latency metrics must be the ones collectMetrics
+ * computes from the token times the observers saw.
  */
 
 #include <gtest/gtest.h>
@@ -30,8 +31,8 @@ struct TokenTimeOracle
 {
     /** Loop id -> end time of each of its stages, in order. */
     std::map<int, std::vector<PicoSec>> ends;
-    /** tokenTimes of every retired request, in retirement order. */
-    std::vector<std::vector<PicoSec>> retired;
+    /** Every retired request, in retirement order. */
+    std::vector<Request> retired;
 
     void stage(int loop, PicoSec end) { ends[loop].push_back(end); }
 
@@ -42,7 +43,7 @@ struct TokenTimeOracle
      */
     void check(const Request &r, int first_loop, int tail_loop)
     {
-        retired.push_back(r.tokenTimes);
+        retired.push_back(r);
         const std::vector<PicoSec> &t = r.tokenTimes;
         ASSERT_EQ(static_cast<std::int64_t>(t.size()), r.outputLen)
             << "request " << r.id;
@@ -225,18 +226,30 @@ TEST(TokenTimes, FleetWithCrashesAndRetries)
               static_cast<std::size_t>(fc.sim.numRequests));
 }
 
-TEST(TokenTimes, RetainedMatchesStreaming)
+TEST(TokenTimes, StreamedMetricsMatchObservedTokenTimes)
 {
     for (const char *system : {"gpu", "duplex-split"}) {
         SimConfig c = baseConfig();
         c.systemName = system;
         c.prefillChunkTokens = 128;
-        TokenTimeOracle streaming, retained;
-        c.metricsMode = MetricsMode::Streaming;
-        runChecked(c, streaming);
-        c.metricsMode = MetricsMode::Retained;
-        runChecked(c, retained);
-        EXPECT_EQ(streaming.retired, retained.retired) << system;
+        TokenTimeOracle oracle;
+        const SimResult r = runChecked(c, oracle);
+        const ServingMetrics reference = collectMetrics(
+            oracle.retired,
+            static_cast<std::size_t>(c.warmupRequests));
+        const auto same = [&](const SampleStats &streamed,
+                              const SampleStats &want,
+                              const char *what) {
+            EXPECT_EQ(streamed.count(), want.count())
+                << system << " " << what;
+            EXPECT_EQ(streamed.sum(), want.sum())
+                << system << " " << what;
+            EXPECT_EQ(streamed.max(), want.max())
+                << system << " " << what;
+        };
+        same(r.metrics.tbtMs, reference.tbtMs, "tbt");
+        same(r.metrics.t2ftMs, reference.t2ftMs, "t2ft");
+        same(r.metrics.e2eMs, reference.e2eMs, "e2e");
     }
 }
 
