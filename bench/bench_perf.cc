@@ -22,7 +22,9 @@
  *    admission and retirement of a cache-enabled run);
  *  - MoE expert draw: tokens/sec of ExpertSelector::sampleInto for
  *    the Mixtral (8-expert) and GLaM (64-expert) top-2 gates at a
- *    decode-sized and a prefill-sized MoE layer.
+ *    decode-sized and a prefill-sized MoE layer, and token-layers/sec
+ *    of whole Mixtral stages (32 MoE layers) whose token count
+ *    changes every stage, as moe-longrun's do.
  */
 
 #include <cstdio>
@@ -210,6 +212,35 @@ probeMoeDraw(int experts, std::int64_t tokens)
     return sink >= 0 && sec > 0.0 ? calls * tokens / sec : 0.0;
 }
 
+/**
+ * Token-layers/sec of Mixtral stages: 32 consecutive MoE layers per
+ * stage on one generator, @p tokens and @p tokens + 1 in turn, so
+ * every stage misses the lane jump memo as a moe-longrun stage does.
+ */
+double
+probeMoeStage(std::int64_t tokens)
+{
+    constexpr int kLayers = 32;
+    const ExpertSelector selector(8, 2);
+    Rng rng(7);
+    std::vector<std::int64_t> hist;
+    selector.sampleInto(rng, tokens, hist);
+    std::int64_t sink = hist[0];
+    const std::int64_t stages = (std::int64_t{1} << 24) / (tokens * kLayers);
+    std::int64_t token_layers = 0;
+    const double sec = timed([&] {
+        for (std::int64_t s = 0; s < stages; ++s) {
+            const std::int64_t t = tokens + (s & 1);
+            for (int layer = 0; layer < kLayers; ++layer) {
+                selector.sampleInto(rng, t, hist);
+                sink += hist[0];
+            }
+            token_layers += t * kLayers;
+        }
+    });
+    return sink >= 0 && sec > 0.0 ? token_layers / sec : 0.0;
+}
+
 } // namespace
 
 int
@@ -263,8 +294,7 @@ main()
     std::printf("prefix cache %25.0f acquire+install/s\n",
                 prefix_cache_ops);
 
-    // 164 and 830 tokens are moe-longrun's decode and mixed stages,
-    // on either side of the lane crossover.
+    // 164 and 830 tokens are moe-longrun's decode and mixed stages.
     const Rate draw_probes[] = {
         {"mixtral_164", probeMoeDraw(8, 164)},
         {"mixtral_830", probeMoeDraw(8, 830)},
@@ -275,6 +305,13 @@ main()
     };
     for (const Rate &p : draw_probes)
         std::printf("moe draw %-16s %12.0f tokens/s\n", p.name,
+                    p.perSec);
+    const Rate stage_draw_probes[] = {
+        {"mixtral_stage_164", probeMoeStage(164)},
+        {"mixtral_stage_830", probeMoeStage(830)},
+    };
+    for (const Rate &p : stage_draw_probes)
+        std::printf("moe draw %-18s %10.0f token-layers/s\n", p.name,
                     p.perSec);
     std::printf("moe draw lane width %d\n", Rng::laneWidth());
 
@@ -300,6 +337,8 @@ main()
         report.add(std::string("workload_gen.") + p.name, p.perSec);
     report.add("prefix_cache.ops_per_sec", prefix_cache_ops);
     for (const Rate &p : draw_probes)
+        report.add(std::string("moe_draw.") + p.name, p.perSec);
+    for (const Rate &p : stage_draw_probes)
         report.add(std::string("moe_draw.") + p.name, p.perSec);
     report.add("moe_draw.lane_width", Rng::laneWidth());
     for (const SweepProbe &s : sweeps) {

@@ -62,6 +62,32 @@ gf2Multiples(const Gf2Poly &a)
 constexpr std::array<Gf2Poly, 16> kFoldHigh4 =
     gf2Multiples(kXoshiroCharPoly);
 
+/**
+ * mu(x) = floor(x^512 / p(x)) less its leading x^256: the Barrett
+ * constant of the carry-less gf2MulMod. Long division of x^512 by
+ * p(x) = x^256 + kXoshiroCharPoly, bit by bit from the top.
+ */
+constexpr Gf2Poly kBarrettMu = [] {
+    std::uint64_t rem[9] = {0, 0, 0, 0, 0, 0, 0, 0, 1}; // x^512
+    Gf2Poly mu{};
+    for (int k = 512; k >= 256; --k) {
+        if (!((rem[k / 64] >> (k % 64)) & 1))
+            continue;
+        // Subtract x^s p(x), s = k - 256: clears bit k.
+        const int s = k - 256;
+        if (s < 256)
+            mu[s / 64] |= std::uint64_t{1} << (s % 64);
+        rem[k / 64] ^= std::uint64_t{1} << (k % 64);
+        for (int w = 0; w < 4; ++w) {
+            rem[w + s / 64] ^= kXoshiroCharPoly[w] << (s % 64);
+            if (s % 64)
+                rem[w + s / 64 + 1] ^=
+                    kXoshiroCharPoly[w] >> (64 - s % 64);
+        }
+    }
+    return mu;
+}();
+
 /** Byte k of kSpreadBits[v] is bit k of v. */
 constexpr std::array<std::uint64_t, 256> kSpreadBits = [] {
     std::array<std::uint64_t, 256> t{};
@@ -71,10 +97,106 @@ constexpr std::array<std::uint64_t, 256> kSpreadBits = [] {
     return t;
 }();
 
+#if defined(__x86_64__)
+
+/** A 256-bit polynomial as two halves: words 0-1 and 2-3. */
+struct Clmul256
+{
+    __m128i lo, hi;
+};
+
+__attribute__((target("pclmul"))) inline Clmul256
+loadPoly(const Gf2Poly &a)
+{
+    return {_mm_loadu_si128(reinterpret_cast<const __m128i *>(a.data())),
+            _mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(a.data() + 2))};
+}
+
+/**
+ * The 512-bit carry-less product a(x) * b(x): its low and high 256
+ * bits. Kept in registers, so the reduction that follows never
+ * reloads a word from memory.
+ */
+__attribute__((target("pclmul"))) inline void
+clmul256(const Clmul256 &a, const Clmul256 &b, Clmul256 &low,
+         Clmul256 &high)
+{
+    // sumK holds the 128-bit products of the word pairs (i, j) with
+    // i + j = K; the immediate's bit 0 picks a's word, bit 4 b's.
+    const __m128i sum0 = _mm_clmulepi64_si128(a.lo, b.lo, 0x00);
+    const __m128i sum1 =
+        _mm_xor_si128(_mm_clmulepi64_si128(a.lo, b.lo, 0x01),
+                      _mm_clmulepi64_si128(a.lo, b.lo, 0x10));
+    const __m128i sum2 = _mm_xor_si128(
+        _mm_xor_si128(_mm_clmulepi64_si128(a.lo, b.lo, 0x11),
+                      _mm_clmulepi64_si128(a.hi, b.lo, 0x00)),
+        _mm_clmulepi64_si128(a.lo, b.hi, 0x00));
+    const __m128i sum3 = _mm_xor_si128(
+        _mm_xor_si128(_mm_clmulepi64_si128(a.hi, b.lo, 0x01),
+                      _mm_clmulepi64_si128(a.hi, b.lo, 0x10)),
+        _mm_xor_si128(_mm_clmulepi64_si128(a.lo, b.hi, 0x01),
+                      _mm_clmulepi64_si128(a.lo, b.hi, 0x10)));
+    const __m128i sum4 = _mm_xor_si128(
+        _mm_xor_si128(_mm_clmulepi64_si128(a.hi, b.lo, 0x11),
+                      _mm_clmulepi64_si128(a.lo, b.hi, 0x11)),
+        _mm_clmulepi64_si128(a.hi, b.hi, 0x00));
+    const __m128i sum5 =
+        _mm_xor_si128(_mm_clmulepi64_si128(a.hi, b.hi, 0x01),
+                      _mm_clmulepi64_si128(a.hi, b.hi, 0x10));
+    const __m128i sum6 = _mm_clmulepi64_si128(a.hi, b.hi, 0x11);
+    // An odd sum straddles two word pairs.
+    low.lo = _mm_xor_si128(sum0, _mm_slli_si128(sum1, 8));
+    low.hi = _mm_xor_si128(
+        _mm_xor_si128(sum2, _mm_srli_si128(sum1, 8)),
+        _mm_slli_si128(sum3, 8));
+    high.lo = _mm_xor_si128(
+        _mm_xor_si128(sum4, _mm_srli_si128(sum3, 8)),
+        _mm_slli_si128(sum5, 8));
+    high.hi = _mm_xor_si128(sum6, _mm_srli_si128(sum5, 8));
+}
+
+/**
+ * gf2MulMod by carry-less products. With c = a * b = c_hi x^256 +
+ * c_lo, the quotient c / p is q = c_hi + floor(c_hi mu / x^256)
+ * exactly (over GF(2) Barrett needs no correction step), and
+ * c mod p = c_lo + (q * p mod x^256) = c_lo + low half of
+ * q * kXoshiroCharPoly.
+ */
+__attribute__((target("pclmul"))) Gf2Poly
+gf2MulModClmul(const Gf2Poly &a, const Gf2Poly &b)
+{
+    Clmul256 c_lo, c_hi, t_lo, t_hi, u_lo, u_hi;
+    clmul256(loadPoly(a), loadPoly(b), c_lo, c_hi);
+    clmul256(c_hi, loadPoly(kBarrettMu), t_lo, t_hi);
+    const Clmul256 q = {_mm_xor_si128(c_hi.lo, t_hi.lo),
+                        _mm_xor_si128(c_hi.hi, t_hi.hi)};
+    clmul256(q, loadPoly(kXoshiroCharPoly), u_lo, u_hi);
+    Gf2Poly r;
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(r.data()),
+                     _mm_xor_si128(c_lo.lo, u_lo.lo));
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(r.data() + 2),
+                     _mm_xor_si128(c_lo.hi, u_lo.hi));
+    return r;
+}
+
+#endif
+
 } // namespace
 
 Gf2Poly
 gf2MulMod(const Gf2Poly &a, const Gf2Poly &b)
+{
+#if defined(__x86_64__)
+    static const bool clmul = __builtin_cpu_supports("pclmul");
+    if (clmul)
+        return gf2MulModClmul(a, b);
+#endif
+    return gf2MulModReference(a, b);
+}
+
+Gf2Poly
+gf2MulModReference(const Gf2Poly &a, const Gf2Poly &b)
 {
     // Horner over b's 4-bit digits, high to low:
     // acc = acc * x^4 + a * digit, each step reduced mod p.

@@ -9,13 +9,13 @@
  *
  * Jump-ahead. xoshiro256's state update is linear over GF(2), so
  * the state d outputs ahead is a fixed polynomial in the update
- * applied to today's state. ExpertSelector uses this to draw one MoE
- * layer's tokens in eight SIMD lanes: each lane starts from the
- * state its block of tokens would have reached serially
- * (laneJumps, Rng::laneStarts), so the stream is consumed draw for
- * draw as one serial generator consumes it, and the generator ends
- * where the serial loop leaves it. Only hosts with AVX-512F take
- * that path (Rng::laneWidth()); the jump math itself is portable.
+ * applied to today's state. ExpertSelector uses this to draw eight
+ * consecutive MoE layers in eight SIMD lanes: each lane starts from
+ * the state its layer would have reached serially (laneJumps,
+ * Rng::laneStarts), so the stream is consumed draw for draw as one
+ * serial generator consumes it, and each lane ends where the next
+ * layer starts. Only hosts with AVX-512F take that path
+ * (Rng::laneWidth()); the jump math itself is portable.
  */
 
 #ifndef DUPLEX_COMMON_RNG_HH
@@ -47,8 +47,18 @@ inline constexpr Gf2Poly kXoshiroCharPoly = {
     0x9d116f2bb0f0f001ull, 0x0280002bcefd1a5eull,
     0x04b4edcf26259f85ull, 0x0003c03c3f3ecb19ull};
 
-/** a(x) * b(x) mod p(x). */
+/**
+ * a(x) * b(x) mod p(x). On an x86-64 host with PCLMULQDQ (checked
+ * once), three 256-bit carry-less products and a Barrett reduction;
+ * elsewhere gf2MulModReference.
+ */
 Gf2Poly gf2MulMod(const Gf2Poly &a, const Gf2Poly &b);
+
+/**
+ * a(x) * b(x) mod p(x) by Horner over b's 4-bit digits: portable,
+ * and the oracle gf2MulMod's carry-less body is tested against.
+ */
+Gf2Poly gf2MulModReference(const Gf2Poly &a, const Gf2Poly &b);
 
 /**
  * x^d mod p(x). The state update T is linear over GF(2) and
@@ -73,10 +83,10 @@ struct LaneJumps
 
 /**
  * The LaneJumps of eight lanes @p stride outputs apart: up to seven
- * products mod p, a few microseconds. They depend on the stride
- * alone, so a caller that repeats a stride keeps them
- * (ExpertSelector holds the last one per thread, so workers of a
- * sweep never share one).
+ * products mod p, under a microsecond with a carry-less multiply.
+ * They depend on the stride alone, so a caller that repeats a
+ * stride keeps them (ExpertSelector holds the last one per thread,
+ * so workers of a sweep never share one).
  */
 LaneJumps laneJumps(std::uint64_t stride);
 

@@ -89,13 +89,16 @@ top2Direct(Rng &rng, std::int64_t tokens, std::int64_t *hist)
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
 
-// Lane kernels. One layer's 2T draws are one contiguous stretch of
-// the stream; split its first 8B tokens (B = T / 8) into eight
-// blocks of B and draw block j in SIMD lane j, from the state
-// 2jB outputs ahead (Rng::laneStarts). Every token draws the same
-// two outputs as in the serial loop, and lane 7 stops where the
-// T % 8 remainder tokens start. The counts only add, so only the
-// order of the increments changes.
+// Lane kernels. Consecutive MoE layers of a stage draw the same T
+// tokens, 2T outputs each, from one stretch of the stream. Lane j
+// draws the whole of layer j of the next eight from the state 2jT
+// outputs ahead (Rng::laneStarts at stride 2T), so every token draws
+// the same two outputs as in the serial loop, and lane j stops
+// exactly where layer j + 1 starts: its end state is layer j's
+// serial end state.
+
+/** Layers one lane walk draws: one per lane. */
+constexpr int kLaneLayers = 8;
 
 /** Eight xoshiro256** generators, one per 64-bit lane. */
 struct Lanes
@@ -169,31 +172,29 @@ loadLanes(const Rng &rng, const LaneJumps &jumps)
             _mm512_load_si512(starts[2]), _mm512_load_si512(starts[3])};
 }
 
-/** Leave @p rng where lane 7 ended: where the remainder starts. */
+/** Lane j's state into @p ends[j]: where layer j + 1 starts. */
 __attribute__((target("avx512f"))) void
-storeLane7(const Lanes &lanes, Rng &rng)
+storeLanes(const Lanes &lanes, std::uint64_t ends[kLaneLayers][4])
 {
     alignas(64) std::uint64_t words[4][8];
     _mm512_store_si512(words[0], lanes.s0);
     _mm512_store_si512(words[1], lanes.s1);
     _mm512_store_si512(words[2], lanes.s2);
     _mm512_store_si512(words[3], lanes.s3);
-    const std::uint64_t state[4] = {words[0][7], words[1][7],
-                                    words[2][7], words[3][7]};
-    rng.setState(state);
+    for (int j = 0; j < kLaneLayers; ++j)
+        for (int w = 0; w < 4; ++w)
+            ends[j][w] = words[w][j];
 }
 
 /**
- * 8 experts, @p rows tokens per lane. Each lane counts in eight
- * bytes, one per expert: a token adds the one-hot bytes of its two
- * distinct experts, so a byte gains at most 1 per row and is
- * flushed into @p hist every 255 rows.
+ * 8 experts, @p tokens per layer, layer j in lane j. Each lane counts
+ * in eight bytes, one per expert: a token adds the one-hot bytes of
+ * its two distinct experts, so a byte gains at most 1 per row and is
+ * flushed into lane j's histogram, @p hist[8 j ...], every 255 rows.
  */
 __attribute__((target("avx512f"))) void
-top2LaneRows8(Rng &rng, std::int64_t rows, const LaneJumps &jumps,
-              std::int64_t *hist)
+top2LaneLayers8(Lanes &lanes, std::int64_t tokens, std::int64_t *hist)
 {
-    Lanes lanes = loadLanes(rng, jumps);
     // Lane e holds expert e's one-hot byte. vpermq reads only the
     // low 3 index bits, which rotated() shares with the output, so
     // b = output % 8 needs neither the * 9 nor a mask.
@@ -203,9 +204,9 @@ top2LaneRows8(Rng &rng, std::int64_t rows, const LaneJumps &jumps,
         std::int64_t{1} << 24, std::int64_t{1} << 16,
         std::int64_t{1} << 8, 1);
     const __m512i last = _mm512_set1_epi64(std::int64_t{1} << 56);
-    alignas(64) std::uint64_t bytes[8];
-    while (rows > 0) {
-        const std::int64_t chunk = std::min<std::int64_t>(rows, 255);
+    alignas(64) std::uint64_t bytes[kLaneLayers];
+    while (tokens > 0) {
+        const std::int64_t chunk = std::min<std::int64_t>(tokens, 255);
         __m512i acc = _mm512_setzero_si512();
         for (std::int64_t r = 0; r < chunk; ++r) {
             const __m512i a = modLanes<7>(lanes.output());
@@ -222,26 +223,26 @@ top2LaneRows8(Rng &rng, std::int64_t rows, const LaneJumps &jumps,
                                     last)));
         }
         _mm512_store_si512(bytes, acc);
-        for (std::uint64_t lane : bytes)
+        for (int j = 0; j < kLaneLayers; ++j)
             for (int e = 0; e < 8; ++e)
-                hist[e] += (lane >> (8 * e)) & 0xff;
-        rows -= chunk;
+                hist[8 * j + e] += (bytes[j] >> (8 * e)) & 0xff;
+        tokens -= chunk;
     }
-    storeLane7(lanes, rng);
 }
 
 /**
- * 64 experts, @p rows tokens per lane: the lanes draw and reduce,
- * and each row's 16 expert indices are counted as bytes.
+ * 64 experts, @p tokens per layer, layer j in lane j: the lanes draw
+ * and reduce, and each row's 16 picks are counted straight into
+ * @p hist as indices 64 j + expert, distinct within a row.
  */
 __attribute__((target("avx512f"))) void
-top2LaneRows64(Rng &rng, std::int64_t rows, const LaneJumps &jumps,
-               std::int64_t *hist)
+top2LaneLayers64(Lanes &lanes, std::int64_t tokens, std::int64_t *hist)
 {
-    Lanes lanes = loadLanes(rng, jumps);
     const __m512i last = _mm512_set1_epi64(63);
-    alignas(16) std::uint8_t picks[16];
-    for (std::int64_t r = 0; r < rows; ++r) {
+    const __m512i base = _mm512_set_epi64(448, 384, 320, 256, 192, 128,
+                                          64, 0);
+    alignas(16) std::uint16_t picks[16];
+    for (std::int64_t r = 0; r < tokens; ++r) {
         const __m512i a = modLanes<63>(lanes.output());
         lanes.step();
         const __m512i b = _mm512_and_si512(lanes.output(), last);
@@ -249,30 +250,96 @@ top2LaneRows64(Rng &rng, std::int64_t rows, const LaneJumps &jumps,
         const __m512i second =
             _mm512_mask_mov_epi64(b, _mm512_cmpeq_epi64_mask(a, b), last);
         _mm_store_si128(reinterpret_cast<__m128i *>(picks),
-                        _mm_unpacklo_epi64(_mm512_cvtepi64_epi8(a),
-                                           _mm512_cvtepi64_epi8(second)));
-        for (std::uint8_t e : picks)
+                        _mm512_cvtepi64_epi16(_mm512_add_epi64(a, base)));
+        _mm_store_si128(
+            reinterpret_cast<__m128i *>(picks + 8),
+            _mm512_cvtepi64_epi16(_mm512_add_epi64(second, base)));
+        for (std::uint16_t e : picks)
             ++hist[e];
     }
-    storeLane7(lanes, rng);
 }
 
 /**
- * The lane jumps of blocks of @p rows tokens. Every MoE layer of a
- * stage draws the same token count, so one entry serves a stage.
- * thread_local: sweep workers draw concurrently, and a shared
- * entry would need a lock on every layer.
+ * The lane jumps of layers of @p tokens tokens (stride 2 * tokens).
+ * Every MoE layer of a stage draws the same token count, so one
+ * entry serves a stage. thread_local: sweep workers draw
+ * concurrently, and a shared entry would need a lock on every walk.
  */
 const LaneJumps &
-laneJumpsMemo(std::int64_t rows)
+laneJumpsMemo(std::int64_t tokens)
 {
-    thread_local std::int64_t memoRows = -1;
+    thread_local std::int64_t memoTokens = -1;
     thread_local LaneJumps memo;
-    if (memoRows != rows) {
-        memo = laneJumps(2 * static_cast<std::uint64_t>(rows));
-        memoRows = rows;
+    if (memoTokens != tokens) {
+        memo = laneJumps(2 * static_cast<std::uint64_t>(tokens));
+        memoTokens = tokens;
     }
     return memo;
+}
+
+/**
+ * The seven layers a lane walk drew beyond the one it returned:
+ * their histograms and the lanes' end states. A call takes layer
+ * `next` only if the generator stands exactly where layer
+ * `next - 1` ended and asks for the same expert count and token
+ * count, so a hit returns what a fresh walk would draw, and a
+ * stream that is not the one the layers came from simply misses.
+ * About 4.4 KB; thread_local for the reasons the jump memo is.
+ */
+struct LaneLookahead
+{
+    int experts = 0;
+    std::int64_t tokens = -1;
+    int next = kLaneLayers; //!< next layer to serve; kLaneLayers: none
+    std::uint64_t ends[kLaneLayers][4] = {};
+    std::int64_t hist[kLaneLayers * 64] = {};
+
+    /** Serve layer `next` into @p out if @p rng stands at its start. */
+    bool
+    take(Rng &rng, int n, std::int64_t t, std::int64_t *out)
+    {
+        if (next >= kLaneLayers || n != experts || t != tokens ||
+            !std::equal(ends[next - 1], ends[next - 1] + 4, rng.state()))
+            return false;
+        std::copy_n(hist + n * next, n, out);
+        rng.setState(ends[next]);
+        ++next;
+        return true;
+    }
+};
+
+static_assert(sizeof(LaneLookahead) < 8192,
+              "the lookahead stays under 8 KB per thread");
+
+/** This thread's lookahead, one for both gates. */
+LaneLookahead &
+laneLookahead()
+{
+    thread_local LaneLookahead ahead;
+    return ahead;
+}
+
+/**
+ * Draw the eight layers of @p tokens that start at @p rng's state
+ * into @p ahead, and serve the first into @p out.
+ */
+template <int N>
+__attribute__((target("avx512f"))) void
+drawLaneLayers(Rng &rng, std::int64_t tokens, LaneLookahead &ahead,
+               std::int64_t *out)
+{
+    Lanes lanes = loadLanes(rng, laneJumpsMemo(tokens));
+    std::fill_n(ahead.hist, kLaneLayers * N, 0);
+    if constexpr (N == 8)
+        top2LaneLayers8(lanes, tokens, ahead.hist);
+    else
+        top2LaneLayers64(lanes, tokens, ahead.hist);
+    storeLanes(lanes, ahead.ends);
+    ahead.experts = N;
+    ahead.tokens = tokens;
+    ahead.next = 1;
+    std::copy_n(ahead.hist, N, out);
+    rng.setState(ahead.ends[0]);
 }
 
 #if defined(__GNUC__) && !defined(__clang__)
@@ -282,20 +349,21 @@ laneJumpsMemo(std::int64_t rows)
 #endif
 
 /**
- * Token counts from which the lanes pay for their fixed cost per
- * layer: the 256-step lane walk, plus one lane jump memo miss per
- * stage spread over its MoE layers. Measured on a 4-core AVX-512
- * Xeon (g++ 12, Release): walk about 0.6 us, miss 2-3.5 us, and
- * against the serial kernels at 32 layers per stage, break-even
- * near 192 tokens for 8 experts and 288 for 64.
+ * Token counts from which the lanes pay for their fixed cost: one
+ * 256-step lane walk per eight layers, plus one lane jump memo miss
+ * per stage. Measured on a 4-core AVX-512 Xeon (g++ 12, -O3) with 32
+ * layers per stage and a new token count every stage: about 3 us of
+ * fixed cost per stage, and break-even against the serial kernels
+ * near 16 tokens for 8 experts and 48 for 64.
  */
-constexpr std::int64_t kLaneMinTokens8 = 192;
-constexpr std::int64_t kLaneMinTokens64 = 288;
+constexpr std::int64_t kLaneMinTokens8 = 16;
+constexpr std::int64_t kLaneMinTokens64 = 48;
 
 /**
- * Uniform top-2 over N experts on eight SIMD lanes, then the T % 8
- * remainder on top2Direct. False, drawing nothing, below the
- * crossover or on a host without AVX-512F.
+ * Uniform top-2 over N experts: the next layer of the lookahead, or
+ * eight fresh layers drawn on eight SIMD lanes, of which the first is
+ * returned. False, drawing nothing, below the crossover or on a host
+ * without AVX-512F.
  */
 template <int N>
 bool
@@ -307,12 +375,9 @@ top2Lanes([[maybe_unused]] Rng &rng, [[maybe_unused]] std::int64_t tokens,
     if (tokens < (N == 8 ? kLaneMinTokens8 : kLaneMinTokens64) ||
         Rng::laneWidth() != 8)
         return false;
-    const std::int64_t rows = tokens / 8;
-    if constexpr (N == 8)
-        top2LaneRows8(rng, rows, laneJumpsMemo(rows), hist);
-    else
-        top2LaneRows64(rng, rows, laneJumpsMemo(rows), hist);
-    top2Direct<N>(rng, tokens % 8, hist);
+    LaneLookahead &ahead = laneLookahead();
+    if (!ahead.take(rng, N, tokens, hist))
+        drawLaneLayers<N>(rng, tokens, ahead, hist);
     return true;
 #else
     return false;

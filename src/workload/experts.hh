@@ -59,22 +59,29 @@ class ExpertSelector
      * The uniform top-2 gate over 8 or 64 experts (the paper
      * models' gates) runs a kernel specialised on the expert count.
      * From laneMinTokens() tokens on, on a host whose
-     * Rng::laneWidth() is 8, it splits the first 8 * (T / 8) tokens
-     * into eight blocks and draws each in an AVX-512 lane, from the
-     * stream state its block starts at (Rng::laneStarts); the T % 8
-     * remainder is drawn after the last block, serially. Below the
-     * crossover, or without AVX-512F, the serial kernels run
-     * (top2PairCells<8>, top2Direct<64>). Either way the stream is
-     * consumed draw for draw as the per-token loop consumes it:
-     * every token draws the same two outputs, the histogram is the
-     * same, and @p rng is left at the same state.
+     * Rng::laneWidth() is 8, it draws eight consecutive layers of
+     * @p tokens at once, layer j in AVX-512 lane j from the stream
+     * state where layer j starts (Rng::laneStarts at stride
+     * 2 * tokens), returns the first, and keeps the other seven and
+     * each lane's end state in a lookahead. The next call takes the
+     * next kept layer only if @p rng's whole state is that layer's
+     * start and the expert and token counts are the same; anything
+     * else (another stream, a draw in between, a new token count)
+     * misses and draws eight fresh layers. Below the crossover, or
+     * without AVX-512F, the serial kernels run (top2PairCells<8>,
+     * top2Direct<64>). Either way the stream is consumed draw for
+     * draw as the per-token loop consumes it: every token draws the
+     * same two outputs, the histogram is the same, and @p rng is
+     * left at the same state.
      *
-     * The lane starts depend on the block size alone, so the last
-     * block size's jump masks are kept in a one-entry memo; every
-     * MoE layer of a stage draws the same T, so it misses at most
-     * once per stage. The memo is thread_local, not a member: this
-     * method stays const, one selector can serve several threads,
-     * and sweep workers never share or lock an entry.
+     * An MoE stage draws its layers back to back with one token
+     * count (Mixtral 32, GLaM 16, Grok1 64 MoE layers: multiples of
+     * eight), so a stage pays one lane walk per eight layers and at
+     * most one miss of the lane jump memo, which keeps the last
+     * token count's jump masks. The memo and the lookahead (about
+     * 4.4 KB) are thread_local, not members: this method stays
+     * const, one selector can serve several threads, and sweep
+     * workers never share or lock an entry.
      */
     void sampleInto(Rng &rng, std::int64_t tokens,
                     std::vector<std::int64_t> &hist) const;
@@ -83,8 +90,9 @@ class ExpertSelector
      * Token count from which the uniform top-2 gate over
      * @p num_experts draws on SIMD lanes, when Rng::laneWidth() is
      * 8; 0 for expert counts without a lane kernel. Measured
-     * constants: below them the lane walk costs more than the lanes
-     * save.
+     * constants (16 for 8 experts, 48 for 64), for stages of 32
+     * layers: below them a stage's lane walks and jump memo miss
+     * cost more than the lanes save.
      */
     static std::int64_t laneMinTokens(int num_experts);
 

@@ -203,6 +203,28 @@ TEST(Rng, JumpPolynomialsCompose)
                 << "a=" << a << " b=" << b;
 }
 
+TEST(Rng, CarryLessProductMatchesHorner)
+{
+    // gf2MulMod (carry-less on hosts with PCLMULQDQ) against the
+    // portable Horner product: the reduction's edges, then random
+    // pairs.
+    constexpr std::uint64_t kAll = ~std::uint64_t{0};
+    const Gf2Poly edges[] = {{0, 0, 0, 0},
+                             {1, 0, 0, 0},
+                             {0, 0, 0, std::uint64_t{1} << 63},
+                             {kAll, kAll, kAll, kAll},
+                             kXoshiroCharPoly};
+    for (const Gf2Poly &a : edges)
+        for (const Gf2Poly &b : edges)
+            EXPECT_EQ(gf2MulMod(a, b), gf2MulModReference(a, b));
+    Rng rng(2718);
+    for (int i = 0; i < 10000; ++i) {
+        const Gf2Poly a = {rng.next(), rng.next(), rng.next(), rng.next()};
+        const Gf2Poly b = {rng.next(), rng.next(), rng.next(), rng.next()};
+        ASSERT_EQ(gf2MulMod(a, b), gf2MulModReference(a, b)) << "pair " << i;
+    }
+}
+
 TEST(Rng, PinnedCharacteristicPolynomial)
 {
     // Berlekamp-Massey over 512 bits of one state bit: the linear

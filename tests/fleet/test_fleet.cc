@@ -360,12 +360,13 @@ TEST(Fleet, AutoscalingDrainsBeforeRetiring)
     // the same instance, never before its drain.
     std::set<int> draining;
     for (const ScaleEvent &e : recorder.events) {
-        if (e.kind == ScaleEvent::Kind::Drain)
+        if (e.kind == ScaleEvent::Kind::Drain) {
             draining.insert(e.instance);
-        else if (e.kind == ScaleEvent::Kind::Retire)
+        } else if (e.kind == ScaleEvent::Kind::Retire) {
             EXPECT_TRUE(draining.count(e.instance))
                 << "instance " << e.instance
                 << " retired without draining";
+        }
     }
 
     // Nothing in flight was dropped: every routed request retired,

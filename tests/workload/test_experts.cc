@@ -10,7 +10,9 @@
 #include <cmath>
 #include <cstdio>
 #include <iterator>
+#include <functional>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "workload/experts.hh"
@@ -116,9 +118,9 @@ constexpr std::int64_t kTop2Tokens[] = {0, 1, 2, 3, 255, 256, 4097};
 
 /**
  * kTop2Tokens plus, for the lane kernels of 8 and 64 experts: the
- * crossover less one, the crossover and the next seven (every
- * T % 8 remainder), a moe-longrun mixed stage, and counts past the
- * 255-row flush of the byte counters.
+ * crossover less one, the crossover and the next one, moe-longrun's
+ * decode and mixed stages, and counts past the 255-row flush of the
+ * byte counters.
  */
 std::vector<std::int64_t>
 top2Tokens()
@@ -127,20 +129,30 @@ top2Tokens()
                                      std::end(kTop2Tokens));
     for (int n : {8, 64}) {
         const std::int64_t crossover = ExpertSelector::laneMinTokens(n);
-        for (std::int64_t t = crossover - 1; t <= crossover + 7; ++t)
+        for (std::int64_t t = crossover - 1; t <= crossover + 1; ++t)
             tokens.push_back(t);
     }
-    for (std::int64_t t : {830, 8192 + 5, 65536 + 3})
+    for (std::int64_t t : {164, 511, 830, 8192 + 5, 65536 + 3})
         tokens.push_back(t);
     return tokens;
+}
+
+/** Both generators stand at the same 256-bit state. */
+::testing::AssertionResult
+sameState(const Rng &fast, const Rng &ref)
+{
+    if (std::equal(fast.state(), fast.state() + 4, ref.state()))
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure() << "generator states differ";
 }
 
 TEST(ExpertSelector, ReportsWhichKernelRan)
 {
     // One line in the test log: did this host run the lane path?
     if (Rng::laneWidth() == 8)
-        std::printf("[ kernel   ] uniform top-2: 8 AVX-512 lanes from "
-                    "%lld tokens (8 experts) and %lld (64 experts)\n",
+        std::printf("[ kernel   ] uniform top-2: eight layers per walk "
+                    "on 8 AVX-512 lanes from %lld tokens (8 experts) "
+                    "and %lld (64 experts)\n",
                     static_cast<long long>(
                         ExpertSelector::laneMinTokens(8)),
                     static_cast<long long>(
@@ -170,6 +182,132 @@ TEST(ExpertSelector, Top2KernelsMatchPerTokenReference)
     }
 }
 
+TEST(ExpertSelector, ConsecutiveLayersMatchPerTokenReference)
+{
+    // Runs of L layers of one stage on one stream: the lookahead
+    // serves up to seven of every eight, and each must be the layer
+    // the per-token loop draws, with the generator where it leaves
+    // it after every call.
+    for (int n : {8, 64}) {
+        const ExpertSelector sel(n, 2);
+        for (std::int64_t tokens : {1, 7, 8, 71, 164, 191, 192, 830, 4099}) {
+            for (int layers : {1, 2, 7, 8, 9, 16, 32, 64}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "n=" << n << " tokens=" << tokens
+                             << " layers=" << layers);
+                Rng fast(tokens * 131 + layers);
+                Rng ref = fast;
+                std::vector<std::int64_t> hist;
+                for (int layer = 0; layer < layers; ++layer) {
+                    sel.sampleInto(fast, tokens, hist);
+                    ASSERT_EQ(hist, sel.sampleReference(ref, tokens))
+                        << "layer " << layer;
+                    ASSERT_TRUE(sameState(fast, ref)) << "layer " << layer;
+                }
+            }
+        }
+    }
+}
+
+TEST(ExpertSelector, LookaheadMissesWhenTheStreamMoves)
+{
+    // Each case leaves the stream somewhere other than where the
+    // lookahead's next layer starts; the next call must draw afresh.
+    const std::int64_t t = 830;
+    for (int n : {8, 64}) {
+        const ExpertSelector sel(n, 2);
+        SCOPED_TRACE(::testing::Message() << "n=" << n);
+        Rng fast(5 + n);
+        Rng ref = fast;
+        std::vector<std::int64_t> hist;
+        auto layer = [&](std::int64_t tokens) {
+            sel.sampleInto(fast, tokens, hist);
+            EXPECT_EQ(hist, sel.sampleReference(ref, tokens));
+            EXPECT_TRUE(sameState(fast, ref));
+        };
+        // One next() between two layers.
+        layer(t);
+        EXPECT_EQ(fast.next(), ref.next());
+        layer(t);
+        layer(t);
+        // The token count changes mid-run, and changes back.
+        layer(t + 1);
+        layer(t);
+        layer(t);
+    }
+}
+
+TEST(ExpertSelector, LookaheadMissesWhenTheGateAlternates)
+{
+    // An 8-expert and a 64-expert gate on one stream: each draw
+    // replaces the other's lookahead, so every call misses.
+    const ExpertSelector mixtral(8, 2);
+    const ExpertSelector glam(64, 2);
+    Rng fast(17);
+    Rng ref = fast;
+    std::vector<std::int64_t> hist;
+    for (int layer = 0; layer < 12; ++layer) {
+        const ExpertSelector &sel = layer % 2 ? glam : mixtral;
+        SCOPED_TRACE(::testing::Message() << "layer=" << layer);
+        sel.sampleInto(fast, 830, hist);
+        ASSERT_EQ(hist, sel.sampleReference(ref, 830));
+        ASSERT_TRUE(sameState(fast, ref));
+    }
+}
+
+TEST(ExpertSelector, LookaheadServesACopyAtTheSameState)
+{
+    // A copy of the generator at the same state may take the next
+    // layer (it is the same layer); the original, one layer behind
+    // the lookahead then, draws afresh and gets the same layer.
+    const ExpertSelector sel(8, 2);
+    Rng original(23);
+    Rng ref = original;
+    std::vector<std::int64_t> hist;
+    sel.sampleInto(original, 830, hist);
+    ASSERT_EQ(hist, sel.sampleReference(ref, 830));
+    Rng copy = original;
+    const std::vector<std::int64_t> layer1 = sel.sampleReference(ref, 830);
+    sel.sampleInto(copy, 830, hist);
+    EXPECT_EQ(hist, layer1);
+    EXPECT_TRUE(sameState(copy, ref));
+    sel.sampleInto(original, 830, hist);
+    EXPECT_EQ(hist, layer1);
+    EXPECT_TRUE(sameState(original, ref));
+}
+
+TEST(ExpertSelector, LookaheadIsPerThread)
+{
+    // Two threads draw 32-layer stages at once, on streams of their
+    // own, alternating token counts as moe-longrun does. Each checks
+    // every layer against the per-token loop.
+    auto stages = [](int n, std::uint64_t seed, bool &ok) {
+        const ExpertSelector sel(n, 2);
+        Rng fast(seed);
+        Rng ref = fast;
+        std::vector<std::int64_t> hist;
+        ok = true;
+        for (int stage = 0; stage < 8; ++stage) {
+            const std::int64_t tokens = 164 + 666 * (stage % 2);
+            for (int layer = 0; layer < 32; ++layer) {
+                sel.sampleInto(fast, tokens, hist);
+                ok = ok && hist == sel.sampleReference(ref, tokens) &&
+                     sameState(fast, ref);
+            }
+        }
+    };
+    for (int n : {8, 64}) {
+        bool ok_a = false;
+        bool ok_b = false;
+        std::thread a(stages, n, 101, std::ref(ok_a));
+        std::thread b(stages, n, 202, std::ref(ok_b));
+        a.join();
+        b.join();
+        EXPECT_TRUE(ok_a) << "n=" << n;
+        EXPECT_TRUE(ok_b) << "n=" << n;
+    }
+}
+
 TEST(ExpertSelector, Top2KernelsInterleavedOnOneStream)
 {
     // Layers of different gates drawing from one generator (a
@@ -195,23 +333,27 @@ TEST(ExpertSelector, Top2KernelsInterleavedOnOneStream)
 
 TEST(ExpertSelector, LaneJumpMemoHitsMissesAndHitsAgain)
 {
-    // Sizes below and above each crossover on one stream: the lane
-    // jump memo hits, is bypassed by the serial kernel, hits again,
-    // misses on a new block size, and is shared by both gates.
+    // Sizes below and above each crossover on one stream: nine
+    // layers at one size hit the lookahead and walk twice on one
+    // jump memo entry; the serial kernel bypasses both; the memo
+    // hits again while the moved stream misses the lookahead; a new
+    // size misses both; and the memo is shared by both gates.
     Rng fast(91);
     Rng ref(91);
     std::vector<std::int64_t> hist;
     for (int n : {8, 64}) {
         const ExpertSelector sel(n, 2);
         const std::int64_t c = ExpertSelector::laneMinTokens(n);
+        std::vector<std::int64_t> sizes(9, c + 9);
         for (std::int64_t tokens :
-             {c + 9, c + 9, c - 1, c + 9, c + 17, c + 13, c + 9, c + 9,
-              c - 100, std::int64_t{830}}) {
+             {c - 1, c + 9, c + 17, c + 9, c + 9, c / 2, std::int64_t{830}})
+            sizes.push_back(tokens);
+        for (std::int64_t tokens : sizes) {
             SCOPED_TRACE(::testing::Message()
                          << "n=" << n << " tokens=" << tokens);
             sel.sampleInto(fast, tokens, hist);
             ASSERT_EQ(hist, sel.sampleReference(ref, tokens));
-            ASSERT_EQ(fast.state()[0], ref.state()[0]);
+            ASSERT_TRUE(sameState(fast, ref));
         }
     }
     EXPECT_EQ(fast.next(), ref.next());
