@@ -8,8 +8,10 @@
  *  - cost model: the O(1) closed-form attention costs against the
  *    retained per-context reference loops (batch 256);
  *  - stage execution: stages/sec of Cluster::executeStage on a
- *    representative decode and mixed stage of Mixtral, and on the
- *    decode stage of the dense 80-layer Llama3;
+ *    representative decode and mixed stage of Mixtral (each MoE
+ *    pricing path: GPU, whole-group Duplex, co-processed expert- and
+ *    expert-tensor-parallel groups), on GLaM's 64-expert decode
+ *    stage, and on the decode stage of the dense 80-layer Llama3;
  *  - figure sweeps: wall-clock of the Fig. 11 throughput sweep
  *    (the paper's headline figure, 135 simulations) and the
  *    Fig. 12 GLaM latency sweep through the SweepRunner, with
@@ -97,7 +99,7 @@ probeStageExec(const std::string &system, const ModelConfig &model,
                const StageShape &stage)
 {
     const std::unique_ptr<ServingSystem> sys = makeSystem(system, model);
-    // Warm up once (device LUT construction etc.).
+    // Warm up once (expert price cache, scratch allocation).
     sys->executeStage(stage);
     // Whole batches of 300 stages until 50 ms have passed, so a
     // sub-microsecond dense stage is timed over enough iterations.
@@ -268,6 +270,15 @@ main()
          probeStageExec("duplex-pe-et", mixtral, decode_stage)},
         {"duplex_mixed64",
          probeStageExec("duplex-pe-et", mixtral, mixed_stage)},
+        // The other MoE pricing paths: whole groups on the faster
+        // engine, co-processing over expert-parallel groups, and
+        // GLaM's 64 experts in one co-processed group.
+        {"duplex_decode64_nope",
+         probeStageExec("duplex", mixtral, decode_stage)},
+        {"duplex_pe_decode64",
+         probeStageExec("duplex-pe", mixtral, decode_stage)},
+        {"glam_duplex_pe_et_decode64",
+         probeStageExec("duplex-pe-et", glamConfig(), decode_stage)},
         // Dense 80-layer model: no expert draws, so these time the
         // layer schedule itself.
         {"gpu_llama3_decode64",

@@ -52,6 +52,38 @@ ExpertDraw::draw(std::int64_t tokens, StageResult &out)
     return hist_;
 }
 
+template <class Fill>
+const std::vector<const ExpertPrice *> &
+ExpertPriceCache::layer(const std::vector<std::int64_t> &hist,
+                        int num_experts, bool reference, Fill &&fill)
+{
+    if (entries_.empty()) {
+        entries_.resize(kEntries);
+        scratch_.resize(hist.size());
+    }
+    layer_.resize(static_cast<std::size_t>(num_experts));
+    for (int e = 0; e < num_experts; ++e) {
+        const std::int64_t tokens = hist[e];
+        if (tokens == 0) {
+            layer_[e] = &kIdleExpert;
+            continue;
+        }
+        ExpertPrice *p = &entries_[tokens & (kEntries - 1)];
+        if (reference || p->tokens != tokens) {
+            // A miss evicts its slot unless an earlier expert of
+            // this layer points at it: that one keeps it, and this
+            // one is priced into its own scratch entry.
+            const auto earlier = layer_.begin() + e;
+            if (reference || std::find(layer_.begin(), earlier, p) != earlier)
+                p = &scratch_[e];
+            fill(tokens, *p);
+            p->tokens = tokens;
+        }
+        layer_[e] = p;
+    }
+    return layer_;
+}
+
 namespace
 {
 
@@ -265,14 +297,15 @@ Cluster::nodeShare(const StageShape &stage)
 
 void
 Cluster::runMoeLayer(const std::vector<std::int64_t> &hist,
-                     const DeviceTiming &gate_t, StageResult &out)
+                     const DeviceTiming &gate_t, bool reference,
+                     StageResult &out)
 {
     const ModelConfig &m = cfg_.model;
 
     // Group the experts the way the plan places them.
     int num_groups = 0;
     int experts_per_group = 0;
-    double shard = plan_.expertShardFraction();
+    const double shard = plan_.expertShardFraction();
     int shards_per_group = plan_.expertTpDegree;
     if (plan_.experts == ExpertPlacement::ExpertParallel) {
         experts_per_group = std::max(1, plan_.expertsPerDevice);
@@ -282,20 +315,15 @@ Cluster::runMoeLayer(const std::vector<std::int64_t> &hist,
         experts_per_group = m.numExperts / num_groups;
     }
 
-    // One device call for the whole layer, so the device shares its
-    // per-token-count memo across groups.
-    std::vector<ExpertWork> &work = moeWorkScratch_;
-    work.clear();
-    work.reserve(static_cast<std::size_t>(num_groups) *
-                 experts_per_group);
-    for (int e = 0; e < num_groups * experts_per_group; ++e) {
-        ExpertWork w;
-        w.tokens = hist[e];
-        w.cost = draw_.expertCost(hist[e]).scaled(shard);
-        work.push_back(w);
-    }
+    // One device call for the whole layer, over the cached prices.
+    const auto &prices = prices_.layer(
+        hist, num_groups * experts_per_group, reference,
+        [&](std::int64_t tokens, ExpertPrice &p) {
+            device_->priceExpert(
+                tokens, draw_.expertCost(tokens).scaled(shard), p);
+        });
     const DeviceTiming moe = device_->runMoeGroups(
-        work, experts_per_group,
+        prices, experts_per_group,
         static_cast<double>(shards_per_group));
 
     out.time += gate_t.time + moe.time;
@@ -438,7 +466,7 @@ Cluster::priceStage(const StageShape &stage, bool reference)
 
     auto moe_step = [&](const std::vector<std::int64_t> &hist,
                         StageResult &out) {
-        runMoeLayer(hist, gate_t, out);
+        runMoeLayer(hist, gate_t, reference, out);
     };
     return reference ? priceLayersReference(m, t, draw_,
                                             global_tokens, moe_step)
@@ -477,26 +505,29 @@ HeteroCluster::kvBudget() const
 
 void
 HeteroCluster::runMoeLayer(const std::vector<std::int64_t> &hist,
-                           const DeviceTiming &gate_t,
+                           const DeviceTiming &gate_t, bool reference,
                            StageResult &out)
 {
     // The PIM devices own every expert, in all stages.
     addGroup(gate_t, cfg_.numGpus, LayerClass::Moe, out);
+    const HybridDeviceSpec &pim = cfg_.pimSpec;
+    const int per_dev = cfg_.model.numExperts / cfg_.numPimDevices;
+    const auto &prices = prices_.layer(
+        hist, per_dev * cfg_.numPimDevices, reference,
+        [&](std::int64_t tokens, ExpertPrice &p) {
+            const OpCost c = draw_.expertCost(tokens);
+            p.low = operatorTimeNoOverhead(pim.low, c.flops, c.bytes);
+            p.lowE = engineEnergy(pim.lowPath, pim.lowCls, energy_, c);
+        });
     PicoSec worst = 0;
     EnergyBreakdown moe_energy;
-    const int per_dev = cfg_.model.numExperts / cfg_.numPimDevices;
     for (int d = 0; d < cfg_.numPimDevices; ++d) {
-        PicoSec dev_time = cfg_.pimSpec.low.dispatchOverhead;
+        PicoSec dev_time = pim.low.dispatchOverhead;
         for (int e = d * per_dev; e < (d + 1) * per_dev; ++e) {
-            if (hist[e] == 0)
+            if (prices[e]->tokens == 0)
                 continue;
-            const OpCost c = draw_.expertCost(hist[e]);
-            dev_time += operatorTimeNoOverhead(cfg_.pimSpec.low,
-                                               c.flops, c.bytes);
-            moe_energy.dramJ +=
-                energy_.dramEnergyJ(cfg_.pimSpec.lowPath, c.bytes);
-            moe_energy.computeJ +=
-                energy_.computeEnergyJ(cfg_.pimSpec.lowCls, c.flops);
+            dev_time += prices[e]->low;
+            moe_energy += prices[e]->lowE;
         }
         worst = std::max(worst, dev_time);
     }
@@ -566,7 +597,7 @@ HeteroCluster::priceStage(const StageShape &stage, bool reference)
 
     auto moe_step = [&](const std::vector<std::int64_t> &hist,
                         StageResult &out) {
-        runMoeLayer(hist, gate_t, out);
+        runMoeLayer(hist, gate_t, reference, out);
     };
     return reference
                ? priceLayersReference(m, t, draw_, tokens, moe_step)

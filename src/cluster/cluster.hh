@@ -122,6 +122,40 @@ class ExpertDraw
     AffineOpCost expertCost_;
 };
 
+/**
+ * The expert-time lookup table of Section V-B, filled lazily: each
+ * cluster's per-token-count expert prices, direct-mapped by the
+ * token count and kept across MoE layers and stages. A cluster
+ * prices an expert as a pure function of its token count, so a hit
+ * is bit-identical to pricing it again; a collision just reprices.
+ * Holds no entries until the first MoE layer, so a dense model's
+ * cluster never allocates them.
+ */
+class ExpertPriceCache
+{
+  public:
+    /**
+     * One entry per expert of one MoE layer's histogram @p hist,
+     * valid until the next call. @p fill(tokens, entry) prices a
+     * token count the cache misses, or every expert with tokens
+     * when @p reference is set (into per-expert scratch, bypassing
+     * the cache). Experts without tokens point at kIdleExpert;
+     * two counts of one layer that share a slot keep the first in
+     * the cache and price the second into scratch.
+     */
+    template <class Fill>
+    const std::vector<const ExpertPrice *> &
+    layer(const std::vector<std::int64_t> &hist, int num_experts,
+          bool reference, Fill &&fill);
+
+    static constexpr std::int64_t kEntries = 256;
+
+  private:
+    std::vector<ExpertPrice> entries_;
+    std::vector<ExpertPrice> scratch_; //!< one entry per expert
+    std::vector<const ExpertPrice *> layer_;
+};
+
 /** Configuration of a homogeneous serving system. */
 struct ClusterConfig
 {
@@ -177,8 +211,7 @@ class Cluster
     /** Reused across stages: multi-node share of the stage. */
     StageShape nodeShareScratch_;
 
-    /** Reused across MoE layers: per-group expert work. */
-    std::vector<ExpertWork> moeWorkScratch_;
+    ExpertPriceCache prices_;
 
     /**
      * The layer-invariant groups that depend on the node token
@@ -197,11 +230,10 @@ class Cluster
     };
 
     /**
-     * Direct-mapped by node token count, like the per-token-count
-     * memo of Device::runMoeGroups: decode stages repeat a handful
-     * of batch sizes, and a collision just reprices. The devices are
-     * stateless for these groups, so a hit is bit-identical to
-     * pricing them again.
+     * Direct-mapped by node token count, like the expert price
+     * cache: decode stages repeat a handful of batch sizes, and a
+     * collision just reprices. The devices are stateless for these
+     * groups, so a hit is bit-identical to pricing them again.
      */
     std::array<TokenGroups, 16> tokenMemo_{};
     TokenGroups tokenScratch_; //!< the reference path's, never reused
@@ -222,9 +254,11 @@ class Cluster
     /** executeStage, or its reference when @p reference is set. */
     StageResult priceStage(const StageShape &stage, bool reference);
 
-    /** MoE step: the gate plus the experts, grouped by the plan. */
+    /** MoE step: the gate plus the experts, grouped by the plan;
+     *  @p reference prices the experts afresh. */
     void runMoeLayer(const std::vector<std::int64_t> &hist,
-                     const DeviceTiming &gate_t, StageResult &out);
+                     const DeviceTiming &gate_t, bool reference,
+                     StageResult &out);
     PicoSec moeCommTime(std::int64_t global_tokens,
                         std::int64_t node_tokens) const;
 };
@@ -268,13 +302,16 @@ class HeteroCluster
     LayerCosts costs_;
     EnergyModel energy_;
     ExpertDraw draw_;
+    ExpertPriceCache prices_;
 
     /** executeStage, or its reference when @p reference is set. */
     StageResult priceStage(const StageShape &stage, bool reference);
 
-    /** MoE step: the gate on the GPUs, every expert on the PIMs. */
+    /** MoE step: the gate on the GPUs, every expert on the PIMs;
+     *  @p reference prices the experts afresh. */
     void runMoeLayer(const std::vector<std::int64_t> &hist,
-                     const DeviceTiming &gate_t, StageResult &out);
+                     const DeviceTiming &gate_t, bool reference,
+                     StageResult &out);
 };
 
 } // namespace duplex

@@ -1,100 +1,104 @@
 #include "core/coprocess.hh"
 
-#include <algorithm>
-
-#include "common/log.hh"
+#include <cstdint>
 
 namespace duplex
 {
 
 ExpertPartition
-partitionExperts(const std::vector<ExpertWork> &experts,
-                 const ExpertTimeLut &lut, const EngineSpec &xpu,
-                 const EngineSpec &low)
+partitionExperts(const std::vector<ExpertPrice> &experts,
+                 const EngineSpec &xpu, const EngineSpec &low)
 {
+    std::vector<const ExpertPrice *> entries;
+    for (const ExpertPrice &e : experts)
+        entries.push_back(&e);
     ExpertPartition part;
-    std::vector<PicoSec> prefix;
-    std::vector<PicoSec> suffix;
-    partitionExpertsRange(experts.data(),
-                          experts.data() + experts.size(), lut, xpu,
-                          low, part, prefix, suffix);
+    partitionExpertsRange(entries.data(), entries.data() + entries.size(),
+                          xpu, low, part);
     return part;
 }
 
 void
-partitionExpertsRange(const ExpertWork *begin, const ExpertWork *end,
-                      const ExpertTimeLut &lut, const EngineSpec &xpu,
-                      const EngineSpec &low, ExpertPartition &part,
-                      std::vector<PicoSec> &prefix_scratch,
-                      std::vector<PicoSec> &suffix_scratch)
+partitionExpertsRange(const ExpertPrice *const *begin,
+                      const ExpertPrice *const *end,
+                      const EngineSpec &xpu, const EngineSpec &low,
+                      ExpertPartition &part)
 {
-    part.sorted.clear();
-    part.numOnLow = 0;
-    part.lowTime = 0;
-    part.xpuTime = 0;
-    part.sorted.reserve(static_cast<std::size_t>(end - begin));
-    for (const ExpertWork *e = begin; e != end; ++e)
-        if (e->tokens > 0)
-            part.sorted.push_back(*e);
+    // Gather the experts with tokens without a branch per expert: a
+    // decode layer's idle experts fall at random.
+    std::vector<const ExpertPrice *> &sorted = part.sorted;
+    sorted.resize(static_cast<std::size_t>(end - begin));
+    int n = 0;
+    std::int64_t max_tokens = 0;
+    PicoSec xpu_rest = 0;
+    for (const ExpertPrice *const *e = begin; e != end; ++e) {
+        const bool active = (*e)->tokens > 0;
+        sorted[n] = *e;
+        n += active;
+        xpu_rest += active ? (*e)->xpu : 0;
+        max_tokens = std::max(max_tokens, (*e)->tokens);
+    }
+    sorted.resize(static_cast<std::size_t>(n));
 
-    const int n = static_cast<int>(part.sorted.size());
-    if (n == 0)
-        return;
-
-    // Ascending by token count. Ties carry identical costs and LUT
-    // times, so any tie order yields the same split and sums;
-    // insertion sort beats std::sort at MoE group sizes.
+    // Ascending by token count. Ties carry identical prices, so any
+    // tie order yields the same split and sums. A small group ranks
+    // each expert without a data-dependent branch; a wide group of
+    // small counts (a decode layer's) sorts by counting.
     if (n <= 16) {
-        for (int i = 1; i < n; ++i) {
-            const ExpertWork key = part.sorted[i];
-            int j = i - 1;
-            while (j >= 0 && part.sorted[j].tokens > key.tokens) {
-                part.sorted[j + 1] = part.sorted[j];
-                --j;
-            }
-            part.sorted[j + 1] = key;
+        std::uint64_t key[16];
+        const ExpertPrice *from[16];
+        for (int i = 0; i < n; ++i) {
+            key[i] = static_cast<std::uint64_t>(sorted[i]->tokens) << 4 | i;
+            from[i] = sorted[i];
         }
+        for (int i = 0; i < n; ++i) {
+            int rank = 0;
+            for (int j = 0; j < n; ++j)
+                rank += key[j] < key[i];
+            sorted[rank] = from[i];
+        }
+    } else if (max_tokens <= 4 * n) {
+        std::vector<int> &start = part.countScratch;
+        start.assign(static_cast<std::size_t>(max_tokens) + 2, 0);
+        for (const ExpertPrice *p : sorted)
+            ++start[p->tokens + 1];
+        for (std::size_t t = 1; t < start.size(); ++t)
+            start[t] += start[t - 1];
+        part.sortScratch.resize(sorted.size());
+        for (const ExpertPrice *p : sorted)
+            part.sortScratch[start[p->tokens]++] = p;
+        sorted.swap(part.sortScratch);
     } else {
-        std::sort(part.sorted.begin(), part.sorted.end(),
-                  [](const ExpertWork &a, const ExpertWork &b) {
-                      return a.tokens < b.tokens;
+        std::sort(sorted.begin(), sorted.end(),
+                  [](const ExpertPrice *a, const ExpertPrice *b) {
+                      return a->tokens < b->tokens;
                   });
     }
 
-    // Prefix sums of low-engine times and suffix sums of xPU times.
-    std::vector<PicoSec> &low_prefix = prefix_scratch;
-    std::vector<PicoSec> &xpu_suffix = suffix_scratch;
-    low_prefix.assign(n + 1, 0);
-    xpu_suffix.assign(n + 1, 0);
-    for (int i = 0; i < n; ++i) {
-        low_prefix[i + 1] =
-            low_prefix[i] + lut.lowTime(part.sorted[i].tokens);
-    }
-    for (int i = n - 1; i >= 0; --i) {
-        xpu_suffix[i] =
-            xpu_suffix[i + 1] + lut.xpuTime(part.sorted[i].tokens);
-    }
-
+    // Integer picoseconds: the running low-engine prefix and xPU
+    // suffix are exact in any summation order.
+    part.numOnLow = 0;
+    part.lowTime = 0;
+    part.xpuTime = 0;
+    PicoSec low_prefix = 0;
     PicoSec best = -1;
-    int best_split = 0;
-    PicoSec best_low = 0;
-    PicoSec best_xpu = 0;
-    for (int split = 0; split <= n; ++split) {
+    for (int split = 0; n > 0 && split <= n; ++split) {
         const PicoSec t_low =
-            split > 0 ? low_prefix[split] + low.dispatchOverhead : 0;
+            split > 0 ? low_prefix + low.dispatchOverhead : 0;
         const PicoSec t_xpu =
-            split < n ? xpu_suffix[split] + xpu.dispatchOverhead : 0;
+            split < n ? xpu_rest + xpu.dispatchOverhead : 0;
         const PicoSec makespan = std::max(t_low, t_xpu);
         if (best < 0 || makespan < best) {
             best = makespan;
-            best_split = split;
-            best_low = t_low;
-            best_xpu = t_xpu;
+            part.numOnLow = split;
+            part.lowTime = t_low;
+            part.xpuTime = t_xpu;
+        }
+        if (split < n) {
+            low_prefix += sorted[split]->low;
+            xpu_rest -= sorted[split]->xpu;
         }
     }
-    part.numOnLow = best_split;
-    part.lowTime = best_low;
-    part.xpuTime = best_xpu;
 }
 
 } // namespace duplex

@@ -15,19 +15,19 @@
 #ifndef DUPLEX_CORE_COPROCESS_HH
 #define DUPLEX_CORE_COPROCESS_HH
 
+#include <algorithm>
 #include <vector>
 
-#include "core/lookup.hh"
 #include "device/device.hh"
 
 namespace duplex
 {
 
-/** Outcome of the expert partition search. */
+/** Outcome of the expert partition search over one group. */
 struct ExpertPartition
 {
-    /** Experts sorted ascending by token count. */
-    std::vector<ExpertWork> sorted;
+    /** Experts with tokens, sorted ascending by token count. */
+    std::vector<const ExpertPrice *> sorted;
 
     /** Experts sorted[0 .. numOnLow) run on the low-Op/B engine. */
     int numOnLow = 0;
@@ -36,37 +36,32 @@ struct ExpertPartition
     PicoSec xpuTime = 0;  //!< makespan contribution of the xPU
 
     PicoSec makespan() const { return std::max(lowTime, xpuTime); }
+
+    /** Counting-sort storage, reused across calls. */
+    std::vector<int> countScratch;
+    std::vector<const ExpertPrice *> sortScratch;
 };
 
 /**
- * Search the best prefix split. Zero-token experts are dropped
- * (their weights are never read). Per-side dispatch overheads are
- * charged once per non-empty side.
+ * Search the best prefix split of one group's priced experts
+ * (pointers into the caller's entries), filling @p part and reusing
+ * its storage. Zero-token experts are dropped (their weights are
+ * never read). Per-side dispatch overheads are charged once per
+ * non-empty side; ties keep the smallest split.
  *
- * @param experts Per-expert work, any order.
- * @param lut     Expert-time lookup table for both engines.
- * @param xpu     High-Op/B engine (for dispatch overhead).
- * @param low     Low-Op/B engine (for dispatch overhead).
+ * @param xpu High-Op/B engine (for dispatch overhead).
+ * @param low Low-Op/B engine (for dispatch overhead).
  */
-ExpertPartition partitionExperts(const std::vector<ExpertWork> &experts,
-                                 const ExpertTimeLut &lut,
-                                 const EngineSpec &xpu,
-                                 const EngineSpec &low);
-
-/**
- * Range form for the per-layer hot path (one expert-parallel
- * group): fills @p part (clearing its previous contents) and reuses
- * @p prefix_scratch / @p suffix_scratch instead of allocating. Same
- * result as partitionExperts over the range.
- */
-void partitionExpertsRange(const ExpertWork *begin,
-                           const ExpertWork *end,
-                           const ExpertTimeLut &lut,
+void partitionExpertsRange(const ExpertPrice *const *begin,
+                           const ExpertPrice *const *end,
                            const EngineSpec &xpu,
                            const EngineSpec &low,
-                           ExpertPartition &part,
-                           std::vector<PicoSec> &prefix_scratch,
-                           std::vector<PicoSec> &suffix_scratch);
+                           ExpertPartition &part);
+
+/** partitionExpertsRange over every entry of @p experts. */
+ExpertPartition partitionExperts(const std::vector<ExpertPrice> &experts,
+                                 const EngineSpec &xpu,
+                                 const EngineSpec &low);
 
 /**
  * Attention co-processing composition: both groups run concurrently,

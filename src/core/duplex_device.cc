@@ -114,123 +114,56 @@ HybridDevice::runAttention(const OpCost &decode, const OpCost &prefill)
     return t;
 }
 
+void
+HybridDevice::priceExpert(std::int64_t tokens, const OpCost &cost,
+                          ExpertPrice &out) const
+{
+    out.tokens = tokens;
+    if (spec_.coProcessing && lut_ != nullptr) {
+        out.xpu = lut_->xpuTime(tokens);
+        out.low = lut_->lowTime(tokens);
+    } else {
+        out.xpu =
+            operatorTimeNoOverhead(spec_.xpu, cost.flops, cost.bytes);
+        out.low =
+            operatorTimeNoOverhead(spec_.low, cost.flops, cost.bytes);
+    }
+    out.xpuE = engineEnergy(spec_.xpuPath, spec_.xpuCls, energy_, cost);
+    out.lowE = engineEnergy(spec_.lowPath, spec_.lowCls, energy_, cost);
+}
+
 DeviceTiming
-HybridDevice::runMoeGroups(const std::vector<ExpertWork> &experts,
+HybridDevice::runMoeGroups(const std::vector<const ExpertPrice *> &experts,
                            int group_size, double energy_scale)
 {
     // Engine selection per group: expert co-processing splits the
     // group between the engines by the lookup table; otherwise the
     // whole group runs on the faster engine by total time.
+    if (!spec_.coProcessing || lut_ == nullptr)
+        return runWholeGroups(experts, group_size, energy_scale,
+                              spec_.xpu, &spec_.low,
+                              lastExpertsOnLow_);
+
     const int num_groups =
         static_cast<int>(experts.size()) / group_size;
     DeviceTiming total;
-
-    if (spec_.coProcessing && lut_ != nullptr) {
-        for (int g = 0; g < num_groups; ++g) {
-            const ExpertWork *begin = experts.data() + g * group_size;
-            bool group_active = false;
-            for (int i = 0; i < group_size; ++i) {
-                if (begin[i].tokens > 0) {
-                    group_active = true;
-                    break;
-                }
-            }
-            if (!group_active) {
-                lastExpertsOnLow_ = 0;
-                continue;
-            }
-            partitionExpertsRange(begin, begin + group_size, *lut_,
-                                  spec_.xpu, spec_.low, partScratch_,
-                                  prefixScratch_, suffixScratch_);
-            const ExpertPartition &part = partScratch_;
-            lastExpertsOnLow_ = part.numOnLow;
-            DeviceTiming group;
-            group.time = part.makespan();
-            for (int i = 0;
-                 i < static_cast<int>(part.sorted.size()); ++i) {
-                const auto &e = part.sorted[i];
-                if (i < part.numOnLow) {
-                    group.energy.dramJ += energy_.dramEnergyJ(
-                        spec_.lowPath, e.cost.bytes);
-                    group.energy.computeJ += energy_.computeEnergyJ(
-                        spec_.lowCls, e.cost.flops);
-                } else {
-                    group.energy.dramJ += energy_.dramEnergyJ(
-                        spec_.xpuPath, e.cost.bytes);
-                    group.energy.computeJ += energy_.computeEnergyJ(
-                        spec_.xpuCls, e.cost.flops);
-                }
-            }
-            total.time = std::max(total.time, group.time);
-            total.energy.dramJ += group.energy.dramJ * energy_scale;
-            total.energy.computeJ +=
-                group.energy.computeJ * energy_scale;
-        }
-        return total;
-    }
-
-    // Direct-mapped per-token-count cache shared across the layer:
-    // decode stages repeat small counts heavily; a collision just
-    // recomputes.
-    struct Memo
-    {
-        std::int64_t tokens = -1;
-        PicoSec xpu;
-        PicoSec low;
-        EnergyBreakdown xpuE;
-        EnergyBreakdown lowE;
-    };
-    Memo memo[64];
-    auto lookup = [&](const ExpertWork &e) -> const Memo & {
-        Memo &m = memo[e.tokens & 63];
-        if (m.tokens != e.tokens) {
-            m.tokens = e.tokens;
-            m.xpu = operatorTimeNoOverhead(spec_.xpu, e.cost.flops,
-                                           e.cost.bytes);
-            m.low = operatorTimeNoOverhead(spec_.low, e.cost.flops,
-                                           e.cost.bytes);
-            m.xpuE = {energy_.dramEnergyJ(spec_.xpuPath,
-                                          e.cost.bytes),
-                      energy_.computeEnergyJ(spec_.xpuCls,
-                                             e.cost.flops)};
-            m.lowE = {energy_.dramEnergyJ(spec_.lowPath,
-                                          e.cost.bytes),
-                      energy_.computeEnergyJ(spec_.lowCls,
-                                             e.cost.flops)};
-        }
-        return m;
-    };
-
     for (int g = 0; g < num_groups; ++g) {
-        lastExpertsOnLow_ = 0;
-        int num_active = 0;
-        PicoSec t_xpu = spec_.xpu.dispatchOverhead;
-        PicoSec t_low = spec_.low.dispatchOverhead;
-        for (int i = g * group_size; i < (g + 1) * group_size;
-             ++i) {
-            const ExpertWork &e = experts[i];
-            if (e.tokens == 0)
-                continue;
-            ++num_active;
-            const Memo &m = lookup(e);
-            t_xpu += m.xpu;
-            t_low += m.low;
-        }
-        if (num_active == 0)
+        const ExpertPrice *const *begin =
+            experts.data() + g * group_size;
+        partitionExpertsRange(begin, begin + group_size, spec_.xpu,
+                              spec_.low, partScratch_);
+        const ExpertPartition &part = partScratch_;
+        lastExpertsOnLow_ = part.numOnLow;
+        if (part.sorted.empty())
             continue;
-        const bool use_low = t_low < t_xpu;
-        if (use_low)
-            lastExpertsOnLow_ = num_active;
+        // Energy in ascending-token order, each expert on its side.
         DeviceTiming group;
-        group.time = use_low ? t_low : t_xpu;
-        for (int i = g * group_size; i < (g + 1) * group_size;
-             ++i) {
-            const ExpertWork &e = experts[i];
-            if (e.tokens == 0)
-                continue;
-            const Memo &m = lookup(e);
-            group.energy += use_low ? m.lowE : m.xpuE;
-        }
+        group.time = part.makespan();
+        const int n = static_cast<int>(part.sorted.size());
+        for (int i = 0; i < part.numOnLow; ++i)
+            group.energy += part.sorted[i]->lowE;
+        for (int i = part.numOnLow; i < n; ++i)
+            group.energy += part.sorted[i]->xpuE;
         total.time = std::max(total.time, group.time);
         total.energy.dramJ += group.energy.dramJ * energy_scale;
         total.energy.computeJ +=

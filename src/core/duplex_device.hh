@@ -51,8 +51,10 @@ class HybridDevice : public Device
     DeviceTiming runHighOpb(const OpCost &cost) override;
     AttentionTiming runAttention(const OpCost &decode,
                                  const OpCost &prefill) override;
+    void priceExpert(std::int64_t tokens, const OpCost &cost,
+                     ExpertPrice &out) const override;
     DeviceTiming
-    runMoeGroups(const std::vector<ExpertWork> &experts,
+    runMoeGroups(const std::vector<const ExpertPrice *> &experts,
                  int group_size, double energy_scale) override;
 
     void setExpertLut(const ExpertTimeLut *lut) override
@@ -72,10 +74,8 @@ class HybridDevice : public Device
     const ExpertTimeLut *lut_ = nullptr;
     int lastExpertsOnLow_ = 0;
 
-    // Reused across MoE calls (one per MoE layer per stage).
+    /** Reused across MoE calls (one per MoE layer per stage). */
     ExpertPartition partScratch_;
-    std::vector<PicoSec> prefixScratch_;
-    std::vector<PicoSec> suffixScratch_;
 
     DeviceTiming onXpu(const OpCost &cost);
     DeviceTiming onLow(const OpCost &cost);

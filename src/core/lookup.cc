@@ -1,34 +1,18 @@
 #include "core/lookup.hh"
 
-#include "common/log.hh"
-
 namespace duplex
 {
 
 ExpertTimeLut::ExpertTimeLut(const EngineSpec &xpu,
                              const EngineSpec &low,
                              const OpCost &cost_one,
-                             const OpCost &cost_two,
-                             std::int64_t max_tokens)
+                             const OpCost &cost_two)
     : xpu_(xpu), low_(low)
 {
-    panicIf(max_tokens < 1, "ExpertTimeLut: need max_tokens >= 1");
     perToken_.flops = cost_two.flops - cost_one.flops;
     perToken_.bytes = cost_two.bytes - cost_one.bytes;
     base_.flops = cost_one.flops - perToken_.flops;
     base_.bytes = cost_one.bytes - perToken_.bytes;
-
-    xpuTable_.resize(max_tokens + 1);
-    lowTable_.resize(max_tokens + 1);
-    xpuTable_[0] = 0;
-    lowTable_[0] = 0;
-    for (std::int64_t t = 1; t <= max_tokens; ++t) {
-        const OpCost c = expertCost(t);
-        xpuTable_[t] =
-            operatorTimeNoOverhead(xpu_, c.flops, c.bytes);
-        lowTable_[t] =
-            operatorTimeNoOverhead(low_, c.flops, c.bytes);
-    }
 }
 
 OpCost
@@ -46,15 +30,19 @@ ExpertTimeLut::expertCost(std::int64_t tokens) const
 }
 
 PicoSec
-ExpertTimeLut::xpuTimeBeyondTable(std::int64_t tokens) const
+ExpertTimeLut::xpuTime(std::int64_t tokens) const
 {
+    if (tokens <= 0)
+        return 0;
     const OpCost c = expertCost(tokens);
     return operatorTimeNoOverhead(xpu_, c.flops, c.bytes);
 }
 
 PicoSec
-ExpertTimeLut::lowTimeBeyondTable(std::int64_t tokens) const
+ExpertTimeLut::lowTime(std::int64_t tokens) const
 {
+    if (tokens <= 0)
+        return 0;
     const OpCost c = expertCost(tokens);
     return operatorTimeNoOverhead(low_, c.flops, c.bytes);
 }

@@ -8,15 +8,15 @@
  * determine which experts to process in Logic-PIM."
  *
  * Expert FFN cost is affine in the token count (constant weight
- * traffic plus per-token activations), so the table is built from
- * two probe costs and answers in O(1); token counts beyond the table
- * fall back to the exact roofline.
+ * traffic plus per-token activations), so the table's cost function
+ * is rebuilt from two probe costs and answers any token count on
+ * demand. The stored table is the cluster's per-token-count expert
+ * price cache (ExpertPriceCache in cluster/cluster.hh), which a
+ * co-processing device fills lazily from these times.
  */
 
 #ifndef DUPLEX_CORE_LOOKUP_HH
 #define DUPLEX_CORE_LOOKUP_HH
-
-#include <vector>
 
 #include "compute/engine.hh"
 #include "model/layers.hh"
@@ -24,63 +24,33 @@
 namespace duplex
 {
 
-/** Precomputed expert-FFN times on both engines of a device. */
+/** Expert-FFN times on both engines of a device. */
 class ExpertTimeLut
 {
   public:
     /**
-     * @param xpu        High-Op/B engine.
-     * @param low        Low-Op/B engine.
-     * @param cost_one   Expert cost at one token (per-device shard).
-     * @param cost_two   Expert cost at two tokens.
-     * @param max_tokens Largest tabulated token count.
+     * @param xpu      High-Op/B engine.
+     * @param low      Low-Op/B engine.
+     * @param cost_one Expert cost at one token (per-device shard).
+     * @param cost_two Expert cost at two tokens.
      */
     ExpertTimeLut(const EngineSpec &xpu, const EngineSpec &low,
-                  const OpCost &cost_one, const OpCost &cost_two,
-                  std::int64_t max_tokens = 8192);
+                  const OpCost &cost_one, const OpCost &cost_two);
 
     /** Expert cost model: affine reconstruction. */
     OpCost expertCost(std::int64_t tokens) const;
 
-    /**
-     * Time on the high-Op/B engine, no dispatch overhead. Inline:
-     * the co-processing partition search probes this per expert
-     * per MoE layer.
-     */
-    PicoSec xpuTime(std::int64_t tokens) const
-    {
-        if (tokens <= 0)
-            return 0;
-        if (tokens <= maxTokens())
-            return xpuTable_[tokens];
-        return xpuTimeBeyondTable(tokens);
-    }
+    /** Time on the high-Op/B engine, no dispatch overhead. */
+    PicoSec xpuTime(std::int64_t tokens) const;
 
     /** Time on the low-Op/B engine, no dispatch overhead. */
-    PicoSec lowTime(std::int64_t tokens) const
-    {
-        if (tokens <= 0)
-            return 0;
-        if (tokens <= maxTokens())
-            return lowTable_[tokens];
-        return lowTimeBeyondTable(tokens);
-    }
-
-    std::int64_t maxTokens() const
-    {
-        return static_cast<std::int64_t>(xpuTable_.size()) - 1;
-    }
+    PicoSec lowTime(std::int64_t tokens) const;
 
   private:
     EngineSpec xpu_;
     EngineSpec low_;
     OpCost base_;     //!< cost at zero tokens (weight traffic)
     OpCost perToken_; //!< marginal cost per token
-    std::vector<PicoSec> xpuTable_;
-    std::vector<PicoSec> lowTable_;
-
-    PicoSec xpuTimeBeyondTable(std::int64_t tokens) const;
-    PicoSec lowTimeBeyondTable(std::int64_t tokens) const;
 };
 
 } // namespace duplex

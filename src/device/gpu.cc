@@ -1,7 +1,5 @@
 #include "device/gpu.hh"
 
-#include <algorithm>
-
 namespace duplex
 {
 
@@ -54,55 +52,25 @@ GpuDevice::runAttention(const OpCost &decode, const OpCost &prefill)
     return t;
 }
 
+void
+GpuDevice::priceExpert(std::int64_t tokens, const OpCost &cost,
+                       ExpertPrice &out) const
+{
+    out = {};
+    out.tokens = tokens;
+    out.xpu = operatorTimeNoOverhead(spec_.xpu, cost.flops, cost.bytes);
+    out.xpuE = engineEnergy(spec_.xpuPath, spec_.xpuCls, energy_, cost);
+}
+
 DeviceTiming
-GpuDevice::runMoeGroups(const std::vector<ExpertWork> &experts,
+GpuDevice::runMoeGroups(const std::vector<const ExpertPrice *> &experts,
                         int group_size, double energy_scale)
 {
     // Grouped-GEMM execution: one dispatch per group, its experts
-    // processed back to back. A direct-mapped per-token-count cache
-    // is shared across the layer: decode stages repeat small counts
-    // heavily, while a collision just recomputes. The key is the
-    // token count alone and a caller may price other work next call,
-    // so entries live for one call: a new generation drops them all
-    // without touching the table.
-    if (moeMemo_.empty())
-        moeMemo_.resize(64);
-    ++memoGeneration_;
-    DeviceTiming total;
-    const int num_groups =
-        static_cast<int>(experts.size()) / group_size;
-    for (int g = 0; g < num_groups; ++g) {
-        DeviceTiming group;
-        bool any = false;
-        for (int i = g * group_size; i < (g + 1) * group_size;
-             ++i) {
-            const ExpertWork &e = experts[i];
-            if (e.tokens == 0)
-                continue;
-            any = true;
-            MoeMemo &m = moeMemo_[static_cast<std::size_t>(e.tokens) &
-                                  (moeMemo_.size() - 1)];
-            if (m.generation != memoGeneration_ ||
-                m.tokens != e.tokens) {
-                m.generation = memoGeneration_;
-                m.tokens = e.tokens;
-                m.t.time = operatorTimeNoOverhead(
-                    spec_.xpu, e.cost.flops, e.cost.bytes);
-                m.t.energy.dramJ =
-                    energy_.dramEnergyJ(spec_.xpuPath, e.cost.bytes);
-                m.t.energy.computeJ = energy_.computeEnergyJ(
-                    spec_.xpuCls, e.cost.flops);
-            }
-            group += m.t;
-        }
-        if (any)
-            group.time += spec_.xpu.dispatchOverhead;
-        total.time = std::max(total.time, group.time);
-        total.energy.dramJ += group.energy.dramJ * energy_scale;
-        total.energy.computeJ +=
-            group.energy.computeJ * energy_scale;
-    }
-    return total;
+    // processed back to back.
+    int experts_on_low = 0;
+    return runWholeGroups(experts, group_size, energy_scale, spec_.xpu,
+                          nullptr, experts_on_low);
 }
 
 } // namespace duplex

@@ -35,25 +35,15 @@ class GpuDevice : public Device
     DeviceTiming runHighOpb(const OpCost &cost) override;
     AttentionTiming runAttention(const OpCost &decode,
                                  const OpCost &prefill) override;
+    void priceExpert(std::int64_t tokens, const OpCost &cost,
+                     ExpertPrice &out) const override;
     DeviceTiming
-    runMoeGroups(const std::vector<ExpertWork> &experts,
+    runMoeGroups(const std::vector<const ExpertPrice *> &experts,
                  int group_size, double energy_scale) override;
 
   private:
     HybridDeviceSpec spec_;
     EnergyModel energy_;
-
-    /** runMoeGroups' per-token-count cache; an entry is valid only
-     *  in the call whose generation it carries. Sized on the first
-     *  MoE layer, so a dense model's device never holds it. */
-    struct MoeMemo
-    {
-        std::uint64_t generation = 0;
-        std::int64_t tokens = -1;
-        DeviceTiming t;
-    };
-    std::vector<MoeMemo> moeMemo_;
-    std::uint64_t memoGeneration_ = 0;
 };
 
 } // namespace duplex

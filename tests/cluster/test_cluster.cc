@@ -239,6 +239,83 @@ TEST(Cluster, TokenMemoMatchesReferenceOnMoeCollisions)
     }
 }
 
+/**
+ * 200 stages mixing decode batches and prefills. Every eighth stage
+ * has 4 x ExpertPriceCache::kEntries tokens, so an 8-expert top-2
+ * layer gives each expert about kEntries + n tokens, landing in the
+ * slots that the decode stages' counts n fill. Under a skewed gate,
+ * one layer's experts also share slots.
+ */
+std::vector<StageShape>
+priceCacheStages()
+{
+    const std::int64_t wrap = ExpertPriceCache::kEntries;
+    std::vector<StageShape> stages;
+    Rng rng(11);
+    for (int i = 0; i < 200; ++i) {
+        const int batch = static_cast<int>(rng.uniformInt(1, 32));
+        StageShape s = decodeStage(batch, rng.uniformInt(64, 4096));
+        if (i % 4 == 1)
+            s.prefillLengths.push_back(rng.uniformInt(1, 600));
+        if (i % 8 == 3)
+            s.prefillLengths.push_back(4 * wrap - batch);
+        stages.push_back(s);
+    }
+    return stages;
+}
+
+/** Exact equality: stage time, expert tokens and the MoE slice. */
+void
+expectSameMoe(const StageResult &a, const StageResult &b)
+{
+    EXPECT_EQ(a.time, b.time);
+    EXPECT_EQ(a.expertTokens, b.expertTokens);
+    const ClassSlice &x = a.slice(LayerClass::Moe);
+    const ClassSlice &y = b.slice(LayerClass::Moe);
+    EXPECT_EQ(x.time, y.time);
+    EXPECT_EQ(x.energy.dramJ, y.energy.dramJ);
+    EXPECT_EQ(x.energy.computeJ, y.energy.computeJ);
+}
+
+TEST(Cluster, ExpertPriceCacheMatchesReferenceBitForBit)
+{
+    // The cache lives across layers and stages; the twin prices
+    // every expert afresh through executeStageReference. The MoE
+    // step is the same float sum either way, so its slice is
+    // bit-equal, not merely within 1e-12.
+    const std::vector<StageShape> stages = priceCacheStages();
+    for (const ClusterPreset &preset : clusterPresets()) {
+        for (const ModelConfig &m :
+             {mixtralConfig(), glamConfig(), grok1Config()}) {
+            for (GatePolicy gate :
+                 {GatePolicy::Uniform, GatePolicy::Zipf}) {
+                // The skewed gate is slow to draw: Mixtral covers it.
+                if (gate == GatePolicy::Zipf && m.name != "Mixtral")
+                    continue;
+                SCOPED_TRACE(std::string(preset.id) + " " + m.name +
+                             (gate == GatePolicy::Zipf ? " zipf" : ""));
+                ClusterConfig cfg = makeClusterConfig(preset.id, m);
+                cfg.gatePolicy = gate;
+                Cluster cached(cfg);
+                Cluster ref(cfg);
+                for (const StageShape &s : stages)
+                    expectSameMoe(cached.executeStage(s),
+                                  ref.executeStageReference(s));
+            }
+        }
+    }
+    for (GatePolicy gate : {GatePolicy::Uniform, GatePolicy::Zipf}) {
+        SCOPED_TRACE(gate == GatePolicy::Zipf ? "hetero zipf" : "hetero");
+        HeteroConfig cfg = makeHeteroConfig(mixtralConfig());
+        cfg.gatePolicy = gate;
+        HeteroCluster cached(cfg);
+        HeteroCluster ref(cfg);
+        for (const StageShape &s : stages)
+            expectSameMoe(cached.executeStage(s),
+                          ref.executeStageReference(s));
+    }
+}
+
 TEST(HeteroCluster, ExecutesAndSplitsClasses)
 {
     HeteroCluster h(makeHeteroConfig(mixtralConfig()));

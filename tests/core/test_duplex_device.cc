@@ -199,7 +199,7 @@ expectGroupsCompose(Device &dev, const std::vector<ExpertWork> &experts,
         expect.energy.dramJ += t.energy.dramJ * scale;
         expect.energy.computeJ += t.energy.computeJ * scale;
     }
-    const DeviceTiming got = dev.runMoeGroups(experts, group_size, scale);
+    const DeviceTiming got = dev.runMoe(experts, group_size, scale);
     EXPECT_GT(got.time, 0);
     EXPECT_EQ(got.time, expect.time);
     EXPECT_EQ(got.energy.dramJ, expect.energy.dramJ);

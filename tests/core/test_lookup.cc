@@ -23,7 +23,7 @@ class LutTest : public ::testing::Test
     EngineSpec low = logicPimEngine(timing, cal, 5);
     LayerCosts costs{mixtralConfig()};
     ExpertTimeLut lut{xpu, low, costs.expertFfn(1),
-                      costs.expertFfn(2), 512};
+                      costs.expertFfn(2)};
 };
 
 TEST_F(LutTest, ZeroTokensIsFree)
@@ -43,23 +43,19 @@ TEST_F(LutTest, ReconstructsAffineCost)
     }
 }
 
-TEST_F(LutTest, TableMatchesExactRoofline)
+TEST_F(LutTest, OnDemandMatchesExactRoofline)
 {
-    for (std::int64_t t : {1, 3, 16, 100, 512}) {
+    // No tabulated range: every count, small or far past any batch,
+    // answers the exact roofline of the expert's cost.
+    for (std::int64_t t = 1; t <= 20000; ++t) {
         const OpCost c = costs.expertFfn(t);
-        EXPECT_EQ(lut.xpuTime(t),
-                  operatorTimeNoOverhead(xpu, c.flops, c.bytes));
-        EXPECT_EQ(lut.lowTime(t),
-                  operatorTimeNoOverhead(low, c.flops, c.bytes));
+        ASSERT_EQ(lut.xpuTime(t),
+                  operatorTimeNoOverhead(xpu, c.flops, c.bytes))
+            << t << " tokens";
+        ASSERT_EQ(lut.lowTime(t),
+                  operatorTimeNoOverhead(low, c.flops, c.bytes))
+            << t << " tokens";
     }
-}
-
-TEST_F(LutTest, FallsBackBeyondTable)
-{
-    const std::int64_t big = 5000; // > 512 tabulated
-    const OpCost c = costs.expertFfn(big);
-    EXPECT_EQ(lut.xpuTime(big),
-              operatorTimeNoOverhead(xpu, c.flops, c.bytes));
 }
 
 TEST_F(LutTest, MonotoneInTokens)

@@ -19,6 +19,13 @@ A floored metric no report carries is MISSING and fails the gate.
 Reported metrics without a floor are listed as untracked; adding a
 floor is a hand edit of the baseline.
 
+A floor may hold only on some hosts. It is then written as
+{"floor": F, "requires": {"other.key": V, ...}}: on a run whose
+reports carry other.key == V it gates as a plain floor; on a run
+with another value it is SKIPPED (never ok, never failed); a run
+whose reports lack other.key fails it as MISSING, since the gate
+cannot tell which case holds.
+
 Usage (the CI perf job; each report comes from its bench's --json
 flag, bench_perf writes BENCH_perf.json in its working directory):
     tools/check_perf.py bench/perf_baseline.json BENCH_perf.json \
@@ -27,7 +34,8 @@ flag, bench_perf writes BENCH_perf.json in its working directory):
 
 --update rewrites the floors the baseline already has from the
 reports instead of checking; it adds none, and keeps (with a note)
-a floor whose metric no report carries.
+a floor whose metric no report carries or whose precondition the
+reports do not meet.
 """
 
 import argparse
@@ -72,6 +80,25 @@ def union_of(paths):
     return metrics
 
 
+def floor_of(entry):
+    """(floor, requires) of a baseline entry: a plain number, or
+    {"floor": F, "requires": {key: value}}."""
+    if isinstance(entry, dict):
+        return entry["floor"], entry.get("requires", {})
+    return entry, {}
+
+
+def precondition(requires, current):
+    """None when every required key has its value; otherwise why
+    not, and whether a key is missing from every report."""
+    for key, want in sorted(requires.items()):
+        if key not in current:
+            return f"needs {key} == {want}; no report has it", True
+        if current[key] != want:
+            return f"needs {key} == {want}", False
+    return None
+
+
 def main():
     parser = argparse.ArgumentParser(
         description="perf regression gate over bench perf reports")
@@ -96,12 +123,16 @@ def main():
                  f"'metrics' object; see bench/perf_baseline.json")
 
     if args.update:
-        for key in floors:
-            if key in current:
-                floors[key] = round(current[key], 3)
+        for key, entry in floors.items():
+            unmet = precondition(floor_of(entry)[1], current)
+            if key not in current or unmet:
+                why = unmet[0] if unmet else "is in no report"
+                print(f"note: {key} {why}; keeping its committed "
+                      f"floor")
+            elif isinstance(entry, dict):
+                entry["floor"] = round(current[key], 3)
             else:
-                print(f"note: {key} is in no report; keeping its "
-                      f"committed floor")
+                floors[key] = round(current[key], 3)
         with open(args.baseline, "w", encoding="utf-8") as f:
             json.dump(baseline, f, indent=2)
             f.write("\n")
@@ -117,7 +148,16 @@ def main():
     failures = 0
     width = max(len(k) for k in floors)
     print(f"perf gate: tolerance {tolerance:.0%}")
-    for key, floor in sorted(floors.items()):
+    for key, entry in sorted(floors.items()):
+        floor, requires = floor_of(entry)
+        unmet = precondition(requires, current)
+        if unmet and unmet[1]:
+            failures += 1
+            print(f"  {key:<{width}}  MISSING precondition ({unmet[0]})")
+            continue
+        if unmet:
+            print(f"  {key:<{width}}  SKIPPED ({unmet[0]})")
+            continue
         have = current.get(key)
         if have is None:
             failures += 1

@@ -30,7 +30,9 @@ BASELINE = {
 }
 
 
-class CheckPerfTest(unittest.TestCase):
+class GateCase(unittest.TestCase):
+    """A temporary directory with the baseline, and the gate's run."""
+
     def setUp(self):
         self.tmp = tempfile.TemporaryDirectory()
         self.baseline = self.write("baseline.json", BASELINE)
@@ -60,6 +62,8 @@ class CheckPerfTest(unittest.TestCase):
             [sys.executable, GATE, self.baseline, *args],
             capture_output=True, text=True, check=False)
 
+
+class CheckPerfTest(GateCase):
     def test_complete_reports_pass(self):
         run = self.gate(*self.reports())
         self.assertEqual(run.returncode, 0, run.stdout + run.stderr)
@@ -123,6 +127,66 @@ class CheckPerfTest(unittest.TestCase):
         self.assertEqual(updated["tolerance"], 0.25)
         self.assertEqual(updated["lower_is_better"],
                          BASELINE["lower_is_better"])
+
+
+LANE_FLOOR = {"floor": 80.0, "requires": {"moe_draw.lane_width": 8}}
+
+
+class PreconditionTest(GateCase):
+    """A floor that holds only where another report key has a value
+    (the AVX-512 expert-draw floors need moe_draw.lane_width == 8)."""
+
+    def setUp(self):
+        super().setUp()
+        baseline = dict(BASELINE)
+        baseline["metrics"] = dict(BASELINE["metrics"],
+                                   **{"moe_draw.mixtral_164": LANE_FLOOR})
+        self.baseline = self.write("baseline.json", baseline)
+
+    def draw_report(self, rate, **lane):
+        return self.report("perf.json", **{"moe_draw.mixtral_164": rate},
+                           **lane)
+
+    def line(self, run):
+        return next(l for l in run.stdout.splitlines()
+                    if "moe_draw.mixtral_164" in l)
+
+    def test_met_precondition_gates_the_floor(self):
+        lane = {"moe_draw.lane_width": 8}
+        run = self.gate(*self.reports(), self.draw_report(81.0, **lane))
+        self.assertEqual(run.returncode, 0, run.stdout)
+        self.assertTrue(self.line(run).endswith("ok"), run.stdout)
+        run = self.gate(*self.reports(), self.draw_report(59.0, **lane))
+        self.assertEqual(run.returncode, 1, run.stdout)
+        self.assertIn("REGRESSED", self.line(run))
+
+    def test_unmet_precondition_skips_never_passes(self):
+        run = self.gate(*self.reports(),
+                        self.draw_report(1.0, **{"moe_draw.lane_width": 1}))
+        self.assertEqual(run.returncode, 0, run.stdout)
+        self.assertIn("SKIPPED (needs moe_draw.lane_width == 8)",
+                      self.line(run))
+        self.assertNotIn("ok", self.line(run))
+
+    def test_missing_precondition_key_fails(self):
+        run = self.gate(*self.reports(), self.draw_report(81.0))
+        self.assertEqual(run.returncode, 1, run.stdout)
+        self.assertIn("MISSING precondition", self.line(run))
+        self.assertIn("moe_draw.lane_width", self.line(run))
+
+    def test_update_refreshes_only_a_met_floor(self):
+        unmet = self.draw_report(1.0, **{"moe_draw.lane_width": 1})
+        run = self.gate(*self.reports(), unmet, "--update")
+        self.assertEqual(run.returncode, 0, run.stdout + run.stderr)
+        with open(self.baseline, encoding="utf-8") as f:
+            kept = json.load(f)["metrics"]["moe_draw.mixtral_164"]
+        self.assertEqual(kept, LANE_FLOOR)
+        met = self.draw_report(90.5, **{"moe_draw.lane_width": 8})
+        run = self.gate(*self.reports(), met, "--update")
+        self.assertEqual(run.returncode, 0, run.stdout + run.stderr)
+        with open(self.baseline, encoding="utf-8") as f:
+            updated = json.load(f)["metrics"]["moe_draw.mixtral_164"]
+        self.assertEqual(updated, dict(LANE_FLOOR, floor=90.5))
 
 
 if __name__ == "__main__":
