@@ -324,7 +324,8 @@ main()
     for (const Rate &p : stage_draw_probes)
         std::printf("moe draw %-18s %10.0f token-layers/s\n", p.name,
                     p.perSec);
-    std::printf("moe draw lane width %d\n", Rng::laneWidth());
+    std::printf("moe draw lane width %d, %d helper threads\n",
+                Rng::laneWidth(), ExpertSelector::drawHelpers());
 
     const SweepProbe sweeps[] = {
         timeSweep("fig11-throughput", fig11SweepConfigs()),
@@ -352,6 +353,7 @@ main()
     for (const Rate &p : stage_draw_probes)
         report.add(std::string("moe_draw.") + p.name, p.perSec);
     report.add("moe_draw.lane_width", Rng::laneWidth());
+    report.add("moe_draw.draw_helpers", ExpertSelector::drawHelpers());
     for (const SweepProbe &s : sweeps) {
         const std::string key = std::string("figure_sweeps.") + s.name;
         report.add(key + ".configs", s.configs);

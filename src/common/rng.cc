@@ -88,14 +88,48 @@ constexpr Gf2Poly kBarrettMu = [] {
     return mu;
 }();
 
-/** Byte k of kSpreadBits[v] is bit k of v. */
-constexpr std::array<std::uint64_t, 256> kSpreadBits = [] {
-    std::array<std::uint64_t, 256> t{};
-    for (int v = 0; v < 256; ++v)
-        for (int k = 0; k < 8; ++k)
-            t[v] |= static_cast<std::uint64_t>((v >> k) & 1) << (8 * k);
-    return t;
-}();
+/**
+ * The 8 x 8 bit matrix in @p x, row r in byte r and column c in bit
+ * c, transposed: bit c of byte r moves to bit r of byte c (Hacker's
+ * Delight, transpose8: swaps of 1 x 1, 2 x 2 and 4 x 4 blocks).
+ */
+constexpr std::uint64_t
+transpose8(std::uint64_t x)
+{
+    std::uint64_t t = (x ^ (x >> 7)) & 0x00aa00aa00aa00aaull;
+    x ^= t ^ (t << 7);
+    t = (x ^ (x >> 14)) & 0x0000cccc0000ccccull;
+    x ^= t ^ (t << 14);
+    t = (x ^ (x >> 28)) & 0x00000000f0f0f0f0ull;
+    return x ^ t ^ (t << 28);
+}
+
+/**
+ * The 8 x 8 byte matrix in @p rows, row r in rows[r] and column c in
+ * byte c, transposed in place: swaps of 4 x 4, 2 x 2 and 1 x 1 byte
+ * blocks.
+ */
+void
+transposeBytes8(std::uint64_t rows[8])
+{
+    constexpr std::uint64_t kLowBlocks[] = {
+        0x00000000ffffffffull, 0x0000ffff0000ffffull,
+        0x00ff00ff00ff00ffull};
+    int level = 0;
+    for (int size = 4; size >= 1; size /= 2, ++level) {
+        const int shift = 8 * size;
+        for (int r = 0; r < 8; ++r) {
+            if (r & size)
+                continue;
+            // Row r's high blocks trade places with row r + size's
+            // low blocks.
+            const std::uint64_t t =
+                ((rows[r] >> shift) ^ rows[r + size]) & kLowBlocks[level];
+            rows[r] ^= t << shift;
+            rows[r + size] ^= t;
+        }
+    }
+}
 
 #if defined(__x86_64__)
 
@@ -233,21 +267,28 @@ xoshiroJumpPoly(std::uint64_t d)
 }
 
 LaneJumps
-laneJumps(std::uint64_t stride)
+laneJumps(std::uint64_t offset, std::uint64_t stride)
 {
-    LaneJumps jumps{};
-    jumps.steps[0] = 1; // lane 0: x^0
-    const Gf2Poly first = xoshiroJumpPoly(stride);
-    Gf2Poly q = {1, 0, 0, 0};
+    // Below x^256 a lane's polynomial is a monomial: no product.
+    const Gf2Poly step = xoshiroJumpPoly(stride);
+    Gf2Poly lanes[8];
+    lanes[0] = xoshiroJumpPoly(offset);
     for (int lane = 1; lane < 8; ++lane) {
-        // Below x^256 a lane's polynomial is a monomial: no product.
-        const std::uint64_t distance = lane * stride;
-        q = distance < 256 ? xoshiroJumpPoly(distance)
-                           : gf2MulMod(q, first);
-        for (int byte = 0; byte < 32; ++byte)
-            jumps.steps[byte] |=
-                kSpreadBits[(q[byte / 8] >> (8 * (byte % 8))) & 0xff]
-                << lane;
+        const std::uint64_t distance = offset + lane * stride;
+        lanes[lane] = distance < 256 ? xoshiroJumpPoly(distance)
+                                     : gf2MulMod(lanes[lane - 1], step);
+    }
+    // Word w of the eight polynomials is an 8 x 64 bit matrix, lane
+    // by coefficient; the masks are its transpose. Bytes first, then
+    // the bits of each 8 x 8 block.
+    LaneJumps jumps;
+    for (int w = 0; w < 4; ++w) {
+        std::uint64_t rows[8];
+        for (int lane = 0; lane < 8; ++lane)
+            rows[lane] = lanes[lane][w];
+        transposeBytes8(rows);
+        for (int byte = 0; byte < 8; ++byte)
+            jumps.steps[8 * w + byte] = transpose8(rows[byte]);
     }
     return jumps;
 }

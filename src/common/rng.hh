@@ -9,13 +9,14 @@
  *
  * Jump-ahead. xoshiro256's state update is linear over GF(2), so
  * the state d outputs ahead is a fixed polynomial in the update
- * applied to today's state. ExpertSelector uses this to draw eight
- * consecutive MoE layers in eight SIMD lanes: each lane starts from
- * the state its layer would have reached serially (laneJumps,
- * Rng::laneStarts), so the stream is consumed draw for draw as one
- * serial generator consumes it, and each lane ends where the next
- * layer starts. Only hosts with AVX-512F take that path
- * (Rng::laneWidth()); the jump math itself is portable.
+ * applied to today's state. ExpertSelector uses this to draw groups
+ * of eight consecutive MoE layers in eight SIMD lanes, one group per
+ * thread: each lane starts from the state its layer would have
+ * reached serially (laneJumps, Rng::laneStarts), so the stream is
+ * consumed draw for draw as one serial generator consumes it, and
+ * each lane ends where the next layer starts. Only hosts with
+ * AVX-512F take that path (Rng::laneWidth()); the jump math itself
+ * is portable.
  */
 
 #ifndef DUPLEX_COMMON_RNG_HH
@@ -69,12 +70,12 @@ Gf2Poly gf2MulModReference(const Gf2Poly &a, const Gf2Poly &b);
 Gf2Poly xoshiroJumpPoly(std::uint64_t d);
 
 /**
- * Eight sub-streams of one generator, @p stride outputs apart: lane
- * j starts where j * stride calls of next() would leave it. Lane
- * j's jump polynomial is x^(j * stride) mod p, stored transposed as
- * one 8-bit mask per step: bit j of step i is its coefficient of
- * x^i (lane 0 is x^0, the start itself). Byte i % 8 of word i / 8
- * holds step i.
+ * Eight sub-streams of one generator, @p stride outputs apart from
+ * @p offset on: lane j starts where offset + j * stride calls of
+ * next() would leave it. Lane j's jump polynomial is
+ * x^(offset + j * stride) mod p, stored transposed as one 8-bit mask
+ * per step: bit j of step i is its coefficient of x^i. Byte i % 8 of
+ * word i / 8 holds step i.
  */
 struct LaneJumps
 {
@@ -82,13 +83,14 @@ struct LaneJumps
 };
 
 /**
- * The LaneJumps of eight lanes @p stride outputs apart: up to seven
- * products mod p, under a microsecond with a carry-less multiply.
- * They depend on the stride alone, so a caller that repeats a
- * stride keeps them (ExpertSelector holds the last one per thread,
- * so workers of a sweep never share one).
+ * The LaneJumps of eight lanes @p stride outputs apart, the first
+ * @p offset outputs ahead: up to nine products mod p and one bit
+ * matrix transpose, under a microsecond with a carry-less multiply.
+ * They depend on the two distances alone, so a caller that repeats
+ * them keeps them (ExpertSelector holds one per layer group and
+ * token count).
  */
-LaneJumps laneJumps(std::uint64_t stride);
+LaneJumps laneJumps(std::uint64_t offset, std::uint64_t stride);
 
 /**
  * A small, fast, deterministic generator (xoshiro256**) with the

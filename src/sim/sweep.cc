@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "sim/engine.hh"
+#include "workload/experts.hh"
 
 namespace duplex
 {
@@ -88,6 +89,9 @@ SweepRunner::runTasks(
     std::mutex error_mutex;
 
     auto worker = [&] {
+        // The sweep's parallelism is whole runs: a worker's expert
+        // draws leave the helper threads to non-sweep callers.
+        ExpertSelector::drawAloneOnThisThread();
         for (;;) {
             const std::size_t i =
                 next.fetch_add(1, std::memory_order_relaxed);

@@ -2,9 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <atomic>
+#include <chrono>
 #include <iterator>
+#include <thread>
 
 #include "common/log.hh"
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -78,6 +85,52 @@ top2Direct(Rng &rng, std::int64_t tokens, std::int64_t *hist)
         ++hist[b == a ? N - 1 : b];
     }
     rng = local;
+}
+
+/**
+ * Token counts from which the lanes pay for their fixed cost: one
+ * 256-step lane walk per eight layers, plus one lane jump memo miss
+ * per stage. Measured on a 4-core AVX-512 Xeon (g++ 12, -O3) with 32
+ * layers per stage and a new token count every stage: about 3 us of
+ * fixed cost per stage, and break-even against the serial kernels
+ * near 16 tokens for 8 experts and 48 for 64.
+ */
+constexpr std::int64_t kLaneMinTokens8 = 16;
+constexpr std::int64_t kLaneMinTokens64 = 48;
+
+/**
+ * Token counts from which a lookahead miss hands layer groups to the
+ * helper threads: below them the hand-off, the helpers' jump memo
+ * misses and the lookahead lines the caller reads back from other
+ * cores cost more than the groups save. Measured on the same host
+ * with 32-layer (8 experts) and 16-layer (64 experts) stages and a
+ * new token count every stage: groups win 1.3x at 32 tokens and
+ * 1.7x at 164 for 8 experts, and from about 192 tokens for the
+ * heavier 64-expert kernel.
+ */
+constexpr std::int64_t kGroupMinTokens8 = 32;
+constexpr std::int64_t kGroupMinTokens64 = 192;
+
+/** Set on SweepRunner's workers: their draws never take the pool. */
+thread_local bool tlsDrawsAlone = false;
+
+/**
+ * Helper threads the pool runs: one fewer than the CPUs this process
+ * may run on, at most three. Checked once.
+ */
+int
+helperThreads()
+{
+    static const int helpers = [] {
+        int cpus = static_cast<int>(std::thread::hardware_concurrency());
+#if defined(__linux__)
+        cpu_set_t set;
+        if (sched_getaffinity(0, sizeof(set), &set) == 0)
+            cpus = CPU_COUNT(&set);
+#endif
+        return std::clamp(cpus - 1, 0, 3);
+    }();
+    return helpers;
 }
 
 #if defined(__x86_64__)
@@ -260,45 +313,76 @@ top2LaneLayers64(Lanes &lanes, std::int64_t tokens, std::int64_t *hist)
 }
 
 /**
- * The lane jumps of layers of @p tokens tokens (stride 2 * tokens).
- * Every MoE layer of a stage draws the same token count, so one
- * entry serves a stage. thread_local: sweep workers draw
- * concurrently, and a shared entry would need a lock on every walk.
+ * A lane walk's jump masks, kept for the last token count. Cache-line
+ * aligned: the pool's entries are written by different threads.
+ */
+struct alignas(64) JumpMemo
+{
+    std::int64_t tokens = -1;
+    LaneJumps jumps;
+
+    /**
+     * The jumps of layer group @p group of @p t tokens: lane j
+     * starts 2 * t * (8 * group + j) outputs ahead.
+     */
+    const LaneJumps &
+    get(std::int64_t t, int group)
+    {
+        if (tokens != t) {
+            const auto layer = 2 * static_cast<std::uint64_t>(t);
+            jumps = laneJumps(kLaneLayers * layer * group, layer);
+            tokens = t;
+        }
+        return jumps;
+    }
+};
+
+/**
+ * Group 0's jumps: every lookahead miss draws group 0 on the calling
+ * thread. thread_local: sweep workers draw concurrently, and a
+ * shared entry would need a lock on every walk.
  */
 const LaneJumps &
 laneJumpsMemo(std::int64_t tokens)
 {
-    thread_local std::int64_t memoTokens = -1;
-    thread_local LaneJumps memo;
-    if (memoTokens != tokens) {
-        memo = laneJumps(2 * static_cast<std::uint64_t>(tokens));
-        memoTokens = tokens;
-    }
-    return memo;
+    thread_local JumpMemo memo;
+    return memo.get(tokens, 0);
 }
 
+/** Layer groups one lookahead miss may draw, per expert count. */
+template <int N>
+constexpr int kMaxGroups = N == 8 ? 4 : 2;
+
+/** Layers the lookahead holds at most. */
+constexpr int kMaxLayers = kLaneLayers * kMaxGroups<8>;
+
 /**
- * The seven layers a lane walk drew beyond the one it returned:
- * their histograms and the lanes' end states. A call takes layer
- * `next` only if the generator stands exactly where layer
- * `next - 1` ended and asks for the same expert count and token
- * count, so a hit returns what a fresh walk would draw, and a
+ * The layers a miss drew beyond the one it returned: their
+ * histograms and the lanes' end states, eight per group. A call
+ * takes layer `next` only if the generator stands exactly where
+ * layer `next - 1` ended and asks for the same expert count and
+ * token count, so a hit returns what a fresh walk would draw, and a
  * stream that is not the one the layers came from simply misses.
- * About 4.4 KB; thread_local for the reasons the jump memo is.
+ * thread_local for the reasons the jump memo is. Helper threads
+ * write whole groups into the caller's lookahead, so each group's
+ * histograms and end states start on a cache line of their own.
  */
-struct LaneLookahead
+struct alignas(64) LaneLookahead
 {
     int experts = 0;
     std::int64_t tokens = -1;
-    int next = kLaneLayers; //!< next layer to serve; kLaneLayers: none
-    std::uint64_t ends[kLaneLayers][4] = {};
-    std::int64_t hist[kLaneLayers * 64] = {};
+    int layers = 0;
+    int next = 0; //!< next layer to serve; `layers`: none
+    alignas(64) std::uint64_t ends[kMaxLayers][4] = {};
+    alignas(64) std::int64_t
+        hist[std::max(kMaxLayers * 8, kLaneLayers * kMaxGroups<64> * 64)] =
+            {};
 
     /** Serve layer `next` into @p out if @p rng stands at its start. */
     bool
     take(Rng &rng, int n, std::int64_t t, std::int64_t *out)
     {
-        if (next >= kLaneLayers || n != experts || t != tokens ||
+        if (next >= layers || n != experts || t != tokens ||
             !std::equal(ends[next - 1], ends[next - 1] + 4, rng.state()))
             return false;
         std::copy_n(hist + n * next, n, out);
@@ -308,8 +392,8 @@ struct LaneLookahead
     }
 };
 
-static_assert(sizeof(LaneLookahead) < 8192,
-              "the lookahead stays under 8 KB per thread");
+static_assert(sizeof(LaneLookahead) <= 10240,
+              "the lookahead stays within 10 KB per thread");
 
 /** This thread's lookahead, one for both gates. */
 LaneLookahead &
@@ -320,23 +404,212 @@ laneLookahead()
 }
 
 /**
- * Draw the eight layers of @p tokens that start at @p rng's state
- * into @p ahead, and serve the first into @p out.
+ * Draw layer group @p group of @p tokens, the eight layers that start
+ * 16 * tokens * group outputs past @p start, into @p ahead.
  */
 template <int N>
 __attribute__((target("avx512f"))) void
+drawGroup(const Rng &start, std::int64_t tokens, const LaneJumps &jumps,
+          LaneLookahead &ahead, int group)
+{
+    Lanes lanes = loadLanes(start, jumps);
+    std::int64_t *hist = ahead.hist + kLaneLayers * N * group;
+    std::fill_n(hist, kLaneLayers * N, 0);
+    if constexpr (N == 8)
+        top2LaneLayers8(lanes, tokens, hist);
+    else
+        top2LaneLayers64(lanes, tokens, hist);
+    storeLanes(lanes, ahead.ends + kLaneLayers * group);
+}
+
+/**
+ * The helper pool: helperThreads() process-wide threads, started on
+ * the first draw that asks for them, that draw layer groups for one
+ * caller at a time. The caller publishes a draw in one word (epoch,
+ * group count, next unclaimed group), draws group 0 itself, then
+ * claims the remaining groups alongside the helpers, and waits only
+ * for the groups a helper has claimed: a helper that comes late finds
+ * nothing left and costs nothing. Between draws a helper spins for
+ * about a millisecond, then parks on the word.
+ */
+class DrawPool
+{
+  public:
+    /**
+     * The pool if the calling thread may use it and no other thread
+     * holds it, else null. Starts the pool on first call.
+     */
+    static DrawPool *
+    tryAcquire()
+    {
+        if (tlsDrawsAlone || helperThreads() == 0)
+            return nullptr;
+        // The helpers run until the process exits.
+        static DrawPool *const pool = new DrawPool(helperThreads());
+        if (pool->busy_.load(std::memory_order_relaxed) ||
+            pool->busy_.exchange(true, std::memory_order_acquire))
+            return nullptr;
+        return pool;
+    }
+
+    void release() { busy_.store(false, std::memory_order_release); }
+
+    /**
+     * Draw up to kMaxGroups<N> groups of @p tokens from @p rng's
+     * state into @p ahead, one per thread; returns how many.
+     */
+    template <int N>
+    int
+    draw(const Rng &rng, std::int64_t tokens, LaneLookahead &ahead)
+    {
+        const int groups = std::min(1 + helpers_, kMaxGroups<N>);
+        job_ = {rng, tokens, N, &ahead};
+        done_.store(0, std::memory_order_relaxed);
+        const std::uint64_t epoch =
+            (work_.load(std::memory_order_relaxed) >> kEpochShift) + 1;
+        work_.store(epoch << kEpochShift |
+                        static_cast<std::uint64_t>(groups) << kGroupsShift |
+                        1,
+                    std::memory_order_seq_cst);
+        if (sleepers_.load(std::memory_order_seq_cst) > 0)
+            work_.notify_all();
+        drawGroup<N>(rng, tokens, laneJumpsMemo(tokens), ahead, 0);
+        int mine = 0;
+        for (int group; (group = claim()) >= 0; ++mine)
+            drawGroup<N>(rng, tokens, memo_[group - 1].get(tokens, group),
+                         ahead, group);
+        const int helped = groups - 1 - mine;
+        for (unsigned spin = 1;
+             done_.load(std::memory_order_acquire) < helped; ++spin) {
+            _mm_pause();
+            // A helper that was descheduled after claiming.
+            if (spin % 1024 == 0)
+                std::this_thread::yield();
+        }
+        return groups;
+    }
+
+  private:
+    static constexpr int kEpochShift = 16;
+    static constexpr int kGroupsShift = 8;
+    static constexpr std::uint64_t kByte = 0xff;
+
+    /** What a claimed group reads; written before each publish. */
+    struct Job
+    {
+        Rng start;
+        std::int64_t tokens;
+        int experts;
+        LaneLookahead *ahead;
+    };
+
+    /**
+     * Detached, and the pool is never destroyed: a destructor that
+     * joined the helpers would hang in a forked child (a death test),
+     * which has none. A helper touches a caller's memory only inside
+     * that caller's draw.
+     */
+    explicit DrawPool(int helpers) : helpers_(helpers)
+    {
+        for (int h = 0; h < helpers_; ++h)
+            std::thread([this] { help(); }).detach();
+    }
+
+    DrawPool(const DrawPool &) = delete;
+    DrawPool &operator=(const DrawPool &) = delete;
+
+    static bool
+    claimable(std::uint64_t word)
+    {
+        return (word & kByte) < ((word >> kGroupsShift) & kByte);
+    }
+
+    /** Claim the next group of the published draw; -1 if none left. */
+    int
+    claim()
+    {
+        std::uint64_t word = work_.load(std::memory_order_acquire);
+        while (claimable(word))
+            if (work_.compare_exchange_weak(word, word + 1,
+                                            std::memory_order_acq_rel,
+                                            std::memory_order_acquire))
+                return static_cast<int>(word & kByte);
+        return -1;
+    }
+
+    /** A helper thread's loop. */
+    __attribute__((target("avx512f"))) void
+    help()
+    {
+        using Clock = std::chrono::steady_clock;
+        constexpr auto kSpin = std::chrono::milliseconds(1);
+        auto idleSince = Clock::now();
+        for (unsigned spin = 1;; ++spin) {
+            if (const int group = claim(); group >= 0) {
+                const Job &job = job_;
+                const LaneJumps &jumps =
+                    memo_[group - 1].get(job.tokens, group);
+                if (job.experts == 8)
+                    drawGroup<8>(job.start, job.tokens, jumps, *job.ahead,
+                                 group);
+                else
+                    drawGroup<64>(job.start, job.tokens, jumps, *job.ahead,
+                                  group);
+                done_.fetch_add(1, std::memory_order_release);
+                idleSince = Clock::now();
+                continue;
+            }
+            _mm_pause();
+            if (spin % 64 != 0 || Clock::now() - idleSince < kSpin)
+                continue;
+            // Park until the next draw is published. The caller
+            // notifies only when it sees a sleeper, and reads
+            // sleepers_ after its store, as this reads work_ after
+            // its increment: one of the two sees the other.
+            sleepers_.fetch_add(1, std::memory_order_seq_cst);
+            const std::uint64_t seen = work_.load(std::memory_order_seq_cst);
+            if (!claimable(seen))
+                work_.wait(seen, std::memory_order_seq_cst);
+            sleepers_.fetch_sub(1, std::memory_order_relaxed);
+            idleSince = Clock::now();
+        }
+    }
+
+    const int helpers_;
+    alignas(64) std::atomic<std::uint64_t> work_{0};
+    alignas(64) std::atomic<int> done_{0};
+    alignas(64) std::atomic<bool> busy_{false};
+    std::atomic<int> sleepers_{0};
+    alignas(64) Job job_{Rng(), 0, 0, nullptr};
+    JumpMemo memo_[kMaxGroups<8> - 1]; //!< groups 1 to 3
+};
+
+/**
+ * Draw the layers of @p tokens that start at @p rng's state into
+ * @p ahead, eight per group, and serve the first into @p out. From
+ * the group crossover on, the helper pool draws groups in parallel;
+ * below it, on a sweep worker, or while another thread holds the
+ * pool, one group of eight.
+ */
+template <int N>
+void
 drawLaneLayers(Rng &rng, std::int64_t tokens, LaneLookahead &ahead,
                std::int64_t *out)
 {
-    Lanes lanes = loadLanes(rng, laneJumpsMemo(tokens));
-    std::fill_n(ahead.hist, kLaneLayers * N, 0);
-    if constexpr (N == 8)
-        top2LaneLayers8(lanes, tokens, ahead.hist);
-    else
-        top2LaneLayers64(lanes, tokens, ahead.hist);
-    storeLanes(lanes, ahead.ends);
+    int groups = 1;
+    DrawPool *pool =
+        tokens >= (N == 8 ? kGroupMinTokens8 : kGroupMinTokens64)
+            ? DrawPool::tryAcquire()
+            : nullptr;
+    if (pool) {
+        groups = pool->draw<N>(rng, tokens, ahead);
+        pool->release();
+    } else {
+        drawGroup<N>(rng, tokens, laneJumpsMemo(tokens), ahead, 0);
+    }
     ahead.experts = N;
     ahead.tokens = tokens;
+    ahead.layers = kLaneLayers * groups;
     ahead.next = 1;
     std::copy_n(ahead.hist, N, out);
     rng.setState(ahead.ends[0]);
@@ -349,21 +622,10 @@ drawLaneLayers(Rng &rng, std::int64_t tokens, LaneLookahead &ahead,
 #endif
 
 /**
- * Token counts from which the lanes pay for their fixed cost: one
- * 256-step lane walk per eight layers, plus one lane jump memo miss
- * per stage. Measured on a 4-core AVX-512 Xeon (g++ 12, -O3) with 32
- * layers per stage and a new token count every stage: about 3 us of
- * fixed cost per stage, and break-even against the serial kernels
- * near 16 tokens for 8 experts and 48 for 64.
- */
-constexpr std::int64_t kLaneMinTokens8 = 16;
-constexpr std::int64_t kLaneMinTokens64 = 48;
-
-/**
  * Uniform top-2 over N experts: the next layer of the lookahead, or
- * eight fresh layers drawn on eight SIMD lanes, of which the first is
- * returned. False, drawing nothing, below the crossover or on a host
- * without AVX-512F.
+ * fresh layers drawn on SIMD lanes, of which the first is returned.
+ * False, drawing nothing, below the crossover or on a host without
+ * AVX-512F.
  */
 template <int N>
 bool
@@ -460,6 +722,26 @@ ExpertSelector::laneMinTokens(int num_experts)
     return num_experts == 8    ? kLaneMinTokens8
            : num_experts == 64 ? kLaneMinTokens64
                                : 0;
+}
+
+std::int64_t
+ExpertSelector::groupMinTokens(int num_experts)
+{
+    return num_experts == 8    ? kGroupMinTokens8
+           : num_experts == 64 ? kGroupMinTokens64
+                               : 0;
+}
+
+int
+ExpertSelector::drawHelpers()
+{
+    return Rng::laneWidth() == 8 && !tlsDrawsAlone ? helperThreads() : 0;
+}
+
+void
+ExpertSelector::drawAloneOnThisThread()
+{
+    tlsDrawsAlone = true;
 }
 
 std::vector<std::int64_t>

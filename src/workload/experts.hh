@@ -62,12 +62,12 @@ class ExpertSelector
      * Rng::laneWidth() is 8, it draws eight consecutive layers of
      * @p tokens at once, layer j in AVX-512 lane j from the stream
      * state where layer j starts (Rng::laneStarts at stride
-     * 2 * tokens), returns the first, and keeps the other seven and
+     * 2 * tokens), returns the first, and keeps the others and
      * each lane's end state in a lookahead. The next call takes the
      * next kept layer only if @p rng's whole state is that layer's
      * start and the expert and token counts are the same; anything
      * else (another stream, a draw in between, a new token count)
-     * misses and draws eight fresh layers. Below the crossover, or
+     * misses and draws fresh layers. Below the crossover, or
      * without AVX-512F, the serial kernels run (top2PairCells<8>,
      * top2Direct<64>). Either way the stream is consumed draw for
      * draw as the per-token loop consumes it: every token draws the
@@ -76,12 +76,21 @@ class ExpertSelector
      *
      * An MoE stage draws its layers back to back with one token
      * count (Mixtral 32, GLaM 16, Grok1 64 MoE layers: multiples of
-     * eight), so a stage pays one lane walk per eight layers and at
-     * most one miss of the lane jump memo, which keeps the last
-     * token count's jump masks. The memo and the lookahead (about
-     * 4.4 KB) are thread_local, not members: this method stays
-     * const, one selector can serve several threads, and sweep
-     * workers never share or lock an entry.
+     * eight). From groupMinTokens() tokens on, a miss draws up to
+     * four groups of eight such layers at once (two for 64 experts),
+     * group g from the state 16 * g * tokens outputs ahead: the
+     * caller draws group 0 and the drawHelpers() helper threads
+     * claim the rest, so a Mixtral stage pays one miss for 32
+     * layers. The helpers are process-wide and serve one caller at
+     * a time; a caller that finds them busy draws its eight layers
+     * alone, as does a thread marked by drawAloneOnThisThread().
+     * Each group keeps its own lane jump memo, which misses at most
+     * once per token count. The lookahead (32 layers, about 9.3 KB)
+     * and group 0's memo are thread_local, not members: this method
+     * stays const and one selector can serve several threads; the
+     * helpers write a caller's lookahead only inside the caller's
+     * call, and only one caller at a time holds the memos of groups
+     * 1 to 3.
      */
     void sampleInto(Rng &rng, std::int64_t tokens,
                     std::vector<std::int64_t> &hist) const;
@@ -95,6 +104,29 @@ class ExpertSelector
      * cost more than the lanes save.
      */
     static std::int64_t laneMinTokens(int num_experts);
+
+    /**
+     * Token count from which a lookahead miss of the uniform top-2
+     * gate over @p num_experts hands layer groups to the helper
+     * threads; 0 for expert counts without a lane kernel. Measured,
+     * as laneMinTokens() is.
+     */
+    static std::int64_t groupMinTokens(int num_experts);
+
+    /**
+     * Helper threads a draw on the calling thread may hand layer
+     * groups to: one fewer than the CPUs in the process's affinity
+     * mask, at most three; 0 on a host without AVX-512F or on a
+     * thread marked by drawAloneOnThisThread(). Starts nothing.
+     */
+    static int drawHelpers();
+
+    /**
+     * Mark the calling thread to draw alone: its draws never use the
+     * helper threads. SweepRunner's workers call this, so a sweep
+     * keeps one level of parallelism, whole runs.
+     */
+    static void drawAloneOnThisThread();
 
     /**
      * Per-token reference implementation of sample(), retained to

@@ -169,8 +169,8 @@ TEST(Cluster, EnergySumsAcrossDevices)
     EXPECT_NEAR(j2, j1, j1 * 0.25);
 }
 
-/** Token counts 5, 69, 133 and 197 share one slot of the 64-entry
- *  token-count memo; 69 comes back as a mixed stage too. */
+/** Token counts 5, 69, 133 and 197 share one slot of the 16-entry
+ *  token-count memo (slot 5); 69 comes back as a mixed stage too. */
 std::vector<StageShape>
 collidingStages()
 {

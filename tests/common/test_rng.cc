@@ -284,24 +284,48 @@ TEST(Rng, PinnedCharacteristicPolynomial)
                     static_cast<unsigned long long>(derived[3]));
 }
 
+TEST(Rng, LaneJumpMasksAreTheTransposedPolynomials)
+{
+    // Portable: bit j of step i is lane j's coefficient of x^i, lane
+    // j's polynomial x^(offset + j * stride) mod p.
+    for (std::uint64_t offset : {0ull, 3ull, 300ull, 16ull * 830}) {
+        for (std::uint64_t stride : {1ull, 2ull, 40ull, 1660ull}) {
+            const LaneJumps jumps = laneJumps(offset, stride);
+            for (int lane = 0; lane < 8; ++lane) {
+                const Gf2Poly q = xoshiroJumpPoly(offset + lane * stride);
+                for (int i = 0; i < 256; ++i)
+                    ASSERT_EQ((jumps.steps[i / 8] >> (8 * (i % 8) + lane)) & 1,
+                              (q[i / 64] >> (i % 64)) & 1)
+                        << "offset=" << offset << " stride=" << stride
+                        << " lane=" << lane << " step=" << i;
+            }
+        }
+    }
+}
+
 TEST(Rng, LaneStartsMatchScalarJumps)
 {
     if (Rng::laneWidth() != 8)
         GTEST_SKIP() << "no AVX-512F: the lane walk does not run here";
-    for (std::uint64_t stride : {2ull, 64ull, 208ull, 2050ull}) {
-        const LaneJumps jumps = laneJumps(stride);
-        const Rng start(99 + stride);
-        std::uint64_t lanes[4][8];
-        start.laneStarts(jumps, lanes);
-        for (int j = 0; j < 8; ++j) {
-            Rng expected = start;
-            expected.jump(j * stride);
-            Rng lane;
-            const std::uint64_t s[4] = {lanes[0][j], lanes[1][j],
-                                        lanes[2][j], lanes[3][j]};
-            lane.setState(s);
-            EXPECT_EQ(lane.next(), expected.next())
-                << "stride=" << stride << " lane=" << j;
+    // Offsets of 0, below x^256, and layer groups 1 and 3 of a
+    // Mixtral stage of 830 tokens (16 * 830 outputs per group).
+    for (std::uint64_t offset : {0ull, 7ull, 13280ull, 39840ull}) {
+        for (std::uint64_t stride : {2ull, 64ull, 208ull, 2050ull}) {
+            const LaneJumps jumps = laneJumps(offset, stride);
+            const Rng start(99 + stride);
+            std::uint64_t lanes[4][8];
+            start.laneStarts(jumps, lanes);
+            for (int j = 0; j < 8; ++j) {
+                Rng expected = start;
+                expected.jump(offset + j * stride);
+                Rng lane;
+                const std::uint64_t s[4] = {lanes[0][j], lanes[1][j],
+                                            lanes[2][j], lanes[3][j]};
+                lane.setState(s);
+                EXPECT_EQ(lane.next(), expected.next())
+                    << "offset=" << offset << " stride=" << stride
+                    << " lane=" << j;
+            }
         }
     }
 }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <iterator>
@@ -15,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "sim/sweep.hh"
 #include "workload/experts.hh"
 
 namespace duplex
@@ -148,21 +150,38 @@ sameState(const Rng &fast, const Rng &ref)
 
 TEST(ExpertSelector, ReportsWhichKernelRan)
 {
-    // One line in the test log: did this host run the lane path?
+    // One line in the test log: did this host run the lane path, and
+    // on how many helper threads?
     if (Rng::laneWidth() == 8)
         std::printf("[ kernel   ] uniform top-2: eight layers per walk "
                     "on 8 AVX-512 lanes from %lld tokens (8 experts) "
-                    "and %lld (64 experts)\n",
+                    "and %lld (64 experts); groups of eight on %d "
+                    "helper threads from %lld and %lld\n",
                     static_cast<long long>(
                         ExpertSelector::laneMinTokens(8)),
                     static_cast<long long>(
-                        ExpertSelector::laneMinTokens(64)));
+                        ExpertSelector::laneMinTokens(64)),
+                    ExpertSelector::drawHelpers(),
+                    static_cast<long long>(
+                        ExpertSelector::groupMinTokens(8)),
+                    static_cast<long long>(
+                        ExpertSelector::groupMinTokens(64)));
     else
         std::printf("[ kernel   ] uniform top-2: serial kernels only "
                     "(no AVX-512F); the lane path is untested here\n");
     EXPECT_GT(ExpertSelector::laneMinTokens(8), 0);
     EXPECT_GT(ExpertSelector::laneMinTokens(64), 0);
     EXPECT_EQ(ExpertSelector::laneMinTokens(16), 0);
+    EXPECT_GE(ExpertSelector::groupMinTokens(8),
+              ExpertSelector::laneMinTokens(8));
+    EXPECT_GE(ExpertSelector::groupMinTokens(64),
+              ExpertSelector::laneMinTokens(64));
+    EXPECT_EQ(ExpertSelector::groupMinTokens(16), 0);
+    EXPECT_GE(ExpertSelector::drawHelpers(), 0);
+    EXPECT_LE(ExpertSelector::drawHelpers(), 3);
+    if (Rng::laneWidth() != 8) {
+        EXPECT_EQ(ExpertSelector::drawHelpers(), 0);
+    }
 }
 
 TEST(ExpertSelector, Top2KernelsMatchPerTokenReference)
@@ -185,13 +204,19 @@ TEST(ExpertSelector, Top2KernelsMatchPerTokenReference)
 TEST(ExpertSelector, ConsecutiveLayersMatchPerTokenReference)
 {
     // Runs of L layers of one stage on one stream: the lookahead
-    // serves up to seven of every eight, and each must be the layer
-    // the per-token loop draws, with the generator where it leaves
-    // it after every call.
+    // serves all but the first of every 8 to 32 (one to four groups
+    // of eight), and each must be the layer the per-token loop
+    // draws, with the generator where it leaves it after every
+    // call. The token counts straddle both crossovers, and the runs
+    // end inside, at and just past a full set of groups.
     for (int n : {8, 64}) {
         const ExpertSelector sel(n, 2);
-        for (std::int64_t tokens : {1, 7, 8, 71, 164, 191, 192, 830, 4099}) {
-            for (int layers : {1, 2, 7, 8, 9, 16, 32, 64}) {
+        std::vector<std::int64_t> counts = {1, 7, 8, 71, 164, 191, 192,
+                                            830, 4099};
+        counts.push_back(ExpertSelector::groupMinTokens(n) - 1);
+        counts.push_back(ExpertSelector::groupMinTokens(n));
+        for (std::int64_t tokens : counts) {
+            for (int layers : {1, 2, 7, 8, 9, 16, 24, 31, 32, 33, 64}) {
                 SCOPED_TRACE(::testing::Message()
                              << "n=" << n << " tokens=" << tokens
                              << " layers=" << layers);
@@ -276,36 +301,75 @@ TEST(ExpertSelector, LookaheadServesACopyAtTheSameState)
     EXPECT_TRUE(sameState(original, ref));
 }
 
+/**
+ * 32-layer stages on a stream of @p seed, alternating two token
+ * counts as moe-longrun does once @p go is set; false on the first
+ * layer that differs from the per-token loop or leaves the generator
+ * elsewhere.
+ */
+bool
+drawStages(int n, std::uint64_t seed, int stages,
+           const std::atomic<bool> &go)
+{
+    const ExpertSelector sel(n, 2);
+    Rng fast(seed);
+    Rng ref = fast;
+    std::vector<std::int64_t> hist;
+    while (!go.load())
+        std::this_thread::yield();
+    for (int stage = 0; stage < stages; ++stage) {
+        const std::int64_t tokens = 164 + 666 * (stage % 2);
+        for (int layer = 0; layer < 32; ++layer) {
+            sel.sampleInto(fast, tokens, hist);
+            if (hist != sel.sampleReference(ref, tokens) ||
+                !sameState(fast, ref))
+                return false;
+        }
+    }
+    return true;
+}
+
 TEST(ExpertSelector, LookaheadIsPerThread)
 {
     // Two threads draw 32-layer stages at once, on streams of their
-    // own, alternating token counts as moe-longrun does. Each checks
-    // every layer against the per-token loop.
-    auto stages = [](int n, std::uint64_t seed, bool &ok) {
-        const ExpertSelector sel(n, 2);
-        Rng fast(seed);
-        Rng ref = fast;
-        std::vector<std::int64_t> hist;
-        ok = true;
-        for (int stage = 0; stage < 8; ++stage) {
-            const std::int64_t tokens = 164 + 666 * (stage % 2);
-            for (int layer = 0; layer < 32; ++layer) {
-                sel.sampleInto(fast, tokens, hist);
-                ok = ok && hist == sel.sampleReference(ref, tokens) &&
-                     sameState(fast, ref);
-            }
-        }
-    };
+    // own. Neither is a sweep worker, so both ask for the helper
+    // pool, and while one holds it the other finds it busy and
+    // draws its groups alone. Each checks every layer.
     for (int n : {8, 64}) {
+        std::atomic<bool> go{false};
         bool ok_a = false;
         bool ok_b = false;
-        std::thread a(stages, n, 101, std::ref(ok_a));
-        std::thread b(stages, n, 202, std::ref(ok_b));
+        std::thread a([&] { ok_a = drawStages(n, 101, 48, go); });
+        std::thread b([&] { ok_b = drawStages(n, 202, 48, go); });
+        go = true;
         a.join();
         b.join();
         EXPECT_TRUE(ok_a) << "n=" << n;
         EXPECT_TRUE(ok_b) << "n=" << n;
     }
+}
+
+TEST(ExpertSelector, SweepWorkersDrawAlone)
+{
+    // Inside SweepRunner's tasks no draw may use the helpers: a sweep
+    // runs whole simulations in parallel already. The calling thread
+    // keeps them.
+    const int helpers = ExpertSelector::drawHelpers();
+    std::vector<int> seen(4, -1);
+    std::vector<char> ok(4, 0);
+    std::vector<std::function<void()>> tasks;
+    for (int i = 0; i < 4; ++i)
+        tasks.push_back([&, i] {
+            seen[i] = ExpertSelector::drawHelpers();
+            const std::atomic<bool> go{true};
+            ok[i] = drawStages(8, 300 + i, 4, go);
+        });
+    SweepRunner(2).runTasks(tasks);
+    for (int i = 0; i < 4; ++i) {
+        EXPECT_EQ(seen[i], 0) << "task " << i;
+        EXPECT_TRUE(ok[i]) << "task " << i;
+    }
+    EXPECT_EQ(ExpertSelector::drawHelpers(), helpers);
 }
 
 TEST(ExpertSelector, Top2KernelsInterleavedOnOneStream)
