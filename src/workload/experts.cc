@@ -1,17 +1,14 @@
 #include "workload/experts.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <iterator>
 #include <thread>
 
+#include "common/cpus.hh"
 #include "common/log.hh"
-
-#if defined(__linux__)
-#include <sched.h>
-#endif
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -99,37 +96,28 @@ constexpr std::int64_t kLaneMinTokens8 = 16;
 constexpr std::int64_t kLaneMinTokens64 = 48;
 
 /**
- * Token counts from which a lookahead miss hands layer groups to the
- * helper threads: below them the hand-off, the helpers' jump memo
- * misses and the lookahead lines the caller reads back from other
- * cores cost more than the groups save. Measured on the same host
- * with 32-layer (8 experts) and 16-layer (64 experts) stages and a
- * new token count every stage: groups win 1.3x at 32 tokens and
- * 1.7x at 164 for 8 experts, and from about 192 tokens for the
- * heavier 64-expert kernel.
+ * Token count from which a lookahead miss of the 8-expert gate hands
+ * layer groups to the helper threads: below it the hand-off, the
+ * helpers' jump memo misses and the lookahead lines the caller reads
+ * back from other cores cost more than the groups save. Measured on
+ * the same host with 32-layer stages and a new token count every
+ * stage: groups win 1.3x at 32 tokens and 1.7x at 164. The 64-expert
+ * gate always draws alone.
  */
-constexpr std::int64_t kGroupMinTokens8 = 32;
-constexpr std::int64_t kGroupMinTokens64 = 192;
+constexpr std::int64_t kGroupMinTokens = 32;
 
 /** Set on SweepRunner's workers: their draws never take the pool. */
 thread_local bool tlsDrawsAlone = false;
 
 /**
  * Helper threads the pool runs: one fewer than the CPUs this process
- * may run on, at most three. Checked once.
+ * may run on (its affinity mask, and its cgroup CPU quota), at most
+ * three. Checked once.
  */
 int
 helperThreads()
 {
-    static const int helpers = [] {
-        int cpus = static_cast<int>(std::thread::hardware_concurrency());
-#if defined(__linux__)
-        cpu_set_t set;
-        if (sched_getaffinity(0, sizeof(set), &set) == 0)
-            cpus = CPU_COUNT(&set);
-#endif
-        return std::clamp(cpus - 1, 0, 3);
-    }();
+    static const int helpers = std::min(usableCpus() - 1, 3);
     return helpers;
 }
 
@@ -349,12 +337,11 @@ laneJumpsMemo(std::int64_t tokens)
     return memo.get(tokens, 0);
 }
 
-/** Layer groups one lookahead miss may draw, per expert count. */
-template <int N>
-constexpr int kMaxGroups = N == 8 ? 4 : 2;
+/** Layer groups one lookahead miss of the 8-expert gate may draw. */
+constexpr int kMaxGroups = 4;
 
 /** Layers the lookahead holds at most. */
-constexpr int kMaxLayers = kLaneLayers * kMaxGroups<8>;
+constexpr int kMaxLayers = kLaneLayers * kMaxGroups;
 
 /**
  * The layers a miss drew beyond the one it returned: their
@@ -374,9 +361,8 @@ struct alignas(64) LaneLookahead
     int layers = 0;
     int next = 0; //!< next layer to serve; `layers`: none
     alignas(64) std::uint64_t ends[kMaxLayers][4] = {};
-    alignas(64) std::int64_t
-        hist[std::max(kMaxLayers * 8, kLaneLayers * kMaxGroups<64> * 64)] =
-            {};
+    // One group of 64-expert layers, or four of 8 experts.
+    alignas(64) std::int64_t hist[kLaneLayers * 64] = {};
 
     /** Serve layer `next` into @p out if @p rng stands at its start. */
     bool
@@ -392,8 +378,9 @@ struct alignas(64) LaneLookahead
     }
 };
 
-static_assert(sizeof(LaneLookahead) <= 10240,
-              "the lookahead stays within 10 KB per thread");
+static_assert(kMaxLayers * 8 <= kLaneLayers * 64);
+static_assert(sizeof(LaneLookahead) <= 6144,
+              "the lookahead stays within 6 KB per thread");
 
 /** This thread's lookahead, one for both gates. */
 LaneLookahead &
@@ -405,7 +392,8 @@ laneLookahead()
 
 /**
  * Draw layer group @p group of @p tokens, the eight layers that start
- * 16 * tokens * group outputs past @p start, into @p ahead.
+ * 16 * tokens * group outputs past @p start, into @p ahead. Group 0
+ * is every lane draw's; groups 1 to 3 are the pool's, 8 experts only.
  */
 template <int N>
 __attribute__((target("avx512f"))) void
@@ -424,13 +412,16 @@ drawGroup(const Rng &start, std::int64_t tokens, const LaneJumps &jumps,
 
 /**
  * The helper pool: helperThreads() process-wide threads, started on
- * the first draw that asks for them, that draw layer groups for one
- * caller at a time. The caller publishes a draw in one word (epoch,
- * group count, next unclaimed group), draws group 0 itself, then
- * claims the remaining groups alongside the helpers, and waits only
- * for the groups a helper has claimed: a helper that comes late finds
- * nothing left and costs nothing. Between draws a helper spins for
- * about a millisecond, then parks on the word.
+ * the first draw that asks for them, that draw layer groups of the
+ * 8-expert gate for one caller at a time. The caller publishes a draw
+ * in one word (epoch, group count, next unclaimed group), draws group
+ * 0 itself, then claims the remaining groups alongside the helpers,
+ * and waits only for the groups a helper has claimed: a helper that
+ * comes late finds nothing left and costs nothing. Between draws a
+ * helper spins for a few of the recent gaps between draws, at most
+ * kMaxSpinNs, then parks on the word: a run that draws every few
+ * tens of microseconds keeps its helpers awake, and one that draws
+ * now and then does not keep three cores busy for it.
  */
 class DrawPool
 {
@@ -455,16 +446,24 @@ class DrawPool
     void release() { busy_.store(false, std::memory_order_release); }
 
     /**
-     * Draw up to kMaxGroups<N> groups of @p tokens from @p rng's
-     * state into @p ahead, one per thread; returns how many.
+     * Draw up to kMaxGroups groups of @p tokens from @p rng's state
+     * into @p ahead, one per thread; returns how many.
      */
-    template <int N>
     int
     draw(const Rng &rng, std::int64_t tokens, LaneLookahead &ahead)
     {
-        const int groups = std::min(1 + helpers_, kMaxGroups<N>);
-        job_ = {rng, tokens, N, &ahead};
+        const int groups = std::min(1 + helpers_, kMaxGroups);
+        job_ = {rng, tokens, &ahead};
         done_.store(0, std::memory_order_relaxed);
+        // The spin window: kSpinGaps times a running mean of the gaps
+        // between draws, each gap capped at kMaxSpinNs.
+        const auto now = Clock::now();
+        const std::int64_t gap = std::chrono::duration_cast<
+            std::chrono::nanoseconds>(now - lastDraw_).count();
+        lastDraw_ = now;
+        meanGapNs_ += (std::min(gap, kMaxSpinNs) - meanGapNs_) / 4;
+        spinNs_.store(std::min(kSpinGaps * meanGapNs_, kMaxSpinNs),
+                      std::memory_order_relaxed);
         const std::uint64_t epoch =
             (work_.load(std::memory_order_relaxed) >> kEpochShift) + 1;
         work_.store(epoch << kEpochShift |
@@ -473,10 +472,10 @@ class DrawPool
                     std::memory_order_seq_cst);
         if (sleepers_.load(std::memory_order_seq_cst) > 0)
             work_.notify_all();
-        drawGroup<N>(rng, tokens, laneJumpsMemo(tokens), ahead, 0);
+        drawGroup<8>(rng, tokens, laneJumpsMemo(tokens), ahead, 0);
         int mine = 0;
         for (int group; (group = claim()) >= 0; ++mine)
-            drawGroup<N>(rng, tokens, memo_[group - 1].get(tokens, group),
+            drawGroup<8>(rng, tokens, memo_[group - 1].get(tokens, group),
                          ahead, group);
         const int helped = groups - 1 - mine;
         for (unsigned spin = 1;
@@ -490,16 +489,28 @@ class DrawPool
     }
 
   private:
+    using Clock = std::chrono::steady_clock;
+
     static constexpr int kEpochShift = 16;
     static constexpr int kGroupsShift = 8;
     static constexpr std::uint64_t kByte = 0xff;
+
+    /**
+     * A helper's spin window: kSpinGaps mean gaps between draws, at
+     * most kMaxSpinNs. A helper woken from its park comes too late
+     * for the draw that woke it, so the window must cover the gaps
+     * of a busy run (moe-longrun draws a stage every 20-40 us); the
+     * cap keeps helpers awake only while draws come at least every
+     * 50 us, and bounds what they burn after the last one.
+     */
+    static constexpr std::int64_t kSpinGaps = 4;
+    static constexpr std::int64_t kMaxSpinNs = 200000;
 
     /** What a claimed group reads; written before each publish. */
     struct Job
     {
         Rng start;
         std::int64_t tokens;
-        int experts;
         LaneLookahead *ahead;
     };
 
@@ -541,26 +552,22 @@ class DrawPool
     __attribute__((target("avx512f"))) void
     help()
     {
-        using Clock = std::chrono::steady_clock;
-        constexpr auto kSpin = std::chrono::milliseconds(1);
         auto idleSince = Clock::now();
         for (unsigned spin = 1;; ++spin) {
             if (const int group = claim(); group >= 0) {
                 const Job &job = job_;
-                const LaneJumps &jumps =
-                    memo_[group - 1].get(job.tokens, group);
-                if (job.experts == 8)
-                    drawGroup<8>(job.start, job.tokens, jumps, *job.ahead,
-                                 group);
-                else
-                    drawGroup<64>(job.start, job.tokens, jumps, *job.ahead,
-                                  group);
+                drawGroup<8>(job.start, job.tokens,
+                             memo_[group - 1].get(job.tokens, group),
+                             *job.ahead, group);
                 done_.fetch_add(1, std::memory_order_release);
                 idleSince = Clock::now();
                 continue;
             }
             _mm_pause();
-            if (spin % 64 != 0 || Clock::now() - idleSince < kSpin)
+            if (spin % 64 != 0 ||
+                Clock::now() - idleSince <
+                    std::chrono::nanoseconds(
+                        spinNs_.load(std::memory_order_relaxed)))
                 continue;
             // Park until the next draw is published. The caller
             // notifies only when it sees a sleeper, and reads
@@ -576,20 +583,25 @@ class DrawPool
     }
 
     const int helpers_;
+    // Written by the caller once per draw, read by spinning helpers.
     alignas(64) std::atomic<std::uint64_t> work_{0};
+    std::atomic<std::int64_t> spinNs_{kMaxSpinNs};
     alignas(64) std::atomic<int> done_{0};
     alignas(64) std::atomic<bool> busy_{false};
     std::atomic<int> sleepers_{0};
-    alignas(64) Job job_{Rng(), 0, 0, nullptr};
-    JumpMemo memo_[kMaxGroups<8> - 1]; //!< groups 1 to 3
+    // The caller's alone, under busy_.
+    Clock::time_point lastDraw_{};
+    std::int64_t meanGapNs_ = kMaxSpinNs;
+    alignas(64) Job job_{Rng(), 0, nullptr};
+    JumpMemo memo_[kMaxGroups - 1]; //!< groups 1 to 3
 };
 
 /**
  * Draw the layers of @p tokens that start at @p rng's state into
- * @p ahead, eight per group, and serve the first into @p out. From
- * the group crossover on, the helper pool draws groups in parallel;
- * below it, on a sweep worker, or while another thread holds the
- * pool, one group of eight.
+ * @p ahead, eight per group, and serve the first into @p out. For 8
+ * experts from the group crossover on, the helper pool draws groups
+ * in parallel; otherwise (64 experts, below the crossover, on a sweep
+ * worker, or while another thread holds the pool) one group of eight.
  */
 template <int N>
 void
@@ -597,12 +609,11 @@ drawLaneLayers(Rng &rng, std::int64_t tokens, LaneLookahead &ahead,
                std::int64_t *out)
 {
     int groups = 1;
-    DrawPool *pool =
-        tokens >= (N == 8 ? kGroupMinTokens8 : kGroupMinTokens64)
-            ? DrawPool::tryAcquire()
-            : nullptr;
+    DrawPool *pool = N == 8 && tokens >= kGroupMinTokens
+                         ? DrawPool::tryAcquire()
+                         : nullptr;
     if (pool) {
-        groups = pool->draw<N>(rng, tokens, ahead);
+        groups = pool->draw(rng, tokens, ahead);
         pool->release();
     } else {
         drawGroup<N>(rng, tokens, laneJumpsMemo(tokens), ahead, 0);
@@ -727,9 +738,7 @@ ExpertSelector::laneMinTokens(int num_experts)
 std::int64_t
 ExpertSelector::groupMinTokens(int num_experts)
 {
-    return num_experts == 8    ? kGroupMinTokens8
-           : num_experts == 64 ? kGroupMinTokens64
-                               : 0;
+    return num_experts == 8 ? kGroupMinTokens : 0;
 }
 
 int

@@ -76,21 +76,22 @@ class ExpertSelector
      *
      * An MoE stage draws its layers back to back with one token
      * count (Mixtral 32, GLaM 16, Grok1 64 MoE layers: multiples of
-     * eight). From groupMinTokens() tokens on, a miss draws up to
-     * four groups of eight such layers at once (two for 64 experts),
-     * group g from the state 16 * g * tokens outputs ahead: the
-     * caller draws group 0 and the drawHelpers() helper threads
-     * claim the rest, so a Mixtral stage pays one miss for 32
-     * layers. The helpers are process-wide and serve one caller at
-     * a time; a caller that finds them busy draws its eight layers
-     * alone, as does a thread marked by drawAloneOnThisThread().
-     * Each group keeps its own lane jump memo, which misses at most
-     * once per token count. The lookahead (32 layers, about 9.3 KB)
-     * and group 0's memo are thread_local, not members: this method
-     * stays const and one selector can serve several threads; the
-     * helpers write a caller's lookahead only inside the caller's
-     * call, and only one caller at a time holds the memos of groups
-     * 1 to 3.
+     * eight). For 8 experts from groupMinTokens() tokens on, a miss
+     * draws up to four groups of eight such layers at once, group g
+     * from the state 16 * g * tokens outputs ahead: the caller draws
+     * group 0 and the drawHelpers() helper threads claim the rest,
+     * so a Mixtral stage pays one miss for 32 layers. The helpers
+     * are process-wide and serve one caller at a time; a caller that
+     * finds them busy draws its eight layers alone, as does a thread
+     * marked by drawAloneOnThisThread(). Each group keeps its own
+     * lane jump memo, which misses at most once per token count. The
+     * lookahead (32 layers, about 5.2 KB) and group 0's memo are
+     * thread_local, not members: this method stays const, and threads
+     * that draw at once (sweep workers, or two callers of which one
+     * finds the pool held) never share an entry. The helpers write a
+     * caller's lookahead only inside the caller's call, and only the
+     * one caller that holds the pool uses the memos of groups 1 to
+     * 3.
      */
     void sampleInto(Rng &rng, std::int64_t tokens,
                     std::vector<std::int64_t> &hist) const;
@@ -108,16 +109,17 @@ class ExpertSelector
     /**
      * Token count from which a lookahead miss of the uniform top-2
      * gate over @p num_experts hands layer groups to the helper
-     * threads; 0 for expert counts without a lane kernel. Measured,
-     * as laneMinTokens() is.
+     * threads: 32 for 8 experts, measured as laneMinTokens() is; 0
+     * for every other expert count, which always draws alone.
      */
     static std::int64_t groupMinTokens(int num_experts);
 
     /**
      * Helper threads a draw on the calling thread may hand layer
-     * groups to: one fewer than the CPUs in the process's affinity
-     * mask, at most three; 0 on a host without AVX-512F or on a
-     * thread marked by drawAloneOnThisThread(). Starts nothing.
+     * groups to: one fewer than the CPUs the process may use (its
+     * affinity mask, capped by its cgroup CPU quota), at most three;
+     * 0 on a host without AVX-512F or on a thread marked by
+     * drawAloneOnThisThread(). Starts nothing.
      */
     static int drawHelpers();
 

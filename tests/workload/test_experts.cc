@@ -155,17 +155,15 @@ TEST(ExpertSelector, ReportsWhichKernelRan)
     if (Rng::laneWidth() == 8)
         std::printf("[ kernel   ] uniform top-2: eight layers per walk "
                     "on 8 AVX-512 lanes from %lld tokens (8 experts) "
-                    "and %lld (64 experts); groups of eight on %d "
-                    "helper threads from %lld and %lld\n",
+                    "and %lld (64 experts); 8 experts in groups of "
+                    "eight on %d helper threads from %lld\n",
                     static_cast<long long>(
                         ExpertSelector::laneMinTokens(8)),
                     static_cast<long long>(
                         ExpertSelector::laneMinTokens(64)),
                     ExpertSelector::drawHelpers(),
                     static_cast<long long>(
-                        ExpertSelector::groupMinTokens(8)),
-                    static_cast<long long>(
-                        ExpertSelector::groupMinTokens(64)));
+                        ExpertSelector::groupMinTokens(8)));
     else
         std::printf("[ kernel   ] uniform top-2: serial kernels only "
                     "(no AVX-512F); the lane path is untested here\n");
@@ -174,8 +172,7 @@ TEST(ExpertSelector, ReportsWhichKernelRan)
     EXPECT_EQ(ExpertSelector::laneMinTokens(16), 0);
     EXPECT_GE(ExpertSelector::groupMinTokens(8),
               ExpertSelector::laneMinTokens(8));
-    EXPECT_GE(ExpertSelector::groupMinTokens(64),
-              ExpertSelector::laneMinTokens(64));
+    EXPECT_EQ(ExpertSelector::groupMinTokens(64), 0);
     EXPECT_EQ(ExpertSelector::groupMinTokens(16), 0);
     EXPECT_GE(ExpertSelector::drawHelpers(), 0);
     EXPECT_LE(ExpertSelector::drawHelpers(), 3);
@@ -205,16 +202,18 @@ TEST(ExpertSelector, ConsecutiveLayersMatchPerTokenReference)
 {
     // Runs of L layers of one stage on one stream: the lookahead
     // serves all but the first of every 8 to 32 (one to four groups
-    // of eight), and each must be the layer the per-token loop
-    // draws, with the generator where it leaves it after every
-    // call. The token counts straddle both crossovers, and the runs
-    // end inside, at and just past a full set of groups.
+    // of eight, the 64-expert gate one), and each must be the layer
+    // the per-token loop draws, with the generator where it leaves
+    // it after every call. The token counts straddle the crossovers,
+    // and the runs end inside, at and just past a full set of groups.
     for (int n : {8, 64}) {
         const ExpertSelector sel(n, 2);
         std::vector<std::int64_t> counts = {1, 7, 8, 71, 164, 191, 192,
                                             830, 4099};
-        counts.push_back(ExpertSelector::groupMinTokens(n) - 1);
-        counts.push_back(ExpertSelector::groupMinTokens(n));
+        if (n == 8) {
+            counts.push_back(ExpertSelector::groupMinTokens(n) - 1);
+            counts.push_back(ExpertSelector::groupMinTokens(n));
+        }
         for (std::int64_t tokens : counts) {
             for (int layers : {1, 2, 7, 8, 9, 16, 24, 31, 32, 33, 64}) {
                 SCOPED_TRACE(::testing::Message()
@@ -332,9 +331,9 @@ drawStages(int n, std::uint64_t seed, int stages,
 TEST(ExpertSelector, LookaheadIsPerThread)
 {
     // Two threads draw 32-layer stages at once, on streams of their
-    // own. Neither is a sweep worker, so both ask for the helper
-    // pool, and while one holds it the other finds it busy and
-    // draws its groups alone. Each checks every layer.
+    // own. Neither is a sweep worker, so with 8 experts both ask for
+    // the helper pool, and while one holds it the other finds it
+    // busy and draws its groups alone. Each checks every layer.
     for (int n : {8, 64}) {
         std::atomic<bool> go{false};
         bool ok_a = false;
