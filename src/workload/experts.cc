@@ -97,27 +97,31 @@ constexpr std::int64_t kLaneMinTokens64 = 48;
 
 /**
  * Token count from which a lookahead miss of the 8-expert gate hands
- * layer groups to the helper threads: below it the hand-off, the
- * helpers' jump memo misses and the lookahead lines the caller reads
- * back from other cores cost more than the groups save. Measured on
+ * a layer group to the helper thread: below it the hand-off, the
+ * helper's jump memo misses and the lookahead lines the caller reads
+ * back from another core cost more than the group saves. Measured on
  * the same host with 32-layer stages and a new token count every
- * stage: groups win 1.3x at 32 tokens and 1.7x at 164. The 64-expert
- * gate always draws alone.
+ * stage. The 64-expert gate always draws alone.
  */
 constexpr std::int64_t kGroupMinTokens = 32;
 
-/** Set on SweepRunner's workers: their draws never take the pool. */
+/** Set on SweepRunner's workers: their draws never take the helper. */
 thread_local bool tlsDrawsAlone = false;
 
 /**
- * Helper threads the pool runs: one fewer than the CPUs this process
- * may run on (its affinity mask, and its cgroup CPU quota), at most
- * three. Checked once.
+ * Helper threads: one if this process may run on two CPUs or more
+ * (its affinity mask, and its cgroup CPU quota), else none. Checked
+ * once. Not one per spare CPU: on a shared host every core a draw
+ * waits for is one that another tenant can take for a while. Three
+ * helpers made moe-longrun about 2x faster on a quiet host, but
+ * with two busy loops beside them it lost about a third of its
+ * speed, and its runs spread several times as widely as one
+ * thread's; one helper gains about 1.45x and lost under a tenth.
  */
 int
 helperThreads()
 {
-    static const int helpers = std::min(usableCpus() - 1, 3);
+    static const int helpers = usableCpus() > 1 ? 1 : 0;
     return helpers;
 }
 
@@ -302,7 +306,8 @@ top2LaneLayers64(Lanes &lanes, std::int64_t tokens, std::int64_t *hist)
 
 /**
  * A lane walk's jump masks, kept for the last token count. Cache-line
- * aligned: the pool's entries are written by different threads.
+ * aligned: the caller's and the helper's are written by different
+ * threads.
  */
 struct alignas(64) JumpMemo
 {
@@ -338,7 +343,7 @@ laneJumpsMemo(std::int64_t tokens)
 }
 
 /** Layer groups one lookahead miss of the 8-expert gate may draw. */
-constexpr int kMaxGroups = 4;
+constexpr int kMaxGroups = 2;
 
 /** Layers the lookahead holds at most. */
 constexpr int kMaxLayers = kLaneLayers * kMaxGroups;
@@ -361,7 +366,7 @@ struct alignas(64) LaneLookahead
     int layers = 0;
     int next = 0; //!< next layer to serve; `layers`: none
     alignas(64) std::uint64_t ends[kMaxLayers][4] = {};
-    // One group of 64-expert layers, or four of 8 experts.
+    // One group of 64-expert layers, or two of 8 experts.
     alignas(64) std::int64_t hist[kLaneLayers * 64] = {};
 
     /** Serve layer `next` into @p out if @p rng stands at its start. */
@@ -379,8 +384,8 @@ struct alignas(64) LaneLookahead
 };
 
 static_assert(kMaxLayers * 8 <= kLaneLayers * 64);
-static_assert(sizeof(LaneLookahead) <= 6144,
-              "the lookahead stays within 6 KB per thread");
+static_assert(sizeof(LaneLookahead) <= 5120,
+              "the lookahead stays within 5 KB per thread");
 
 /** This thread's lookahead, one for both gates. */
 LaneLookahead &
@@ -392,216 +397,261 @@ laneLookahead()
 
 /**
  * Draw layer group @p group of @p tokens, the eight layers that start
- * 16 * tokens * group outputs past @p start, into @p ahead. Group 0
- * is every lane draw's; groups 1 to 3 are the pool's, 8 experts only.
+ * 16 * tokens * group outputs past @p start (@p jumps), into @p hist
+ * (eight layers of N) and @p ends (eight end states).
  */
 template <int N>
 __attribute__((target("avx512f"))) void
 drawGroup(const Rng &start, std::int64_t tokens, const LaneJumps &jumps,
-          LaneLookahead &ahead, int group)
+          std::int64_t *hist, std::uint64_t ends[kLaneLayers][4])
 {
     Lanes lanes = loadLanes(start, jumps);
-    std::int64_t *hist = ahead.hist + kLaneLayers * N * group;
     std::fill_n(hist, kLaneLayers * N, 0);
     if constexpr (N == 8)
         top2LaneLayers8(lanes, tokens, hist);
     else
         top2LaneLayers64(lanes, tokens, hist);
-    storeLanes(lanes, ahead.ends + kLaneLayers * group);
+    storeLanes(lanes, ends);
+}
+
+/** Group @p group of @p ahead's layers, drawn in place. */
+template <int N>
+void
+drawGroupInto(const Rng &start, std::int64_t tokens,
+              const LaneJumps &jumps, LaneLookahead &ahead, int group)
+{
+    drawGroup<N>(start, tokens, jumps, ahead.hist + kLaneLayers * N * group,
+                 ahead.ends + kLaneLayers * group);
 }
 
 /**
- * The helper pool: helperThreads() process-wide threads, started on
- * the first draw that asks for them, that draw layer groups of the
- * 8-expert gate for one caller at a time. The caller publishes a draw
- * in one word (epoch, group count, next unclaimed group), draws group
- * 0 itself, then claims the remaining groups alongside the helpers,
- * and waits only for the groups a helper has claimed: a helper that
- * comes late finds nothing left and costs nothing. Between draws a
- * helper spins for a few of the recent gaps between draws, at most
- * kMaxSpinNs, then parks on the word: a run that draws every few
- * tens of microseconds keeps its helpers awake, and one that draws
- * now and then does not keep three cores busy for it.
+ * The helper: one process-wide thread, started on the first draw
+ * that asks for it, that draws group 1 of the 8-expert gate for one
+ * caller at a time, into a slot of its own. The caller publishes a
+ * draw (the job, then a new epoch in one word), draws group 0, then
+ * collects group 1: if the helper has not started it, the caller
+ * draws it at once, and if it has, the caller waits for it only
+ * until one more of its own group's times has passed, then draws it
+ * too. One state word settles who draws the group, so a helper that
+ * comes late, or is descheduled halfway, costs the caller at most
+ * that wait, and its work is discarded. Between draws the helper
+ * spins until a few of the recent gaps between draws, at most
+ * kMaxSpinNs, have passed with no new draw, then parks on the word:
+ * a run that draws every few tens of microseconds keeps it awake,
+ * and one that draws now and then does not keep a core busy.
  */
-class DrawPool
+class DrawHelper
 {
   public:
     /**
-     * The pool if the calling thread may use it and no other thread
-     * holds it, else null. Starts the pool on first call.
+     * The helper if the calling thread may use it and no other
+     * thread holds it, else null. Starts the helper on first call.
      */
-    static DrawPool *
+    static DrawHelper *
     tryAcquire()
     {
         if (tlsDrawsAlone || helperThreads() == 0)
             return nullptr;
-        // The helpers run until the process exits.
-        static DrawPool *const pool = new DrawPool(helperThreads());
-        if (pool->busy_.load(std::memory_order_relaxed) ||
-            pool->busy_.exchange(true, std::memory_order_acquire))
+        // The helper runs until the process exits.
+        static DrawHelper *const helper = new DrawHelper();
+        if (helper->busy_.load(std::memory_order_relaxed) ||
+            helper->busy_.exchange(true, std::memory_order_acquire))
             return nullptr;
-        return pool;
+        return helper;
     }
 
     void release() { busy_.store(false, std::memory_order_release); }
 
-    /**
-     * Draw up to kMaxGroups groups of @p tokens from @p rng's state
-     * into @p ahead, one per thread; returns how many.
-     */
-    int
+    /** Draw groups 0 and 1 of @p tokens from @p rng's state. */
+    void
     draw(const Rng &rng, std::int64_t tokens, LaneLookahead &ahead)
     {
-        const int groups = std::min(1 + helpers_, kMaxGroups);
-        job_ = {rng, tokens, &ahead};
-        done_.store(0, std::memory_order_relaxed);
+        const auto start = Clock::now();
         // The spin window: kSpinGaps times a running mean of the gaps
         // between draws, each gap capped at kMaxSpinNs.
-        const auto now = Clock::now();
-        const std::int64_t gap = std::chrono::duration_cast<
-            std::chrono::nanoseconds>(now - lastDraw_).count();
-        lastDraw_ = now;
-        meanGapNs_ += (std::min(gap, kMaxSpinNs) - meanGapNs_) / 4;
+        meanGapNs_ += (std::min(nanos(start - lastDraw_), kMaxSpinNs) -
+                       meanGapNs_) /
+                      4;
+        lastDraw_ = start;
         spinNs_.store(std::min(kSpinGaps * meanGapNs_, kMaxSpinNs),
                       std::memory_order_relaxed);
-        const std::uint64_t epoch =
-            (work_.load(std::memory_order_relaxed) >> kEpochShift) + 1;
-        work_.store(epoch << kEpochShift |
-                        static_cast<std::uint64_t>(groups) << kGroupsShift |
-                        1,
-                    std::memory_order_seq_cst);
-        if (sleepers_.load(std::memory_order_seq_cst) > 0)
-            work_.notify_all();
-        drawGroup<8>(rng, tokens, laneJumpsMemo(tokens), ahead, 0);
-        int mine = 0;
-        for (int group; (group = claim()) >= 0; ++mine)
-            drawGroup<8>(rng, tokens, memo_[group - 1].get(tokens, group),
-                         ahead, group);
-        const int helped = groups - 1 - mine;
-        for (unsigned spin = 1;
-             done_.load(std::memory_order_acquire) < helped; ++spin) {
-            _mm_pause();
-            // A helper that was descheduled after claiming.
-            if (spin % 1024 == 0)
-                std::this_thread::yield();
-        }
-        return groups;
+        publish(rng, tokens);
+        drawGroupInto<8>(rng, tokens, laneJumpsMemo(tokens), ahead, 0);
+        const auto drawn = Clock::now();
+        collect(rng, tokens, ahead, drawn + (drawn - start));
     }
 
   private:
     using Clock = std::chrono::steady_clock;
 
-    static constexpr int kEpochShift = 16;
-    static constexpr int kGroupsShift = 8;
-    static constexpr std::uint64_t kByte = 0xff;
+    /** Group 1's state word: epoch << 2 | one of these. */
+    enum GroupState : std::uint64_t
+    {
+        kPublished = 0,
+        kStarted = 1, //!< the helper draws it
+        kDone = 2,    //!< the helper drew it into its slot
+        kTaken = 3,   //!< the caller draws it
+    };
 
     /**
-     * A helper's spin window: kSpinGaps mean gaps between draws, at
-     * most kMaxSpinNs. A helper woken from its park comes too late
-     * for the draw that woke it, so the window must cover the gaps
-     * of a busy run (moe-longrun draws a stage every 20-40 us); the
-     * cap keeps helpers awake only while draws come at least every
-     * 50 us, and bounds what they burn after the last one.
+     * The helper's spin window: kSpinGaps mean gaps between draws,
+     * at most kMaxSpinNs. A helper woken from its park comes too
+     * late for the draw that woke it, so the window must cover the
+     * gaps of a busy run (moe-longrun draws every 10-40 us); the cap
+     * keeps the helper awake only while draws come at least every
+     * 50 us, and bounds what it burns after the last one.
      */
     static constexpr std::int64_t kSpinGaps = 4;
     static constexpr std::int64_t kMaxSpinNs = 200000;
 
-    /** What a claimed group reads; written before each publish. */
-    struct Job
+    /** Detached, and never destroyed: a destructor that joined the
+     * helper would hang in a forked child (a death test), which has
+     * none. The helper writes only its own slot. */
+    DrawHelper()
     {
-        Rng start;
-        std::int64_t tokens;
-        LaneLookahead *ahead;
-    };
+        std::thread([this] { help(); }).detach();
+    }
+
+    DrawHelper(const DrawHelper &) = delete;
+    DrawHelper &operator=(const DrawHelper &) = delete;
+
+    static std::int64_t
+    nanos(Clock::duration d)
+    {
+        return std::chrono::duration_cast<std::chrono::nanoseconds>(d)
+            .count();
+    }
 
     /**
-     * Detached, and the pool is never destroyed: a destructor that
-     * joined the helpers would hang in a forked child (a death test),
-     * which has none. A helper touches a caller's memory only inside
-     * that caller's draw.
+     * Write the job and start a new epoch. The job's words are
+     * atomics read seqlock-style: a helper that reads them while the
+     * next draw rewrites them has had its group taken, so the start
+     * it claims after reading fails.
      */
-    explicit DrawPool(int helpers) : helpers_(helpers)
+    void
+    publish(const Rng &rng, std::int64_t tokens)
     {
-        for (int h = 0; h < helpers_; ++h)
-            std::thread([this] { help(); }).detach();
+        ++epoch_;
+        std::atomic_thread_fence(std::memory_order_release);
+        for (int w = 0; w < 4; ++w)
+            jobState_[w].store(rng.state()[w], std::memory_order_relaxed);
+        jobTokens_.store(tokens, std::memory_order_relaxed);
+        state_.store(epoch_ << 2 | kPublished, std::memory_order_release);
+        work_.store(epoch_, std::memory_order_seq_cst);
+        // One notify per park: a helper that was woken but has not
+        // run yet needs no second one.
+        if (sleepers_.load(std::memory_order_seq_cst) > 0 &&
+            sleepers_.exchange(0, std::memory_order_seq_cst) > 0)
+            work_.notify_all();
     }
 
-    DrawPool(const DrawPool &) = delete;
-    DrawPool &operator=(const DrawPool &) = delete;
-
-    static bool
-    claimable(std::uint64_t word)
+    /**
+     * Move group 1 into @p ahead: the helper's slot if the helper
+     * finishes by @p deadline, else drawn here.
+     */
+    void
+    collect(const Rng &rng, std::int64_t tokens, LaneLookahead &ahead,
+            Clock::time_point deadline)
     {
-        return (word & kByte) < ((word >> kGroupsShift) & kByte);
+        const std::uint64_t mine = epoch_ << 2;
+        std::uint64_t seen = state_.load(std::memory_order_acquire);
+        for (unsigned spin = 1; seen != (mine | kDone); ++spin) {
+            if (seen == (mine | kStarted) &&
+                (spin % 8 != 0 || Clock::now() < deadline)) {
+                _mm_pause();
+                seen = state_.load(std::memory_order_acquire);
+            } else if (state_.compare_exchange_weak(
+                           seen, mine | kTaken, std::memory_order_acquire)) {
+                drawGroupInto<8>(rng, tokens, memo_.get(tokens, 1), ahead,
+                                 1);
+                return;
+            }
+        }
+        std::copy_n(slot_.hist, kLaneLayers * 8, ahead.hist + kLaneLayers * 8);
+        std::copy_n(&slot_.ends[0][0], kLaneLayers * 4,
+                    &ahead.ends[kLaneLayers][0]);
     }
 
-    /** Claim the next group of the published draw; -1 if none left. */
-    int
-    claim()
-    {
-        std::uint64_t word = work_.load(std::memory_order_acquire);
-        while (claimable(word))
-            if (work_.compare_exchange_weak(word, word + 1,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_acquire))
-                return static_cast<int>(word & kByte);
-        return -1;
-    }
-
-    /** A helper thread's loop. */
+    /** The helper's loop: group 1 of every draw. */
     __attribute__((target("avx512f"))) void
     help()
     {
+        std::uint64_t epoch = 0;
         auto idleSince = Clock::now();
         for (unsigned spin = 1;; ++spin) {
-            if (const int group = claim(); group >= 0) {
-                const Job &job = job_;
-                drawGroup<8>(job.start, job.tokens,
-                             memo_[group - 1].get(job.tokens, group),
-                             *job.ahead, group);
-                done_.fetch_add(1, std::memory_order_release);
+            const std::uint64_t published =
+                work_.load(std::memory_order_acquire);
+            if (published != epoch) {
+                epoch = published;
+                std::uint64_t words[4];
+                for (int w = 0; w < 4; ++w)
+                    words[w] = jobState_[w].load(std::memory_order_relaxed);
+                const std::int64_t tokens =
+                    jobTokens_.load(std::memory_order_relaxed);
+                std::atomic_thread_fence(std::memory_order_acquire);
+                std::uint64_t expect = epoch << 2 | kPublished;
+                if (state_.compare_exchange_strong(
+                        expect, epoch << 2 | kStarted,
+                        std::memory_order_relaxed)) {
+                    Rng start;
+                    start.setState(words);
+                    drawGroup<8>(start, tokens, slot_.memo.get(tokens, 1),
+                                 slot_.hist, slot_.ends);
+                    // Fails if the caller took the group meanwhile.
+                    expect = epoch << 2 | kStarted;
+                    state_.compare_exchange_strong(expect, epoch << 2 | kDone,
+                                                   std::memory_order_release,
+                                                   std::memory_order_relaxed);
+                }
                 idleSince = Clock::now();
                 continue;
             }
             _mm_pause();
             if (spin % 64 != 0 ||
-                Clock::now() - idleSince <
-                    std::chrono::nanoseconds(
-                        spinNs_.load(std::memory_order_relaxed)))
+                nanos(Clock::now() - idleSince) <
+                    spinNs_.load(std::memory_order_relaxed))
                 continue;
             // Park until the next draw is published. The caller
             // notifies only when it sees a sleeper, and reads
             // sleepers_ after its store, as this reads work_ after
             // its increment: one of the two sees the other.
             sleepers_.fetch_add(1, std::memory_order_seq_cst);
-            const std::uint64_t seen = work_.load(std::memory_order_seq_cst);
-            if (!claimable(seen))
-                work_.wait(seen, std::memory_order_seq_cst);
-            sleepers_.fetch_sub(1, std::memory_order_relaxed);
+            if (work_.load(std::memory_order_seq_cst) == epoch)
+                work_.wait(epoch, std::memory_order_seq_cst);
             idleSince = Clock::now();
         }
     }
 
-    const int helpers_;
-    // Written by the caller once per draw, read by spinning helpers.
+    // Written by the caller once per draw, read by the helper.
     alignas(64) std::atomic<std::uint64_t> work_{0};
     std::atomic<std::int64_t> spinNs_{kMaxSpinNs};
-    alignas(64) std::atomic<int> done_{0};
+    std::atomic<std::uint64_t> jobState_[4] = {};
+    std::atomic<std::int64_t> jobTokens_{0};
+    // Written by both.
+    alignas(64) std::atomic<std::uint64_t> state_{0};
     alignas(64) std::atomic<bool> busy_{false};
     std::atomic<int> sleepers_{0};
     // The caller's alone, under busy_.
+    std::uint64_t epoch_ = 0;
     Clock::time_point lastDraw_{};
     std::int64_t meanGapNs_ = kMaxSpinNs;
-    alignas(64) Job job_{Rng(), 0, nullptr};
-    JumpMemo memo_[kMaxGroups - 1]; //!< groups 1 to 3
+    JumpMemo memo_; //!< group 1, when the caller takes it
+    // The helper's alone, read by the caller once the group is done.
+    struct alignas(64)
+    {
+        std::int64_t hist[kLaneLayers * 8];
+        std::uint64_t ends[kLaneLayers][4];
+        JumpMemo memo;
+    } slot_;
 };
 
 /**
  * Draw the layers of @p tokens that start at @p rng's state into
  * @p ahead, eight per group, and serve the first into @p out. For 8
- * experts from the group crossover on, the helper pool draws groups
- * in parallel; otherwise (64 experts, below the crossover, on a sweep
- * worker, or while another thread holds the pool) one group of eight.
+ * experts from the group crossover on, the caller and the helper
+ * draw two groups in parallel; otherwise (64 experts, below the
+ * crossover, on a sweep worker, or while another thread holds the
+ * helper) one group of eight.
  */
 template <int N>
 void
@@ -609,14 +659,15 @@ drawLaneLayers(Rng &rng, std::int64_t tokens, LaneLookahead &ahead,
                std::int64_t *out)
 {
     int groups = 1;
-    DrawPool *pool = N == 8 && tokens >= kGroupMinTokens
-                         ? DrawPool::tryAcquire()
-                         : nullptr;
-    if (pool) {
-        groups = pool->draw(rng, tokens, ahead);
-        pool->release();
+    DrawHelper *helper = N == 8 && tokens >= kGroupMinTokens
+                             ? DrawHelper::tryAcquire()
+                             : nullptr;
+    if (helper) {
+        helper->draw(rng, tokens, ahead);
+        helper->release();
+        groups = kMaxGroups;
     } else {
-        drawGroup<N>(rng, tokens, laneJumpsMemo(tokens), ahead, 0);
+        drawGroupInto<N>(rng, tokens, laneJumpsMemo(tokens), ahead, 0);
     }
     ahead.experts = N;
     ahead.tokens = tokens;

@@ -77,21 +77,23 @@ class ExpertSelector
      * An MoE stage draws its layers back to back with one token
      * count (Mixtral 32, GLaM 16, Grok1 64 MoE layers: multiples of
      * eight). For 8 experts from groupMinTokens() tokens on, a miss
-     * draws up to four groups of eight such layers at once, group g
-     * from the state 16 * g * tokens outputs ahead: the caller draws
-     * group 0 and the drawHelpers() helper threads claim the rest,
-     * so a Mixtral stage pays one miss for 32 layers. The helpers
-     * are process-wide and serve one caller at a time; a caller that
-     * finds them busy draws its eight layers alone, as does a thread
+     * with a drawHelpers() helper thread draws two groups of eight
+     * such layers at once, group 1 from the state 16 * tokens outputs
+     * ahead: the caller draws group 0 and the helper group 1, so a
+     * Mixtral stage pays two misses for 32 layers. If the helper has
+     * not started group 1 when the caller is done with group 0, or
+     * has not finished it within as long again, the caller draws it
+     * too and the helper's copy is dropped. The helper is
+     * process-wide and serves one caller at a time; a caller that
+     * finds it busy draws its eight layers alone, as does a thread
      * marked by drawAloneOnThisThread(). Each group keeps its own
      * lane jump memo, which misses at most once per token count. The
-     * lookahead (32 layers, about 5.2 KB) and group 0's memo are
+     * lookahead (16 layers, about 4.6 KB) and group 0's memo are
      * thread_local, not members: this method stays const, and threads
      * that draw at once (sweep workers, or two callers of which one
-     * finds the pool held) never share an entry. The helpers write a
-     * caller's lookahead only inside the caller's call, and only the
-     * one caller that holds the pool uses the memos of groups 1 to
-     * 3.
+     * finds the helper held) never share an entry. The helper draws
+     * into a slot of its own, which the caller copies from once the
+     * group is done.
      */
     void sampleInto(Rng &rng, std::int64_t tokens,
                     std::vector<std::int64_t> &hist) const;
@@ -108,17 +110,17 @@ class ExpertSelector
 
     /**
      * Token count from which a lookahead miss of the uniform top-2
-     * gate over @p num_experts hands layer groups to the helper
-     * threads: 32 for 8 experts, measured as laneMinTokens() is; 0
+     * gate over @p num_experts hands a layer group to the helper
+     * thread: 32 for 8 experts, measured as laneMinTokens() is; 0
      * for every other expert count, which always draws alone.
      */
     static std::int64_t groupMinTokens(int num_experts);
 
     /**
-     * Helper threads a draw on the calling thread may hand layer
-     * groups to: one fewer than the CPUs the process may use (its
-     * affinity mask, capped by its cgroup CPU quota), at most three;
-     * 0 on a host without AVX-512F or on a thread marked by
+     * Helper threads a draw on the calling thread may hand a layer
+     * group to: 1 if the process may use two CPUs or more (its
+     * affinity mask, capped by its cgroup CPU quota), else 0; 0 on
+     * a host without AVX-512F or on a thread marked by
      * drawAloneOnThisThread(). Starts nothing.
      */
     static int drawHelpers();
