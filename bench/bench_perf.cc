@@ -33,6 +33,7 @@
 
 #include "bench_util.hh"
 #include "kvcache/prefix_cache.hh"
+#include "workload/expert_lanes.hh"
 #include "workload/experts.hh"
 #include "workload/registry.hh"
 
@@ -324,8 +325,10 @@ main()
     for (const Rate &p : stage_draw_probes)
         std::printf("moe draw %-18s %10.0f token-layers/s\n", p.name,
                     p.perSec);
-    std::printf("moe draw lane width %d, %d helper threads\n",
-                Rng::laneWidth(), ExpertSelector::drawHelpers());
+    std::printf("moe draw lane width %d, %d helper threads, IFMA "
+                "remainder %s\n",
+                Rng::laneWidth(), ExpertSelector::drawHelpers(),
+                laneRemainderIfma() ? "yes" : "no");
 
     const SweepProbe sweeps[] = {
         timeSweep("fig11-throughput", fig11SweepConfigs()),
@@ -354,6 +357,7 @@ main()
         report.add(std::string("moe_draw.") + p.name, p.perSec);
     report.add("moe_draw.lane_width", Rng::laneWidth());
     report.add("moe_draw.draw_helpers", ExpertSelector::drawHelpers());
+    report.add("moe_draw.ifma", laneRemainderIfma() ? 1 : 0);
     for (const SweepProbe &s : sweeps) {
         const std::string key = std::string("figure_sweeps.") + s.name;
         report.add(key + ".configs", s.configs);

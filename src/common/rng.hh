@@ -9,12 +9,13 @@
  *
  * Jump-ahead. xoshiro256's state update is linear over GF(2), so
  * the state d outputs ahead is a fixed polynomial in the update
- * applied to today's state. ExpertSelector uses this to draw groups
- * of eight consecutive MoE layers in eight SIMD lanes, one group per
- * thread: each lane starts from the state its layer would have
- * reached serially (laneJumps, Rng::laneStarts), so the stream is
- * consumed draw for draw as one serial generator consumes it, and
- * each lane ends where the next layer starts. Only hosts with
+ * applied to today's state. ExpertSelector uses this to draw a
+ * stage's consecutive MoE layers in eight SIMD lanes, a run of
+ * consecutive layers per lane: each lane starts from the state its
+ * first layer would have reached serially (laneJumps,
+ * Rng::laneStarts), so the stream is consumed draw for draw as one
+ * serial generator consumes it, and each lane ends where the next
+ * lane's first layer starts. Only hosts with
  * AVX-512F take that path (Rng::laneWidth()); the jump math itself
  * is portable.
  */
@@ -87,8 +88,8 @@ struct LaneJumps
  * @p offset outputs ahead: up to nine products mod p and one bit
  * matrix transpose, under a microsecond with a carry-less multiply.
  * They depend on the two distances alone, so a caller that repeats
- * them keeps them (ExpertSelector holds one per layer group and
- * token count).
+ * them keeps them (ExpertSelector keeps the last ones of each layer
+ * group, and of each group count for its first group).
  */
 LaneJumps laneJumps(std::uint64_t offset, std::uint64_t stride);
 

@@ -9,6 +9,7 @@
 
 #include "common/cpus.hh"
 #include "common/log.hh"
+#include "workload/expert_lanes.hh"
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -16,6 +17,18 @@
 
 namespace duplex
 {
+
+bool
+laneRemainderIfma()
+{
+#if defined(__x86_64__)
+    static const bool ifma =
+        Rng::laneWidth() == 8 && __builtin_cpu_supports("avx512ifma");
+    return ifma;
+#else
+    return false;
+#endif
+}
 
 namespace
 {
@@ -86,24 +99,30 @@ top2Direct(Rng &rng, std::int64_t tokens, std::int64_t *hist)
 
 /**
  * Token counts from which the lanes pay for their fixed cost: one
- * 256-step lane walk per eight layers, plus one lane jump memo miss
- * per stage. Measured on a 4-core AVX-512 Xeon (g++ 12, -O3) with 32
- * layers per stage and a new token count every stage: about 3 us of
- * fixed cost per stage, and break-even against the serial kernels
- * near 16 tokens for 8 experts and 48 for 64.
+ * 256-step lane walk per miss (32 layers for 8 experts, 16 for 64),
+ * plus one lane jump memo miss per new token count. Measured on a
+ * 4-core AVX-512 Xeon (g++ 12, -O3) with a new token count every
+ * stage, drawing alone: 32-layer stages of 8 experts cost 1.2-1.4 us
+ * on the lanes at 1 and 4 tokens against 2.2-2.6 us on the serial
+ * pair-cell kernel, so the lanes win at every count; 16-layer stages
+ * of 64 experts break even between 28 and 36 tokens (1.9-2.2 us
+ * either way at 32).
  */
-constexpr std::int64_t kLaneMinTokens8 = 16;
-constexpr std::int64_t kLaneMinTokens64 = 48;
+constexpr std::int64_t kLaneMinTokens8 = 1;
+constexpr std::int64_t kLaneMinTokens64 = 32;
 
 /**
  * Token count from which a lookahead miss of the 8-expert gate hands
- * a layer group to the helper thread: below it the hand-off, the
+ * half its layers to the helper thread: below it the hand-off, the
  * helper's jump memo misses and the lookahead lines the caller reads
- * back from another core cost more than the group saves. Measured on
+ * back from another core cost more than the half saves. Measured on
  * the same host with 32-layer stages and a new token count every
- * stage. The 64-expert gate always draws alone.
+ * stage: with the helper 2.5-2.7 us against 2.1-2.2 us alone at 32
+ * tokens, about even from 64 to 80, 3.3-3.6 against 3.6-3.8 us at
+ * 96 and 4.2-4.6 against 5.3-5.5 us at 164. The 64-expert gate
+ * always draws alone.
  */
-constexpr std::int64_t kGroupMinTokens = 32;
+constexpr std::int64_t kGroupMinTokens = 96;
 
 /** Set on SweepRunner's workers: their draws never take the helper. */
 thread_local bool tlsDrawsAlone = false;
@@ -135,15 +154,38 @@ helperThreads()
 #endif
 
 // Lane kernels. Consecutive MoE layers of a stage draw the same T
-// tokens, 2T outputs each, from one stretch of the stream. Lane j
-// draws the whole of layer j of the next eight from the state 2jT
-// outputs ahead (Rng::laneStarts at stride 2T), so every token draws
-// the same two outputs as in the serial loop, and lane j stops
-// exactly where layer j + 1 starts: its end state is layer j's
-// serial end state.
+// tokens, 2T outputs each, from one stretch of the stream. A miss
+// draws a stage's worth of layers in one or two groups of eight
+// lanes, k consecutive layers per lane: lane j of group g starts
+// from the state 2T (8kg + kj) outputs ahead (Rng::laneStarts at
+// stride 2kT), so every token draws the same two outputs as in the
+// serial loop. All lanes cross a layer boundary together, every T
+// rows, and lane j's state there is where its next layer starts;
+// after its last layer, where the next lane's first one does.
 
-/** Layers one lane walk draws: one per lane. */
-constexpr int kLaneLayers = 8;
+/** Lanes per layer group. */
+constexpr int kLanes = 8;
+
+/**
+ * Layers one lookahead miss draws: a Mixtral stage's 32 MoE layers
+ * for 8 experts, 16 (GLaM's) for 64. Mixtral, Grok1 (64) and GLaM
+ * are multiples of it; a model with fewer MoE layers per stage pays
+ * for layers it never takes, but never gets a wrong one. A constant,
+ * not a hint from the caller: a replay of one layer at a time (as
+ * perfbench times the draws) takes the same path as a simulation.
+ */
+template <int N>
+constexpr int kMissLayers = N == 8 ? 32 : 16;
+
+/** Layer groups one miss of the 8-expert gate may draw. */
+constexpr int kMaxGroups = 2;
+
+/** Layers the lookahead holds at most. */
+constexpr int kMaxLayers = kMissLayers<8>;
+
+/** Histogram words the lookahead holds: either gate's miss. */
+constexpr int kAheadCounts =
+    std::max(kMissLayers<8> * 8, kMissLayers<64> * 64);
 
 /** Eight xoshiro256** generators, one per 64-bit lane. */
 struct Lanes
@@ -151,60 +193,118 @@ struct Lanes
     __m512i s0, s1, s2, s3;
 
     /**
-     * rotl(s1 * 5, 7): the next output before its final * 9. The
-     * * 9 adds x << 3, so the low 3 bits are already the output's.
+     * rotl(s1 * 5, 7) for state word @p s1: its output before the
+     * final * 9. The * 9 adds x << 3, so the low 3 bits are already
+     * the output's.
      */
-    __attribute__((target("avx512f"))) __m512i
-    rotated() const
+    __attribute__((target("avx512f"))) static __m512i
+    rotated(__m512i s1)
     {
         return _mm512_rol_epi64(
             _mm512_add_epi64(s1, _mm512_slli_epi64(s1, 2)), 7);
     }
 
-    /** The whole next output. */
-    __attribute__((target("avx512f"))) __m512i
-    output() const
+    /** The whole output of state word @p s1. */
+    __attribute__((target("avx512f"))) static __m512i
+    output(__m512i s1)
     {
-        const __m512i r = rotated();
+        const __m512i r = rotated(s1);
         return _mm512_add_epi64(r, _mm512_slli_epi64(r, 3));
     }
 
-    /** The linear state update, as Rng::next() makes it. */
-    __attribute__((target("avx512f"))) void
-    step()
+    /**
+     * Two state updates, as two calls of Rng::next() make them, in
+     * one: 11 instructions where two steps take 12. Returns s1 of the
+     * state in between, which gives the second output. With
+     * v = s2 ^ s0 and u = s3 ^ s1 the middle s1 is s1 ^ v, and two
+     * steps give s0 = s3 ^ s2 ^ rotl(u, 45), s1 = (s1 << 17) ^ s0 ^
+     * s3, s2 = u ^ s2 ^ (v << 17), s3 = rotl(rotl(u, 45) ^ s1 ^ v, 45).
+     */
+    __attribute__((target("avx512f"))) __m512i
+    step2()
     {
         // 0x96 is the three-way XOR.
-        const __m512i t = _mm512_slli_epi64(s1, 17);
-        const __m512i s3x = _mm512_xor_si512(s3, s1);
-        s1 = _mm512_ternarylogic_epi64(s1, s2, s0, 0x96);
-        s2 = _mm512_ternarylogic_epi64(s2, s0, t, 0x96);
-        s0 = _mm512_xor_si512(s0, s3x);
-        s3 = _mm512_rol_epi64(s3x, 45);
+        const __m512i v = _mm512_xor_si512(s2, s0);
+        const __m512i u = _mm512_xor_si512(s3, s1);
+        const __m512i middle = _mm512_xor_si512(s1, v);
+        // vpternlogq overwrites its first operand. Each first operand
+        // is a word no later line reads, and the words are rewritten
+        // in an order that lets each new word take its old word's
+        // register: fewer register copies in the kernels' loops.
+        s1 = _mm512_ternarylogic_epi64(_mm512_slli_epi64(s1, 17), s0, s3,
+                                       0x96);
+        const __m512i ru = _mm512_rol_epi64(u, 45);
+        const __m512i w = _mm512_xor_si512(ru, middle);
+        s0 = _mm512_ternarylogic_epi64(ru, s3, s2, 0x96);
+        s2 = _mm512_ternarylogic_epi64(s2, u, _mm512_slli_epi64(v, 17),
+                                       0x96);
+        s3 = _mm512_rol_epi64(w, 45);
+        return middle;
     }
 };
 
-/**
- * x % D in each lane, for D in {7, 63}: 2^36 and 2^18 are both 1
- * mod D, so two folds bring x below 2^20. There the fraction of
- * x * ceil(2^32 / D) times D gives the remainder (Lemire, Kaser and
- * Kurz, "Faster remainder by direct computation", 2019): exact
- * because 32 >= 20 + log2(D).
- */
+// vpmadd52luq / vpmadd52huq with x as both the accumulator and a
+// multiplicand: x plus the low / high 52 bits of the 104-bit product
+// of the low 52 bits of x and c. Inline assembly, so the kernels keep
+// one target (avx512f); only hosts where laneRemainderIfma() holds
+// run them.
+
+__attribute__((target("avx512f"))) inline __m512i
+madd52loSelf(__m512i x, __m512i c)
+{
+    asm("vpmadd52luq %1, %0, %0" : "+v"(x) : "v"(c));
+    return x;
+}
+
+__attribute__((target("avx512f"))) inline __m512i
+madd52hiSelf(__m512i x, __m512i c)
+{
+    asm("vpmadd52huq %1, %0, %0" : "+v"(x) : "v"(c));
+    return x;
+}
+
+/** Bits that hold x % D in modLanes' result: D + 1 is 2^kModBits. */
 template <std::uint64_t D>
+constexpr int kModBits = D == 7 ? 3 : 6;
+
+/**
+ * x % D in each lane, for D in {7, 63}, in the low kModBits<D> bits;
+ * the bits above are not defined. By Lemire, Kaser and Kurz ("Faster
+ * remainder by direct computation", 2019): the fraction of
+ * x * ceil(2^F / D), times D, shifted down F bits, is x % D for x
+ * below 2^(F - log2(D)). 2^36 is 1 mod D, so a fold brings x below
+ * 2^37 first. With @p Ifma, two 52-bit multiplies with the fraction
+ * kept in the top F = 52 - kModBits bits of 52 (F >= 37 + log2(D)),
+ * each accumulating into its own input, so no register is zeroed or
+ * copied: x + x (c - 1) is x c mod 2^52, a multiple of 2^kModBits,
+ * and adding the remainder to it leaves the low bits the remainder.
+ * Without IFMA, a second fold, by 2^18, brings x below 2^20 for two
+ * 32-bit multiplies (F = 32), exact in every bit.
+ */
+template <std::uint64_t D, bool Ifma>
 __attribute__((target("avx512f"))) __m512i
 modLanes(__m512i x)
 {
     static_assert(D == 7 || D == 63);
     const __m512i low36 = _mm512_set1_epi64((std::int64_t{1} << 36) - 1);
-    const __m512i low18 = _mm512_set1_epi64((std::int64_t{1} << 18) - 1);
     x = _mm512_add_epi64(_mm512_and_si512(x, low36),
                          _mm512_srli_epi64(x, 36));
-    x = _mm512_add_epi64(_mm512_and_si512(x, low18),
-                         _mm512_srli_epi64(x, 18));
-    const __m512i frac = _mm512_mul_epu32(
-        x, _mm512_set1_epi64(0xffffffffll / D + 1));
-    return _mm512_srli_epi64(
-        _mm512_mul_epu32(frac, _mm512_set1_epi64(D)), 32);
+    if constexpr (Ifma) {
+        constexpr int bits = kModBits<D>;
+        constexpr std::uint64_t c =
+            ((std::uint64_t{1} << (52 - bits)) / D + 1) << bits;
+        const __m512i frac = madd52loSelf(
+            x, _mm512_set1_epi64(static_cast<std::int64_t>(c - 1)));
+        return madd52hiSelf(frac, _mm512_set1_epi64(D));
+    } else {
+        const __m512i low18 = _mm512_set1_epi64((std::int64_t{1} << 18) - 1);
+        x = _mm512_add_epi64(_mm512_and_si512(x, low18),
+                             _mm512_srli_epi64(x, 18));
+        const __m512i frac = _mm512_mul_epu32(
+            x, _mm512_set1_epi64(0xffffffffll / D + 1));
+        return _mm512_srli_epi64(
+            _mm512_mul_epu32(frac, _mm512_set1_epi64(D)), 32);
+    }
 }
 
 /** The eight lane starts of @p jumps from @p rng's state. */
@@ -217,28 +317,36 @@ loadLanes(const Rng &rng, const LaneJumps &jumps)
             _mm512_load_si512(starts[2]), _mm512_load_si512(starts[3])};
 }
 
-/** Lane j's state into @p ends[j]: where layer j + 1 starts. */
+/**
+ * Lane j's state into @p ends[layers * j + layer]: the end state of
+ * its layer @p layer, of @p layers per lane.
+ */
 __attribute__((target("avx512f"))) void
-storeLanes(const Lanes &lanes, std::uint64_t ends[kLaneLayers][4])
+storeLanes(const Lanes &lanes, int layers, int layer,
+           std::uint64_t ends[][4])
 {
     alignas(64) std::uint64_t words[4][8];
     _mm512_store_si512(words[0], lanes.s0);
     _mm512_store_si512(words[1], lanes.s1);
     _mm512_store_si512(words[2], lanes.s2);
     _mm512_store_si512(words[3], lanes.s3);
-    for (int j = 0; j < kLaneLayers; ++j)
+    for (int j = 0; j < kLanes; ++j)
         for (int w = 0; w < 4; ++w)
-            ends[j][w] = words[w][j];
+            ends[layers * j + layer][w] = words[w][j];
 }
 
 /**
- * 8 experts, @p tokens per layer, layer j in lane j. Each lane counts
- * in eight bytes, one per expert: a token adds the one-hot bytes of
- * its two distinct experts, so a byte gains at most 1 per row and is
- * flushed into lane j's histogram, @p hist[8 j ...], every 255 rows.
+ * 8 experts, @p tokens per layer, @p layers layers per lane: lane j
+ * draws layers layers * j ... into @p hist (8 counts each) and
+ * @p ends. Each lane counts in eight bytes, one per expert: a token
+ * adds the one-hot bytes of its two distinct experts, so a byte gains
+ * at most 1 per row and is flushed into the layer's histogram every
+ * 255 rows and at the layer's end.
  */
+template <bool Ifma>
 __attribute__((target("avx512f"))) void
-top2LaneLayers8(Lanes &lanes, std::int64_t tokens, std::int64_t *hist)
+top2LaneLayers8(Lanes lanes, std::int64_t tokens, int layers,
+                std::int64_t *hist, std::uint64_t ends[][4])
 {
     // Lane e holds expert e's one-hot byte. vpermq reads only the
     // low 3 index bits, which rotated() shares with the output, so
@@ -249,82 +357,113 @@ top2LaneLayers8(Lanes &lanes, std::int64_t tokens, std::int64_t *hist)
         std::int64_t{1} << 24, std::int64_t{1} << 16,
         std::int64_t{1} << 8, 1);
     const __m512i last = _mm512_set1_epi64(std::int64_t{1} << 56);
-    alignas(64) std::uint64_t bytes[kLaneLayers];
-    while (tokens > 0) {
-        const std::int64_t chunk = std::min<std::int64_t>(tokens, 255);
-        __m512i acc = _mm512_setzero_si512();
-        for (std::int64_t r = 0; r < chunk; ++r) {
-            const __m512i a = modLanes<7>(lanes.output());
-            lanes.step();
-            const __m512i b = lanes.rotated();
-            lanes.step();
-            const __m512i first = _mm512_permutexvar_epi64(a, one_hot);
-            const __m512i second = _mm512_permutexvar_epi64(b, one_hot);
-            acc = _mm512_add_epi64(
-                acc, _mm512_add_epi64(
-                         first, _mm512_mask_mov_epi64(
-                                    second,
-                                    _mm512_cmpeq_epi64_mask(first, second),
-                                    last)));
+    alignas(64) std::uint64_t bytes[kLanes];
+    for (int layer = 0; layer < layers; ++layer) {
+        for (std::int64_t left = tokens; left > 0;) {
+            const std::int64_t chunk = std::min<std::int64_t>(left, 255);
+            __m512i acc = _mm512_setzero_si512();
+            // Four rows per pass: the state words rotate through
+            // registers with fewer copies.
+#pragma GCC unroll 4
+            for (std::int64_t r = 0; r < chunk; ++r) {
+                const __m512i a =
+                    modLanes<7, Ifma>(Lanes::output(lanes.s1));
+                const __m512i b = Lanes::rotated(lanes.step2());
+                const __m512i first = _mm512_permutexvar_epi64(a, one_hot);
+                const __m512i second =
+                    _mm512_permutexvar_epi64(b, one_hot);
+                acc = _mm512_add_epi64(
+                    acc,
+                    _mm512_add_epi64(
+                        first, _mm512_mask_mov_epi64(
+                                   second,
+                                   _mm512_cmpeq_epi64_mask(first, second),
+                                   last)));
+            }
+            _mm512_store_si512(bytes, acc);
+            for (int j = 0; j < kLanes; ++j) {
+                std::int64_t *h = hist + 8 * (layers * j + layer);
+                for (int e = 0; e < 8; ++e)
+                    h[e] += (bytes[j] >> (8 * e)) & 0xff;
+            }
+            left -= chunk;
         }
-        _mm512_store_si512(bytes, acc);
-        for (int j = 0; j < kLaneLayers; ++j)
-            for (int e = 0; e < 8; ++e)
-                hist[8 * j + e] += (bytes[j] >> (8 * e)) & 0xff;
-        tokens -= chunk;
+        storeLanes(lanes, layers, layer, ends);
     }
 }
 
 /**
- * 64 experts, @p tokens per layer, layer j in lane j: the lanes draw
- * and reduce, and each row's 16 picks are counted straight into
- * @p hist as indices 64 j + expert, distinct within a row.
+ * 64 experts, as top2LaneLayers8 lays them out: the lanes draw and
+ * reduce, and each row's 16 picks are counted straight into @p hist
+ * as indices 64 * (layers * j + layer) + expert, distinct within a
+ * row.
  */
+template <bool Ifma>
 __attribute__((target("avx512f"))) void
-top2LaneLayers64(Lanes &lanes, std::int64_t tokens, std::int64_t *hist)
+top2LaneLayers64(Lanes lanes, std::int64_t tokens, int layers,
+                 std::int64_t *hist, std::uint64_t ends[][4])
 {
-    const __m512i last = _mm512_set1_epi64(63);
-    const __m512i base = _mm512_set_epi64(448, 384, 320, 256, 192, 128,
-                                          64, 0);
+    // A pick's index is its expert OR'd into its layer's base, a
+    // multiple of 64: (x & 63) | base, one vpternlogq (0xea).
+    const __m512i low6 = _mm512_set1_epi64(63);
+    const std::int64_t lane = 64 * layers;
+    __m512i base = _mm512_set_epi64(7 * lane, 6 * lane, 5 * lane,
+                                    4 * lane, 3 * lane, 2 * lane, lane, 0);
     alignas(16) std::uint16_t picks[16];
-    for (std::int64_t r = 0; r < tokens; ++r) {
-        const __m512i a = modLanes<63>(lanes.output());
-        lanes.step();
-        const __m512i b = _mm512_and_si512(lanes.output(), last);
-        lanes.step();
-        const __m512i second =
-            _mm512_mask_mov_epi64(b, _mm512_cmpeq_epi64_mask(a, b), last);
-        _mm_store_si128(reinterpret_cast<__m128i *>(picks),
-                        _mm512_cvtepi64_epi16(_mm512_add_epi64(a, base)));
-        _mm_store_si128(
-            reinterpret_cast<__m128i *>(picks + 8),
-            _mm512_cvtepi64_epi16(_mm512_add_epi64(second, base)));
-        for (std::uint16_t e : picks)
-            ++hist[e];
+    for (int layer = 0; layer < layers; ++layer) {
+        const __m512i last = _mm512_or_si512(base, low6);
+        for (std::int64_t r = 0; r < tokens; ++r) {
+            // Without optimisation _mm512_ternarylogic_epi64 is a
+            // macro, so no argument may hold a template's comma.
+            const __m512i rem = modLanes<63, Ifma>(Lanes::output(lanes.s1));
+            const __m512i a =
+                _mm512_ternarylogic_epi64(rem, low6, base, 0xea);
+            const __m512i b = _mm512_ternarylogic_epi64(
+                Lanes::output(lanes.step2()), low6, base, 0xea);
+            const __m512i second = _mm512_mask_mov_epi64(
+                b, _mm512_cmpeq_epi64_mask(a, b), last);
+            _mm_store_si128(reinterpret_cast<__m128i *>(picks),
+                            _mm512_cvtepi64_epi16(a));
+            _mm_store_si128(reinterpret_cast<__m128i *>(picks + 8),
+                            _mm512_cvtepi64_epi16(second));
+            // Read the picks back from memory: GCC would otherwise
+            // take each from the register with vpextrw, two vector
+            // instructions per pick.
+            asm("" : "+m"(picks));
+            for (std::uint16_t e : picks)
+                ++hist[e];
+        }
+        storeLanes(lanes, layers, layer, ends);
+        base = _mm512_add_epi64(base, _mm512_set1_epi64(64));
     }
 }
 
 /**
- * A lane walk's jump masks, kept for the last token count. Cache-line
- * aligned: the caller's and the helper's are written by different
- * threads.
+ * A lane walk's jump masks, kept for the last offset and stride.
+ * Cache-line aligned: the caller's and the helper's are written by
+ * different threads.
  */
 struct alignas(64) JumpMemo
 {
-    std::int64_t tokens = -1;
+    std::uint64_t offset = 0;
+    std::uint64_t stride = 0; //!< 0: none kept
     LaneJumps jumps;
 
     /**
-     * The jumps of layer group @p group of @p t tokens: lane j
-     * starts 2 * t * (8 * group + j) outputs ahead.
+     * The jumps of layer group @p group of @p t tokens, @p layers
+     * per lane: lane j starts 2 t (8 layers group + layers j)
+     * outputs ahead.
      */
     const LaneJumps &
-    get(std::int64_t t, int group)
+    get(std::int64_t t, int layers, int group)
     {
-        if (tokens != t) {
-            const auto layer = 2 * static_cast<std::uint64_t>(t);
-            jumps = laneJumps(kLaneLayers * layer * group, layer);
-            tokens = t;
+        const std::uint64_t s = 2 * static_cast<std::uint64_t>(t) *
+                                static_cast<std::uint64_t>(layers);
+        const std::uint64_t o = kLanes * s * group;
+        if (s != stride || o != offset) {
+            jumps = laneJumps(o, s);
+            offset = o;
+            stride = s;
         }
         return jumps;
     }
@@ -332,32 +471,26 @@ struct alignas(64) JumpMemo
 
 /**
  * Group 0's jumps: every lookahead miss draws group 0 on the calling
- * thread. thread_local: sweep workers draw concurrently, and a
- * shared entry would need a lock on every walk.
+ * thread. One memo per group count, so a caller that draws alone
+ * some of the time and with the helper the rest keeps both.
+ * thread_local: sweep workers draw concurrently, and a shared entry
+ * would need a lock on every walk.
  */
 const LaneJumps &
-laneJumpsMemo(std::int64_t tokens)
+groupZeroJumps(std::int64_t tokens, int groups, int layers)
 {
-    thread_local JumpMemo memo;
-    return memo.get(tokens, 0);
+    thread_local JumpMemo memo[kMaxGroups];
+    return memo[groups - 1].get(tokens, layers, 0);
 }
-
-/** Layer groups one lookahead miss of the 8-expert gate may draw. */
-constexpr int kMaxGroups = 2;
-
-/** Layers the lookahead holds at most. */
-constexpr int kMaxLayers = kLaneLayers * kMaxGroups;
 
 /**
  * The layers a miss drew beyond the one it returned: their
- * histograms and the lanes' end states, eight per group. A call
- * takes layer `next` only if the generator stands exactly where
- * layer `next - 1` ended and asks for the same expert count and
- * token count, so a hit returns what a fresh walk would draw, and a
- * stream that is not the one the layers came from simply misses.
- * thread_local for the reasons the jump memo is. Helper threads
- * write whole groups into the caller's lookahead, so each group's
- * histograms and end states start on a cache line of their own.
+ * histograms and end states. A call takes layer `next` only if the
+ * generator stands exactly where layer `next - 1` ended and asks for
+ * the same expert count and token count, so a hit returns what a
+ * fresh walk would draw, and a stream that is not the one the layers
+ * came from simply misses. thread_local for the reasons the jump
+ * memo is. The helper's group is copied in by the caller.
  */
 struct alignas(64) LaneLookahead
 {
@@ -366,8 +499,7 @@ struct alignas(64) LaneLookahead
     int layers = 0;
     int next = 0; //!< next layer to serve; `layers`: none
     alignas(64) std::uint64_t ends[kMaxLayers][4] = {};
-    // One group of 64-expert layers, or two of 8 experts.
-    alignas(64) std::int64_t hist[kLaneLayers * 64] = {};
+    alignas(64) std::int64_t hist[kAheadCounts] = {};
 
     /** Serve layer `next` into @p out if @p rng stands at its start. */
     bool
@@ -383,9 +515,11 @@ struct alignas(64) LaneLookahead
     }
 };
 
-static_assert(kMaxLayers * 8 <= kLaneLayers * 64);
-static_assert(sizeof(LaneLookahead) <= 5120,
-              "the lookahead stays within 5 KB per thread");
+static_assert(kMissLayers<8> % (kLanes * kMaxGroups) == 0 &&
+              kMissLayers<64> % kLanes == 0);
+static_assert(sizeof(LaneLookahead) <= 9600,
+              "the lookahead (32 x 8 or 16 x 64 counts and 32 end "
+              "states) stays within 9.6 KB per thread");
 
 /** This thread's lookahead, one for both gates. */
 LaneLookahead &
@@ -396,49 +530,54 @@ laneLookahead()
 }
 
 /**
- * Draw layer group @p group of @p tokens, the eight layers that start
- * 16 * tokens * group outputs past @p start (@p jumps), into @p hist
- * (eight layers of N) and @p ends (eight end states).
+ * Draw a layer group of @p tokens, @p layers per lane, from @p start
+ * and its lane @p jumps: N counts per layer into @p hist and one end
+ * state per layer into @p ends, lane j's layers at layers * j on.
  */
 template <int N>
 __attribute__((target("avx512f"))) void
-drawGroup(const Rng &start, std::int64_t tokens, const LaneJumps &jumps,
-          std::int64_t *hist, std::uint64_t ends[kLaneLayers][4])
+drawGroup(const Rng &start, std::int64_t tokens, int layers,
+          const LaneJumps &jumps, std::int64_t *hist,
+          std::uint64_t ends[][4])
 {
     Lanes lanes = loadLanes(start, jumps);
-    std::fill_n(hist, kLaneLayers * N, 0);
-    if constexpr (N == 8)
-        top2LaneLayers8(lanes, tokens, hist);
-    else
-        top2LaneLayers64(lanes, tokens, hist);
-    storeLanes(lanes, ends);
+    std::fill_n(hist, kLanes * layers * N, 0);
+    const bool ifma = laneRemainderIfma();
+    if constexpr (N == 8) {
+        if (ifma)
+            top2LaneLayers8<true>(lanes, tokens, layers, hist, ends);
+        else
+            top2LaneLayers8<false>(lanes, tokens, layers, hist, ends);
+    } else {
+        if (ifma)
+            top2LaneLayers64<true>(lanes, tokens, layers, hist, ends);
+        else
+            top2LaneLayers64<false>(lanes, tokens, layers, hist, ends);
+    }
 }
 
-/** Group @p group of @p ahead's layers, drawn in place. */
-template <int N>
-void
-drawGroupInto(const Rng &start, std::int64_t tokens,
-              const LaneJumps &jumps, LaneLookahead &ahead, int group)
-{
-    drawGroup<N>(start, tokens, jumps, ahead.hist + kLaneLayers * N * group,
-                 ahead.ends + kLaneLayers * group);
-}
+/** Layers per lane when the helper draws half of a miss. */
+constexpr int kSharedLaneLayers = kMissLayers<8> / (kLanes * kMaxGroups);
+
+/** Layers in each half. */
+constexpr int kHalfLayers = kLanes * kSharedLaneLayers;
 
 /**
  * The helper: one process-wide thread, started on the first draw
- * that asks for it, that draws group 1 of the 8-expert gate for one
- * caller at a time, into a slot of its own. The caller publishes a
- * draw (the job, then a new epoch in one word), draws group 0, then
- * collects group 1: if the helper has not started it, the caller
- * draws it at once, and if it has, the caller waits for it only
- * until one more of its own group's times has passed, then draws it
- * too. One state word settles who draws the group, so a helper that
- * comes late, or is descheduled halfway, costs the caller at most
- * that wait, and its work is discarded. Between draws the helper
- * spins until a few of the recent gaps between draws, at most
- * kMaxSpinNs, have passed with no new draw, then parks on the word:
- * a run that draws every few tens of microseconds keeps it awake,
- * and one that draws now and then does not keep a core busy.
+ * that asks for it, that draws group 1 (the second half of a miss)
+ * of the 8-expert gate for one caller at a time, into a slot of its
+ * own. The caller publishes a draw (the job, then a new epoch in one
+ * word), draws group 0, then collects group 1: if the helper has not
+ * started it, the caller draws it at once, and if it has, the caller
+ * waits for it only until one more of its own group's times has
+ * passed, then draws it too. One state word settles who draws the
+ * group, so a helper that comes late, or is descheduled halfway,
+ * costs the caller at most that wait, and its work is discarded.
+ * Between draws the helper spins until a few of the recent gaps
+ * between draws, at most kMaxSpinNs, have passed with no new draw,
+ * then parks on the word: a run that draws every few tens of
+ * microseconds keeps it awake, and one that draws now and then does
+ * not keep a core busy.
  */
 class DrawHelper
 {
@@ -476,7 +615,9 @@ class DrawHelper
         spinNs_.store(std::min(kSpinGaps * meanGapNs_, kMaxSpinNs),
                       std::memory_order_relaxed);
         publish(rng, tokens);
-        drawGroupInto<8>(rng, tokens, laneJumpsMemo(tokens), ahead, 0);
+        drawGroup<8>(rng, tokens, kSharedLaneLayers,
+                     groupZeroJumps(tokens, kMaxGroups, kSharedLaneLayers),
+                     ahead.hist, ahead.ends);
         const auto drawn = Clock::now();
         collect(rng, tokens, ahead, drawn + (drawn - start));
     }
@@ -553,6 +694,8 @@ class DrawHelper
     collect(const Rng &rng, std::int64_t tokens, LaneLookahead &ahead,
             Clock::time_point deadline)
     {
+        std::int64_t *hist = ahead.hist + kHalfLayers * 8;
+        std::uint64_t(*ends)[4] = ahead.ends + kHalfLayers;
         const std::uint64_t mine = epoch_ << 2;
         std::uint64_t seen = state_.load(std::memory_order_acquire);
         for (unsigned spin = 1; seen != (mine | kDone); ++spin) {
@@ -562,14 +705,14 @@ class DrawHelper
                 seen = state_.load(std::memory_order_acquire);
             } else if (state_.compare_exchange_weak(
                            seen, mine | kTaken, std::memory_order_acquire)) {
-                drawGroupInto<8>(rng, tokens, memo_.get(tokens, 1), ahead,
-                                 1);
+                drawGroup<8>(rng, tokens, kSharedLaneLayers,
+                             memo_.get(tokens, kSharedLaneLayers, 1), hist,
+                             ends);
                 return;
             }
         }
-        std::copy_n(slot_.hist, kLaneLayers * 8, ahead.hist + kLaneLayers * 8);
-        std::copy_n(&slot_.ends[0][0], kLaneLayers * 4,
-                    &ahead.ends[kLaneLayers][0]);
+        std::copy_n(slot_.hist, kHalfLayers * 8, hist);
+        std::copy_n(&slot_.ends[0][0], kHalfLayers * 4, &ends[0][0]);
     }
 
     /** The helper's loop: group 1 of every draw. */
@@ -595,7 +738,8 @@ class DrawHelper
                         std::memory_order_relaxed)) {
                     Rng start;
                     start.setState(words);
-                    drawGroup<8>(start, tokens, slot_.memo.get(tokens, 1),
+                    drawGroup<8>(start, tokens, kSharedLaneLayers,
+                                 slot_.memo.get(tokens, kSharedLaneLayers, 1),
                                  slot_.hist, slot_.ends);
                     // Fails if the caller took the group meanwhile.
                     expect = epoch << 2 | kStarted;
@@ -639,39 +783,39 @@ class DrawHelper
     // The helper's alone, read by the caller once the group is done.
     struct alignas(64)
     {
-        std::int64_t hist[kLaneLayers * 8];
-        std::uint64_t ends[kLaneLayers][4];
+        std::int64_t hist[kHalfLayers * 8];
+        std::uint64_t ends[kHalfLayers][4];
         JumpMemo memo;
     } slot_;
 };
 
 /**
- * Draw the layers of @p tokens that start at @p rng's state into
- * @p ahead, eight per group, and serve the first into @p out. For 8
- * experts from the group crossover on, the caller and the helper
- * draw two groups in parallel; otherwise (64 experts, below the
+ * Draw the kMissLayers<N> layers of @p tokens that start at @p rng's
+ * state into @p ahead and serve the first into @p out. For 8 experts
+ * from the group crossover on, the caller and the helper draw half
+ * each, two layers per lane; otherwise (64 experts, below the
  * crossover, on a sweep worker, or while another thread holds the
- * helper) one group of eight.
+ * helper) the caller draws them all in one group of eight lanes.
  */
 template <int N>
 void
 drawLaneLayers(Rng &rng, std::int64_t tokens, LaneLookahead &ahead,
                std::int64_t *out)
 {
-    int groups = 1;
     DrawHelper *helper = N == 8 && tokens >= kGroupMinTokens
                              ? DrawHelper::tryAcquire()
                              : nullptr;
     if (helper) {
         helper->draw(rng, tokens, ahead);
         helper->release();
-        groups = kMaxGroups;
     } else {
-        drawGroupInto<N>(rng, tokens, laneJumpsMemo(tokens), ahead, 0);
+        constexpr int layers = kMissLayers<N> / kLanes;
+        drawGroup<N>(rng, tokens, layers, groupZeroJumps(tokens, 1, layers),
+                     ahead.hist, ahead.ends);
     }
     ahead.experts = N;
     ahead.tokens = tokens;
-    ahead.layers = kLaneLayers * groups;
+    ahead.layers = kMissLayers<N>;
     ahead.next = 1;
     std::copy_n(ahead.hist, N, out);
     rng.setState(ahead.ends[0]);
@@ -709,6 +853,41 @@ top2Lanes([[maybe_unused]] Rng &rng, [[maybe_unused]] std::int64_t tokens,
 }
 
 } // namespace
+
+#if defined(__x86_64__)
+
+__attribute__((target("avx512f"))) void
+laneRemainders(std::uint64_t divisor, bool ifma, const std::uint64_t *x,
+               std::uint64_t *out, std::size_t words)
+{
+    panicIf(Rng::laneWidth() != 8 || (ifma && !laneRemainderIfma()),
+            "laneRemainders: this host has no such body");
+    panicIf((divisor != 7 && divisor != 63) || words % 8 != 0,
+            "laneRemainders: divisor 7 or 63, words a multiple of 8");
+    for (std::size_t i = 0; i < words; i += 8) {
+        const __m512i v = _mm512_loadu_si512(x + i);
+        const __m512i r =
+            divisor == 7
+                ? (ifma ? modLanes<7, true>(v) : modLanes<7, false>(v))
+                : (ifma ? modLanes<63, true>(v) : modLanes<63, false>(v));
+        // D + 1 is a power of two: keep the bits that hold x % D.
+        _mm512_storeu_si512(
+            out + i,
+            _mm512_and_si512(r, _mm512_set1_epi64(
+                                    static_cast<std::int64_t>(divisor))));
+    }
+}
+
+#else
+
+void
+laneRemainders(std::uint64_t, bool, const std::uint64_t *, std::uint64_t *,
+               std::size_t)
+{
+    panic("laneRemainders: no SIMD lanes on this host");
+}
+
+#endif
 
 ExpertSelector::ExpertSelector(int num_experts, int top_k,
                                GatePolicy policy, double zipf_s)

@@ -59,41 +59,48 @@ class ExpertSelector
      * The uniform top-2 gate over 8 or 64 experts (the paper
      * models' gates) runs a kernel specialised on the expert count.
      * From laneMinTokens() tokens on, on a host whose
-     * Rng::laneWidth() is 8, it draws eight consecutive layers of
-     * @p tokens at once, layer j in AVX-512 lane j from the stream
-     * state where layer j starts (Rng::laneStarts at stride
-     * 2 * tokens), returns the first, and keeps the others and
-     * each lane's end state in a lookahead. The next call takes the
-     * next kept layer only if @p rng's whole state is that layer's
-     * start and the expert and token counts are the same; anything
-     * else (another stream, a draw in between, a new token count)
-     * misses and draws fresh layers. Below the crossover, or
-     * without AVX-512F, the serial kernels run (top2PairCells<8>,
-     * top2Direct<64>). Either way the stream is consumed draw for
-     * draw as the per-token loop consumes it: every token draws the
-     * same two outputs, the histogram is the same, and @p rng is
-     * left at the same state.
+     * Rng::laneWidth() is 8, it draws a stage's worth of consecutive
+     * layers of @p tokens at once (32 for 8 experts, 16 for 64),
+     * returns the first, and keeps the others and their end states
+     * in a lookahead. The layers are split among eight AVX-512
+     * lanes, each drawing consecutive layers from the stream state
+     * where its first one starts (Rng::laneStarts at a stride of
+     * 2 * tokens per layer), so one walk of the state serves the
+     * whole miss. The next call takes the next kept layer only if
+     * @p rng's whole state is that layer's start and the expert and
+     * token counts are the same; anything else (another stream, a
+     * draw in between, a new token count) misses and draws fresh
+     * layers. Below the crossover, or without AVX-512F, the serial
+     * kernels run (top2PairCells<8>, top2Direct<64>). Either way the
+     * stream is consumed draw for draw as the per-token loop
+     * consumes it: every token draws the same two outputs, the
+     * histogram is the same, and @p rng is left at the same state.
      *
      * An MoE stage draws its layers back to back with one token
      * count (Mixtral 32, GLaM 16, Grok1 64 MoE layers: multiples of
-     * eight). For 8 experts from groupMinTokens() tokens on, a miss
-     * with a drawHelpers() helper thread draws two groups of eight
-     * such layers at once, group 1 from the state 16 * tokens outputs
-     * ahead: the caller draws group 0 and the helper group 1, so a
-     * Mixtral stage pays two misses for 32 layers. If the helper has
-     * not started group 1 when the caller is done with group 0, or
-     * has not finished it within as long again, the caller draws it
-     * too and the helper's copy is dropped. The helper is
-     * process-wide and serves one caller at a time; a caller that
-     * finds it busy draws its eight layers alone, as does a thread
-     * marked by drawAloneOnThisThread(). Each group keeps its own
-     * lane jump memo, which misses at most once per token count. The
-     * lookahead (16 layers, about 4.6 KB) and group 0's memo are
-     * thread_local, not members: this method stays const, and threads
-     * that draw at once (sweep workers, or two callers of which one
-     * finds the helper held) never share an entry. The helper draws
-     * into a slot of its own, which the caller copies from once the
-     * group is done.
+     * the miss depth; a model with fewer MoE layers per stage pays
+     * for layers it never takes, but never gets a wrong one). For 8
+     * experts from groupMinTokens() tokens on, a miss with a
+     * drawHelpers() helper thread splits its 32 layers in two groups
+     * of eight lanes, two layers per lane, group 1 from the state
+     * 32 * tokens outputs ahead: the caller draws group 0 and the
+     * helper group 1, so a Mixtral stage pays one walk on each
+     * thread and one hand-off. If the helper has not started group 1
+     * when the caller is done with group 0, or has not finished it
+     * within as long again, the caller draws it too and the helper's
+     * copy is dropped. The helper is process-wide and serves one
+     * caller at a time; a caller that finds it busy draws all 32
+     * layers alone, four per lane, as does a thread marked by
+     * drawAloneOnThisThread(). Each group keeps its own lane jump
+     * memo, keyed by its offset and stride, and the caller's group 0
+     * keeps one per group count, so each misses at most once per
+     * token count. The lookahead (32 layers of 8 experts or 16 of
+     * 64, and 32 end states: about 9.3 KB) and group 0's memos are
+     * thread_local, not members: this method stays const, and
+     * threads that draw at once (sweep workers, or two callers of
+     * which one finds the helper held) never share an entry. The
+     * helper draws into a slot of its own, which the caller copies
+     * from once the group is done.
      */
     void sampleInto(Rng &rng, std::int64_t tokens,
                     std::vector<std::int64_t> &hist) const;
@@ -102,16 +109,17 @@ class ExpertSelector
      * Token count from which the uniform top-2 gate over
      * @p num_experts draws on SIMD lanes, when Rng::laneWidth() is
      * 8; 0 for expert counts without a lane kernel. Measured
-     * constants (16 for 8 experts, 48 for 64), for stages of 32
-     * layers: below them a stage's lane walks and jump memo miss
-     * cost more than the lanes save.
+     * constants (1 for 8 experts, 32 for 64), for stages of 32 and
+     * 16 layers with a new token count every stage: below them a
+     * stage's lane walk and jump memo miss cost more than the lanes
+     * save.
      */
     static std::int64_t laneMinTokens(int num_experts);
 
     /**
      * Token count from which a lookahead miss of the uniform top-2
-     * gate over @p num_experts hands a layer group to the helper
-     * thread: 32 for 8 experts, measured as laneMinTokens() is; 0
+     * gate over @p num_experts hands half its layers to the helper
+     * thread: 96 for 8 experts, measured as laneMinTokens() is; 0
      * for every other expert count, which always draws alone.
      */
     static std::int64_t groupMinTokens(int num_experts);

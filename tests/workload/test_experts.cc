@@ -13,10 +13,12 @@
 #include <iterator>
 #include <functional>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "sim/sweep.hh"
+#include "workload/expert_lanes.hh"
 #include "workload/experts.hh"
 
 namespace duplex
@@ -150,17 +152,19 @@ sameState(const Rng &fast, const Rng &ref)
 
 TEST(ExpertSelector, ReportsWhichKernelRan)
 {
-    // One line in the test log: did this host run the lane path, and
-    // with a helper thread or without?
+    // One line in the test log: did this host run the lane path, with
+    // a helper thread or without, and with which remainder?
     if (Rng::laneWidth() == 8)
-        std::printf("[ kernel   ] uniform top-2: eight layers per walk "
-                    "on 8 AVX-512 lanes from %lld tokens (8 experts) "
-                    "and %lld (64 experts); 8 experts in two groups "
-                    "of eight with %d helper thread from %lld\n",
+        std::printf("[ kernel   ] uniform top-2: 32 layers per walk "
+                    "(8 experts, from %lld tokens) and 16 (64 experts, "
+                    "from %lld) on 8 AVX-512 lanes, %s remainder; 8 "
+                    "experts in two groups of eight with %d helper "
+                    "thread from %lld\n",
                     static_cast<long long>(
                         ExpertSelector::laneMinTokens(8)),
                     static_cast<long long>(
                         ExpertSelector::laneMinTokens(64)),
+                    laneRemainderIfma() ? "IFMA" : "32-bit multiply",
                     ExpertSelector::drawHelpers(),
                     static_cast<long long>(
                         ExpertSelector::groupMinTokens(8)));
@@ -178,6 +182,7 @@ TEST(ExpertSelector, ReportsWhichKernelRan)
     EXPECT_LE(ExpertSelector::drawHelpers(), 1);
     if (Rng::laneWidth() != 8) {
         EXPECT_EQ(ExpertSelector::drawHelpers(), 0);
+        EXPECT_FALSE(laneRemainderIfma());
     }
 }
 
@@ -198,38 +203,113 @@ TEST(ExpertSelector, Top2KernelsMatchPerTokenReference)
     }
 }
 
+/**
+ * A run of @p layers layers of @p tokens on one stream, each checked
+ * against the per-token loop, with the generator where that loop
+ * leaves it after every call: empty if all match, else the first
+ * layer that does not. Safe to call on any thread.
+ */
+std::string
+consecutiveLayersMismatch(int n, std::int64_t tokens, int layers)
+{
+    const ExpertSelector sel(n, 2);
+    Rng fast(tokens * 131 + layers);
+    Rng ref = fast;
+    std::vector<std::int64_t> hist;
+    for (int layer = 0; layer < layers; ++layer) {
+        sel.sampleInto(fast, tokens, hist);
+        const bool same_hist = hist == sel.sampleReference(ref, tokens);
+        if (!same_hist || !sameState(fast, ref))
+            return "n=" + std::to_string(n) +
+                   " tokens=" + std::to_string(tokens) +
+                   " layers=" + std::to_string(layers) + ": layer " +
+                   std::to_string(layer) +
+                   (same_hist ? " leaves another state"
+                              : " has another histogram");
+    }
+    return "";
+}
+
 TEST(ExpertSelector, ConsecutiveLayersMatchPerTokenReference)
 {
     // Runs of L layers of one stage on one stream: the lookahead
-    // serves all but the first of every 8 or 16 (one or two groups
-    // of eight, the 64-expert gate one), and each must be the layer
-    // the per-token loop draws, with the generator where it leaves
-    // it after every call. The token counts straddle the crossovers,
-    // and the runs end inside, at and just past a full set of groups.
+    // serves all but the first of every 32 (8 experts) or 16 (64
+    // experts), drawn by one group of eight lanes or, for 8 experts
+    // with the helper, two. Each must be the layer the per-token loop
+    // draws. The token counts straddle every crossover, and the runs
+    // end inside, at and just past one and two misses' worth of
+    // layers. Once on this thread, and once inside SweepRunner tasks,
+    // whose draws always go alone.
+    std::vector<std::pair<int, std::int64_t>> cases;
     for (int n : {8, 64}) {
-        const ExpertSelector sel(n, 2);
         std::vector<std::int64_t> counts = {1, 7, 8, 71, 164, 191, 192,
                                             830, 4099};
-        if (n == 8) {
-            counts.push_back(ExpertSelector::groupMinTokens(n) - 1);
-            counts.push_back(ExpertSelector::groupMinTokens(n));
+        std::vector<std::int64_t> crossovers = {
+            ExpertSelector::laneMinTokens(n)};
+        if (n == 8)
+            crossovers.push_back(ExpertSelector::groupMinTokens(n));
+        for (std::int64_t c : crossovers) {
+            counts.push_back(c - 1);
+            counts.push_back(c);
         }
-        for (std::int64_t tokens : counts) {
-            for (int layers :
-                 {1, 2, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 64}) {
-                SCOPED_TRACE(::testing::Message()
-                             << "n=" << n << " tokens=" << tokens
-                             << " layers=" << layers);
-                Rng fast(tokens * 131 + layers);
-                Rng ref = fast;
-                std::vector<std::int64_t> hist;
-                for (int layer = 0; layer < layers; ++layer) {
-                    sel.sampleInto(fast, tokens, hist);
-                    ASSERT_EQ(hist, sel.sampleReference(ref, tokens))
-                        << "layer " << layer;
-                    ASSERT_TRUE(sameState(fast, ref)) << "layer " << layer;
-                }
-            }
+        for (std::int64_t tokens : counts)
+            cases.emplace_back(n, tokens);
+    }
+    const int runs[] = {1,  2,  3,  4,  5,  7,  8,  9,  15, 16,
+                        17, 24, 31, 32, 33, 63, 64, 65};
+    auto check = [&](std::size_t i) {
+        std::string failed;
+        for (int layers : runs) {
+            failed = consecutiveLayersMismatch(cases[i].first,
+                                               cases[i].second, layers);
+            if (!failed.empty())
+                break;
+        }
+        return failed;
+    };
+    for (std::size_t i = 0; i < cases.size(); ++i)
+        EXPECT_EQ(check(i), "");
+    std::vector<std::string> alone(cases.size());
+    std::vector<std::function<void()>> tasks;
+    for (std::size_t i = 0; i < cases.size(); ++i)
+        tasks.push_back([&, i] { alone[i] = check(i); });
+    SweepRunner(2).runTasks(tasks);
+    for (std::size_t i = 0; i < cases.size(); ++i)
+        EXPECT_EQ(alone[i], "") << "in a SweepRunner task";
+}
+
+TEST(ExpertSelector, RemainderBodiesMatchModulo)
+{
+    // The lane kernels' x % 7 and x % 63, both bodies, against %:
+    // random words of every width, and the words at the edges of
+    // their folds.
+    if (Rng::laneWidth() != 8) {
+        std::printf("[ skipped  ] no AVX-512F: neither lane remainder "
+                    "runs on this host\n");
+        return;
+    }
+    std::vector<std::uint64_t> words = {
+        0, 1, 6, 7, 62, 63, (std::uint64_t{1} << 36) - 1,
+        std::uint64_t{1} << 36, (std::uint64_t{1} << 37) - 1,
+        std::uint64_t{1} << 37, (std::uint64_t{1} << 52) - 1,
+        ~std::uint64_t{0} - 1, ~std::uint64_t{0}};
+    Rng rng(29);
+    while (words.size() < (1u << 18))
+        words.push_back(rng.next() >> (words.size() % 64));
+    std::vector<std::uint64_t> out(words.size());
+    std::vector<bool> bodies = {false};
+    if (laneRemainderIfma())
+        bodies.push_back(true);
+    else
+        std::printf("[ skipped  ] no AVX-512 IFMA: the IFMA remainder "
+                    "is untested here\n");
+    for (bool ifma : bodies) {
+        for (std::uint64_t d : {std::uint64_t{7}, std::uint64_t{63}}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "ifma=" << ifma << " d=" << d);
+            laneRemainders(d, ifma, words.data(), out.data(), words.size());
+            for (std::size_t i = 0; i < words.size(); ++i)
+                ASSERT_EQ(out[i], words[i] % d) << "x=" << words[i];
         }
     }
 }
@@ -420,18 +500,18 @@ TEST(ExpertSelector, Top2KernelsInterleavedOnOneStream)
 
 TEST(ExpertSelector, LaneJumpMemoHitsMissesAndHitsAgain)
 {
-    // Sizes below and above each crossover on one stream: nine
-    // layers at one size hit the lookahead and walk twice on one
+    // Sizes below and above each crossover on one stream: 33 layers
+    // at one size hit the lookahead and walk more than once on one
     // jump memo entry; the serial kernel bypasses both; the memo
     // hits again while the moved stream misses the lookahead; a new
-    // size misses both; and the memo is shared by both gates.
+    // size misses both; and both gates use the memo.
     Rng fast(91);
     Rng ref(91);
     std::vector<std::int64_t> hist;
     for (int n : {8, 64}) {
         const ExpertSelector sel(n, 2);
         const std::int64_t c = ExpertSelector::laneMinTokens(n);
-        std::vector<std::int64_t> sizes(9, c + 9);
+        std::vector<std::int64_t> sizes(33, c + 9);
         for (std::int64_t tokens :
              {c - 1, c + 9, c + 17, c + 9, c + 9, c / 2, std::int64_t{830}})
             sizes.push_back(tokens);
