@@ -2,8 +2,9 @@
  * @file
  * Long-run driver-loop gate: a million-request open-loop campaign
  * that measures what the figures never stress — the scheduling
- * loop's own throughput (requests/s of wall-clock) and its memory
- * footprint (peak RSS) at Mixtral scale.
+ * loop's own throughput (requests/s of wall-clock), the CPU seconds
+ * it takes per wall second, and its memory footprint (peak RSS) at
+ * Mixtral scale.
  *
  * The run uses MetricsMode::Bounded by default: retired requests
  * are drained and dropped every stage and latency lands in
@@ -127,7 +128,9 @@ main(int argc, char **argv)
     engine.addObserver(&counters);
 
     SimResult r;
+    const double cpu0 = processCpuSec();
     const double wall_sec = timed([&] { r = engine.run(); });
+    const double cpu_sec = processCpuSec() - cpu0;
 
     // ---- deterministic summary (stdout, diffed by CI) ----------
     std::printf("requests retired: %lld, tokens: %lld, stages: "
@@ -164,10 +167,12 @@ main(int argc, char **argv)
         wall_sec > 0.0 ? counters.retired / wall_sec : 0.0;
     const double stages_per_sec =
         wall_sec > 0.0 ? counters.stages / wall_sec : 0.0;
+    const double cpu_per_wall = wall_sec > 0.0 ? cpu_sec / wall_sec : 0.0;
     std::fprintf(stderr,
-                 "driver loop: %.2f s wall, %.0f requests/s, %.0f "
-                 "stages/s, peak RSS %.1f MB\n",
-                 wall_sec, req_per_sec, stages_per_sec, rss_mb);
+                 "driver loop: %.2f s wall, %.2f CPU s per wall s, %.0f "
+                 "requests/s, %.0f stages/s, peak RSS %.1f MB\n",
+                 wall_sec, cpu_per_wall, req_per_sec, stages_per_sec,
+                 rss_mb);
 
     const std::string json_path = args.getString("json");
     if (json_path.empty())
@@ -178,5 +183,6 @@ main(int argc, char **argv)
     report.add("driver_loop.requests_per_sec", req_per_sec);
     report.add("driver_loop.stages_per_sec", stages_per_sec);
     report.add("driver_loop.peak_rss_mb", rss_mb);
+    report.add("driver_loop.cpu_per_wall", cpu_per_wall);
     return report.write(json_path) ? 0 : 1;
 }

@@ -26,7 +26,8 @@
  *    the Mixtral (8-expert) and GLaM (64-expert) top-2 gates at a
  *    decode-sized and a prefill-sized MoE layer, and token-layers/sec
  *    of whole Mixtral stages (32 MoE layers) whose token count
- *    changes every stage, as moe-longrun's do.
+ *    changes every stage, as moe-longrun's do, with the CPU seconds
+ *    those stages take per wall second (the draw helper's share).
  */
 
 #include <cstdio>
@@ -215,13 +216,21 @@ probeMoeDraw(int experts, std::int64_t tokens)
     return sink >= 0 && sec > 0.0 ? calls * tokens / sec : 0.0;
 }
 
+/** CPU and wall seconds of timed spans, summed. */
+struct CpuWall
+{
+    double cpuSec = 0.0;
+    double wallSec = 0.0;
+};
+
 /**
  * Token-layers/sec of Mixtral stages: 32 consecutive MoE layers per
  * stage on one generator, @p tokens and @p tokens + 1 in turn, so
  * every stage misses the lane jump memo as a moe-longrun stage does.
+ * Adds the timed loop's CPU and wall seconds to @p spent.
  */
 double
-probeMoeStage(std::int64_t tokens)
+probeMoeStage(std::int64_t tokens, CpuWall &spent)
 {
     constexpr int kLayers = 32;
     const ExpertSelector selector(8, 2);
@@ -231,6 +240,7 @@ probeMoeStage(std::int64_t tokens)
     std::int64_t sink = hist[0];
     const std::int64_t stages = (std::int64_t{1} << 24) / (tokens * kLayers);
     std::int64_t token_layers = 0;
+    const double cpu0 = processCpuSec();
     const double sec = timed([&] {
         for (std::int64_t s = 0; s < stages; ++s) {
             const std::int64_t t = tokens + (s & 1);
@@ -241,6 +251,8 @@ probeMoeStage(std::int64_t tokens)
             token_layers += t * kLayers;
         }
     });
+    spent.cpuSec += processCpuSec() - cpu0;
+    spent.wallSec += sec;
     return sink >= 0 && sec > 0.0 ? token_layers / sec : 0.0;
 }
 
@@ -318,13 +330,18 @@ main()
     for (const Rate &p : draw_probes)
         std::printf("moe draw %-16s %12.0f tokens/s\n", p.name,
                     p.perSec);
+    CpuWall stage_draw_spent;
     const Rate stage_draw_probes[] = {
-        {"mixtral_stage_164", probeMoeStage(164)},
-        {"mixtral_stage_830", probeMoeStage(830)},
+        {"mixtral_stage_164", probeMoeStage(164, stage_draw_spent)},
+        {"mixtral_stage_830", probeMoeStage(830, stage_draw_spent)},
     };
     for (const Rate &p : stage_draw_probes)
         std::printf("moe draw %-18s %10.0f token-layers/s\n", p.name,
                     p.perSec);
+    const double stage_cpu_per_wall =
+        stage_draw_spent.cpuSec / stage_draw_spent.wallSec;
+    std::printf("moe draw stages: %.2f CPU s per wall s\n",
+                stage_cpu_per_wall);
     std::printf("moe draw lane width %d, %d helper threads, IFMA "
                 "remainder %s\n",
                 Rng::laneWidth(), ExpertSelector::drawHelpers(),
@@ -358,6 +375,7 @@ main()
     report.add("moe_draw.lane_width", Rng::laneWidth());
     report.add("moe_draw.draw_helpers", ExpertSelector::drawHelpers());
     report.add("moe_draw.ifma", laneRemainderIfma() ? 1 : 0);
+    report.add("moe_draw.stage_cpu_per_wall", stage_cpu_per_wall);
     for (const SweepProbe &s : sweeps) {
         const std::string key = std::string("figure_sweeps.") + s.name;
         report.add(key + ".configs", s.configs);

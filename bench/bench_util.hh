@@ -18,6 +18,8 @@
 #include <utility>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "common/rss.hh"
 #include "common/table.hh"
 #include "sim/engine.hh"
@@ -191,6 +193,24 @@ timed(Run &&run)
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - t0)
         .count();
+}
+
+/**
+ * User plus system CPU seconds this process has used so far, on all
+ * its threads: over a timed span's wall time, the cores it kept busy
+ * (draw helpers spin on one beside the caller).
+ */
+inline double
+processCpuSec()
+{
+    struct rusage usage
+    {
+    };
+    getrusage(RUSAGE_SELF, &usage);
+    return static_cast<double>(usage.ru_utime.tv_sec +
+                               usage.ru_stime.tv_sec) +
+           1e-6 * static_cast<double>(usage.ru_utime.tv_usec +
+                                      usage.ru_stime.tv_usec);
 }
 
 /**

@@ -88,8 +88,8 @@ struct LaneJumps
  * @p offset outputs ahead: up to nine products mod p and one bit
  * matrix transpose, under a microsecond with a carry-less multiply.
  * They depend on the two distances alone, so a caller that repeats
- * them keeps them (ExpertSelector keeps the last ones of each layer
- * group, and of each group count for its first group).
+ * them keeps them (ExpertSelector keeps the last ones on each
+ * thread).
  */
 LaneJumps laneJumps(std::uint64_t offset, std::uint64_t stride);
 

@@ -439,48 +439,32 @@ top2LaneLayers64(Lanes lanes, std::int64_t tokens, int layers,
 }
 
 /**
- * A lane walk's jump masks, kept for the last offset and stride.
- * Cache-line aligned: the caller's and the helper's are written by
- * different threads.
- */
-struct alignas(64) JumpMemo
-{
-    std::uint64_t offset = 0;
-    std::uint64_t stride = 0; //!< 0: none kept
-    LaneJumps jumps;
-
-    /**
-     * The jumps of layer group @p group of @p t tokens, @p layers
-     * per lane: lane j starts 2 t (8 layers group + layers j)
-     * outputs ahead.
-     */
-    const LaneJumps &
-    get(std::int64_t t, int layers, int group)
-    {
-        const std::uint64_t s = 2 * static_cast<std::uint64_t>(t) *
-                                static_cast<std::uint64_t>(layers);
-        const std::uint64_t o = kLanes * s * group;
-        if (s != stride || o != offset) {
-            jumps = laneJumps(o, s);
-            offset = o;
-            stride = s;
-        }
-        return jumps;
-    }
-};
-
-/**
- * Group 0's jumps: every lookahead miss draws group 0 on the calling
- * thread. One memo per group count, so a caller that draws alone
- * some of the time and with the helper the rest keeps both.
- * thread_local: sweep workers draw concurrently, and a shared entry
- * would need a lock on every walk.
+ * The jumps of layer group @p group of @p tokens, @p layers per lane:
+ * lane j starts 2 tokens (8 layers group + layers j) outputs ahead.
+ * Each thread keeps the last offset and stride it walked: a stage's
+ * token count rarely repeats in a serving run, and a sweep worker or
+ * the helper draws one group at one stride. thread_local: sweep
+ * workers draw concurrently, and a shared entry would need a lock on
+ * every walk.
  */
 const LaneJumps &
-groupZeroJumps(std::int64_t tokens, int groups, int layers)
+groupJumps(std::int64_t tokens, int layers, int group)
 {
-    thread_local JumpMemo memo[kMaxGroups];
-    return memo[groups - 1].get(tokens, layers, 0);
+    thread_local struct
+    {
+        std::uint64_t offset = 0;
+        std::uint64_t stride = 0; //!< 0: none kept
+        LaneJumps jumps;
+    } memo;
+    const std::uint64_t stride = 2 * static_cast<std::uint64_t>(tokens) *
+                                 static_cast<std::uint64_t>(layers);
+    const std::uint64_t offset = kLanes * stride * group;
+    if (stride != memo.stride || offset != memo.offset) {
+        memo.jumps = laneJumps(offset, stride);
+        memo.offset = offset;
+        memo.stride = stride;
+    }
+    return memo.jumps;
 }
 
 /**
@@ -573,11 +557,10 @@ constexpr int kHalfLayers = kLanes * kSharedLaneLayers;
  * passed, then draws it too. One state word settles who draws the
  * group, so a helper that comes late, or is descheduled halfway,
  * costs the caller at most that wait, and its work is discarded.
- * Between draws the helper spins until a few of the recent gaps
- * between draws, at most kMaxSpinNs, have passed with no new draw,
- * then parks on the word: a run that draws every few tens of
- * microseconds keeps it awake, and one that draws now and then does
- * not keep a core busy.
+ * Between draws the helper spins for kSpin with no new draw, then
+ * parks on the word: a run that draws every few tens of microseconds
+ * keeps it awake, and one that draws now and then does not keep a
+ * core busy.
  */
 class DrawHelper
 {
@@ -606,18 +589,10 @@ class DrawHelper
     draw(const Rng &rng, std::int64_t tokens, LaneLookahead &ahead)
     {
         const auto start = Clock::now();
-        // The spin window: kSpinGaps times a running mean of the gaps
-        // between draws, each gap capped at kMaxSpinNs.
-        meanGapNs_ += (std::min(nanos(start - lastDraw_), kMaxSpinNs) -
-                       meanGapNs_) /
-                      4;
-        lastDraw_ = start;
-        spinNs_.store(std::min(kSpinGaps * meanGapNs_, kMaxSpinNs),
-                      std::memory_order_relaxed);
         publish(rng, tokens);
         drawGroup<8>(rng, tokens, kSharedLaneLayers,
-                     groupZeroJumps(tokens, kMaxGroups, kSharedLaneLayers),
-                     ahead.hist, ahead.ends);
+                     groupJumps(tokens, kSharedLaneLayers, 0), ahead.hist,
+                     ahead.ends);
         const auto drawn = Clock::now();
         collect(rng, tokens, ahead, drawn + (drawn - start));
     }
@@ -635,15 +610,13 @@ class DrawHelper
     };
 
     /**
-     * The helper's spin window: kSpinGaps mean gaps between draws,
-     * at most kMaxSpinNs. A helper woken from its park comes too
-     * late for the draw that woke it, so the window must cover the
-     * gaps of a busy run (moe-longrun draws every 10-40 us); the cap
-     * keeps the helper awake only while draws come at least every
-     * 50 us, and bounds what it burns after the last one.
+     * How long the helper spins with no new draw before it parks. A
+     * helper woken from its park comes too late for the draw that
+     * woke it, so the window must cover the gaps of a busy run
+     * (moe-longrun draws every 10-40 us), and it bounds what the
+     * helper burns after a run's last draw.
      */
-    static constexpr std::int64_t kSpinGaps = 4;
-    static constexpr std::int64_t kMaxSpinNs = 200000;
+    static constexpr std::chrono::microseconds kSpin{200};
 
     /** Detached, and never destroyed: a destructor that joined the
      * helper would hang in a forked child (a death test), which has
@@ -656,24 +629,17 @@ class DrawHelper
     DrawHelper(const DrawHelper &) = delete;
     DrawHelper &operator=(const DrawHelper &) = delete;
 
-    static std::int64_t
-    nanos(Clock::duration d)
-    {
-        return std::chrono::duration_cast<std::chrono::nanoseconds>(d)
-            .count();
-    }
-
     /**
-     * Write the job and start a new epoch. The job's words are
-     * atomics read seqlock-style: a helper that reads them while the
-     * next draw rewrites them has had its group taken, so the start
-     * it claims after reading fails.
+     * Write the job and start a new epoch. The release store of the
+     * published state hands the job to the helper's claim. The job's
+     * words are relaxed atomics: after the caller takes back a group
+     * the helper started, its next publish may rewrite them while the
+     * helper still reads them, and that helper's draw is dropped.
      */
     void
     publish(const Rng &rng, std::int64_t tokens)
     {
         ++epoch_;
-        std::atomic_thread_fence(std::memory_order_release);
         for (int w = 0; w < 4; ++w)
             jobState_[w].store(rng.state()[w], std::memory_order_relaxed);
         jobTokens_.store(tokens, std::memory_order_relaxed);
@@ -706,7 +672,7 @@ class DrawHelper
             } else if (state_.compare_exchange_weak(
                            seen, mine | kTaken, std::memory_order_acquire)) {
                 drawGroup<8>(rng, tokens, kSharedLaneLayers,
-                             memo_.get(tokens, kSharedLaneLayers, 1), hist,
+                             groupJumps(tokens, kSharedLaneLayers, 1), hist,
                              ends);
                 return;
             }
@@ -715,7 +681,11 @@ class DrawHelper
         std::copy_n(&slot_.ends[0][0], kHalfLayers * 4, &ends[0][0]);
     }
 
-    /** The helper's loop: group 1 of every draw. */
+    /**
+     * The helper's loop: claim group 1 of every draw, then read its
+     * job and draw it. The claim's acquire pairs with publish()'s
+     * release, so the job it reads is at least that draw's.
+     */
     __attribute__((target("avx512f"))) void
     help()
     {
@@ -726,20 +696,20 @@ class DrawHelper
                 work_.load(std::memory_order_acquire);
             if (published != epoch) {
                 epoch = published;
-                std::uint64_t words[4];
-                for (int w = 0; w < 4; ++w)
-                    words[w] = jobState_[w].load(std::memory_order_relaxed);
-                const std::int64_t tokens =
-                    jobTokens_.load(std::memory_order_relaxed);
-                std::atomic_thread_fence(std::memory_order_acquire);
                 std::uint64_t expect = epoch << 2 | kPublished;
                 if (state_.compare_exchange_strong(
                         expect, epoch << 2 | kStarted,
+                        std::memory_order_acquire,
                         std::memory_order_relaxed)) {
+                    std::uint64_t words[4];
+                    for (int w = 0; w < 4; ++w)
+                        words[w] = jobState_[w].load(std::memory_order_relaxed);
+                    const std::int64_t tokens =
+                        jobTokens_.load(std::memory_order_relaxed);
                     Rng start;
                     start.setState(words);
                     drawGroup<8>(start, tokens, kSharedLaneLayers,
-                                 slot_.memo.get(tokens, kSharedLaneLayers, 1),
+                                 groupJumps(tokens, kSharedLaneLayers, 1),
                                  slot_.hist, slot_.ends);
                     // Fails if the caller took the group meanwhile.
                     expect = epoch << 2 | kStarted;
@@ -751,9 +721,7 @@ class DrawHelper
                 continue;
             }
             _mm_pause();
-            if (spin % 64 != 0 ||
-                nanos(Clock::now() - idleSince) <
-                    spinNs_.load(std::memory_order_relaxed))
+            if (spin % 64 != 0 || Clock::now() - idleSince < kSpin)
                 continue;
             // Park until the next draw is published. The caller
             // notifies only when it sees a sleeper, and reads
@@ -768,7 +736,6 @@ class DrawHelper
 
     // Written by the caller once per draw, read by the helper.
     alignas(64) std::atomic<std::uint64_t> work_{0};
-    std::atomic<std::int64_t> spinNs_{kMaxSpinNs};
     std::atomic<std::uint64_t> jobState_[4] = {};
     std::atomic<std::int64_t> jobTokens_{0};
     // Written by both.
@@ -777,15 +744,11 @@ class DrawHelper
     std::atomic<int> sleepers_{0};
     // The caller's alone, under busy_.
     std::uint64_t epoch_ = 0;
-    Clock::time_point lastDraw_{};
-    std::int64_t meanGapNs_ = kMaxSpinNs;
-    JumpMemo memo_; //!< group 1, when the caller takes it
     // The helper's alone, read by the caller once the group is done.
     struct alignas(64)
     {
         std::int64_t hist[kHalfLayers * 8];
         std::uint64_t ends[kHalfLayers][4];
-        JumpMemo memo;
     } slot_;
 };
 
@@ -810,7 +773,7 @@ drawLaneLayers(Rng &rng, std::int64_t tokens, LaneLookahead &ahead,
         helper->release();
     } else {
         constexpr int layers = kMissLayers<N> / kLanes;
-        drawGroup<N>(rng, tokens, layers, groupZeroJumps(tokens, 1, layers),
+        drawGroup<N>(rng, tokens, layers, groupJumps(tokens, layers, 0),
                      ahead.hist, ahead.ends);
     }
     ahead.experts = N;
@@ -1009,16 +972,6 @@ ExpertSelector::sampleInto(Rng &rng, std::int64_t tokens,
                 top2Direct<64>(rng, tokens, h);
             return;
         }
-        const int n = numExperts_;
-        for (std::int64_t t = 0; t < tokens; ++t) {
-            const int t1 =
-                static_cast<int>(rng.uniformInt(0, n - 2));
-            const int t2 =
-                static_cast<int>(rng.uniformInt(0, n - 1));
-            ++h[t1];
-            ++h[t2 == t1 ? n - 1 : t2];
-        }
-        return;
     }
     for (std::int64_t t = 0; t < tokens; ++t)
         sampleOneToken(rng, hist);

@@ -91,16 +91,18 @@ class ExpertSelector
      * copy is dropped. The helper is process-wide and serves one
      * caller at a time; a caller that finds it busy draws all 32
      * layers alone, four per lane, as does a thread marked by
-     * drawAloneOnThisThread(). Each group keeps its own lane jump
-     * memo, keyed by its offset and stride, and the caller's group 0
-     * keeps one per group count, so each misses at most once per
-     * token count. The lookahead (32 layers of 8 experts or 16 of
-     * 64, and 32 end states: about 9.3 KB) and group 0's memos are
-     * thread_local, not members: this method stays const, and
-     * threads that draw at once (sweep workers, or two callers of
-     * which one finds the helper held) never share an entry. The
-     * helper draws into a slot of its own, which the caller copies
-     * from once the group is done.
+     * drawAloneOnThisThread(). Each thread keeps one lane jump memo
+     * entry, keyed by the offset and stride it last walked, so a
+     * thread that draws one group at one token count (a sweep
+     * worker, the helper, a fixed-count replay) walks its jumps
+     * once. Between draws the helper spins for 200 us, then parks.
+     * The lookahead (32 layers of 8 experts or 16 of 64, and 32 end
+     * states: about 9.3 KB) and the memo are thread_local, not
+     * members: this method stays const, and threads that draw at
+     * once (sweep workers, or two callers of which one finds the
+     * helper held) never share an entry. The helper draws into a
+     * slot of its own, which the caller copies from once the group
+     * is done.
      */
     void sampleInto(Rng &rng, std::int64_t tokens,
                     std::vector<std::int64_t> &hist) const;

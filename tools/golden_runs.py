@@ -11,6 +11,13 @@ exit status) is diffed:
   --compare PARENT CHANGE    run each command once from each build
                              and diff the builds (a refactor that
                              must not move any output)
+  --record BUILD_DIR [FILE]  run each command once and write its
+                             name, exit status and the SHA-256 of its
+                             stdout to FILE (tools/golden_hashes.txt)
+  --check BUILD_DIR [FILE]   run each command once and name every
+                             run whose exit status or stdout hash
+                             differs from FILE, or that FILE lacks
+                             (CI job `determinism`, g++ leg)
 
 Each pass over the list runs in a fresh working directory, in list
 order, so a command may read a file an earlier one wrote (the trace
@@ -18,9 +25,11 @@ save-then-replay pair). Exits 1 on any diff.
 
 Usage: python3 tools/golden_runs.py --twice build-release
        python3 tools/golden_runs.py --compare parent/build build
+       python3 tools/golden_runs.py --check build-release
 """
 
 import difflib
+import hashlib
 import os
 import shlex
 import subprocess
@@ -123,7 +132,53 @@ def diff(a, b, a_label, b_label):
     return bad
 
 
+HASHES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                      "golden_hashes.txt")
+
+
+def digests(outputs):
+    """{name: (exit status, SHA-256 of stdout)} of run_all's outputs."""
+    return {name: (status, hashlib.sha256(out.encode()).hexdigest())
+            for name, (status, out) in outputs.items()}
+
+
+def record(build_dir, path):
+    """Write one `name exit sha256` line per run to @p path."""
+    got = digests(run_all(build_dir, "record"))
+    with open(path, "w", encoding="utf-8") as f:
+        for name, _ in RUNS:
+            f.write(f"{name} {got[name][0]} {got[name][1]}\n")
+    print(f"recorded {len(RUNS)} runs in {path}")
+    return 0
+
+
+def check(build_dir, path):
+    """Name every run whose exit status or hash moved from @p path,
+    or that @p path lacks; return 1 if any."""
+    want = {}
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            name, status, digest = line.split()
+            want[name] = (int(status), digest)
+    got = digests(run_all(build_dir, "check"))
+    bad = 0
+    for name, line in RUNS:
+        if name not in want:
+            print(f"MISSING {name}: not in {path}")
+            bad += 1
+        elif got[name] != want[name]:
+            print(f"MOVED {name}: {line}\n  exit {want[name][0]} "
+                  f"sha256 {want[name][1]} recorded\n  exit "
+                  f"{got[name][0]} sha256 {got[name][1]} now")
+            bad += 1
+    print(f"{len(RUNS) - bad}/{len(RUNS)} runs match {path}")
+    return 1 if bad else 0
+
+
 def main(argv):
+    if len(argv) in (2, 3) and argv[0] in ("--record", "--check"):
+        path = argv[2] if len(argv) == 3 else HASHES
+        return (record if argv[0] == "--record" else check)(argv[1], path)
     if len(argv) == 2 and argv[0] == "--twice":
         a = run_all(argv[1], "run 1")
         b = run_all(argv[1], "run 2")
