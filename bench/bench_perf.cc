@@ -216,21 +216,13 @@ probeMoeDraw(int experts, std::int64_t tokens)
     return sink >= 0 && sec > 0.0 ? calls * tokens / sec : 0.0;
 }
 
-/** CPU and wall seconds of timed spans, summed. */
-struct CpuWall
-{
-    double cpuSec = 0.0;
-    double wallSec = 0.0;
-};
-
 /**
  * Token-layers/sec of Mixtral stages: 32 consecutive MoE layers per
  * stage on one generator, @p tokens and @p tokens + 1 in turn, so
  * every stage misses the lane jump memo as a moe-longrun stage does.
- * Adds the timed loop's CPU and wall seconds to @p spent.
  */
 double
-probeMoeStage(std::int64_t tokens, CpuWall &spent)
+probeMoeStage(std::int64_t tokens)
 {
     constexpr int kLayers = 32;
     const ExpertSelector selector(8, 2);
@@ -240,7 +232,6 @@ probeMoeStage(std::int64_t tokens, CpuWall &spent)
     std::int64_t sink = hist[0];
     const std::int64_t stages = (std::int64_t{1} << 24) / (tokens * kLayers);
     std::int64_t token_layers = 0;
-    const double cpu0 = processCpuSec();
     const double sec = timed([&] {
         for (std::int64_t s = 0; s < stages; ++s) {
             const std::int64_t t = tokens + (s & 1);
@@ -251,8 +242,6 @@ probeMoeStage(std::int64_t tokens, CpuWall &spent)
             token_layers += t * kLayers;
         }
     });
-    spent.cpuSec += processCpuSec() - cpu0;
-    spent.wallSec += sec;
     return sink >= 0 && sec > 0.0 ? token_layers / sec : 0.0;
 }
 
@@ -330,16 +319,18 @@ main()
     for (const Rate &p : draw_probes)
         std::printf("moe draw %-16s %12.0f tokens/s\n", p.name,
                     p.perSec);
-    CpuWall stage_draw_spent;
-    const Rate stage_draw_probes[] = {
-        {"mixtral_stage_164", probeMoeStage(164, stage_draw_spent)},
-        {"mixtral_stage_830", probeMoeStage(830, stage_draw_spent)},
-    };
+    Rate stage_draw_probes[] = {{"mixtral_stage_164", 0.0},
+                                {"mixtral_stage_830", 0.0}};
+    const double stage_cpu0 = processCpuSec();
+    const double stage_wall = timed([&] {
+        stage_draw_probes[0].perSec = probeMoeStage(164);
+        stage_draw_probes[1].perSec = probeMoeStage(830);
+    });
+    const double stage_cpu_per_wall =
+        (processCpuSec() - stage_cpu0) / stage_wall;
     for (const Rate &p : stage_draw_probes)
         std::printf("moe draw %-18s %10.0f token-layers/s\n", p.name,
                     p.perSec);
-    const double stage_cpu_per_wall =
-        stage_draw_spent.cpuSec / stage_draw_spent.wallSec;
     std::printf("moe draw stages: %.2f CPU s per wall s\n",
                 stage_cpu_per_wall);
     std::printf("moe draw lane width %d, %d helper threads, IFMA "

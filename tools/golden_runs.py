@@ -11,17 +11,28 @@ exit status) is diffed:
   --compare PARENT CHANGE    run each command once from each build
                              and diff the builds (a refactor that
                              must not move any output)
-  --record BUILD_DIR [FILE]  run each command once and write its
-                             name, exit status and the SHA-256 of its
-                             stdout to FILE (tools/golden_hashes.txt)
-  --check BUILD_DIR [FILE]   run each command once and name every
+  --record BUILD_DIR         run each command once and write the
+                             build's toolchain, then each run's name,
+                             exit status and the SHA-256 of its
+                             stdout, to tools/golden_hashes.txt
+  --check BUILD_DIR          run each command once and name every
                              run whose exit status or stdout hash
-                             differs from FILE, or that FILE lacks
-                             (CI job `determinism`, g++ leg)
+                             differs from tools/golden_hashes.txt, or
+                             that it lacks (CI job `golden`); refuses,
+                             exit 2, a build whose toolchain differs
+                             from the recorded one
 
 Each pass over the list runs in a fresh working directory, in list
 order, so a command may read a file an earlier one wrote (the trace
 save-then-replay pair). Exits 1 on any diff.
+
+The hashes hold only for the toolchain they were recorded with: the
+figure and energy runs print doubles computed through libm, whose
+last bits may differ between compiler or C library versions. So the
+file's first line names the compiler (as CMake found it when it
+configured the build directory) and the running glibc, and --check
+compares those before it runs anything rather than report a false
+MOVED.
 
 Usage: python3 tools/golden_runs.py --twice build-release
        python3 tools/golden_runs.py --compare parent/build build
@@ -29,6 +40,7 @@ Usage: python3 tools/golden_runs.py --twice build-release
 """
 
 import difflib
+import glob
 import hashlib
 import os
 import shlex
@@ -142,43 +154,82 @@ def digests(outputs):
             for name, (status, out) in outputs.items()}
 
 
-def record(build_dir, path):
-    """Write one `name exit sha256` line per run to @p path."""
+def toolchain(build_dir):
+    """`CXX_ID VERSION glibc VERSION` of @p build_dir's compiler and
+    the running C library, or None outside a configured CMake build
+    directory."""
+    found = glob.glob(os.path.join(build_dir, "CMakeFiles", "*",
+                                   "CMakeCXXCompiler.cmake"))
+    if not found:
+        return None
+    fields = {}
+    with open(found[0], encoding="utf-8") as f:
+        for line in f:
+            for key in ("CMAKE_CXX_COMPILER_ID", "CMAKE_CXX_COMPILER_VERSION"):
+                if line.startswith(f'set({key} "'):
+                    fields[key] = line.split('"')[1]
+    libc = os.confstr("CS_GNU_LIBC_VERSION") or "libc unknown"
+    return (f"{fields.get('CMAKE_CXX_COMPILER_ID', '?')} "
+            f"{fields.get('CMAKE_CXX_COMPILER_VERSION', '?')} {libc}")
+
+
+TOOLCHAIN = "# toolchain "
+
+
+def record(build_dir):
+    """Write the toolchain line and one `name exit sha256` line per
+    run to HASHES."""
+    tools = toolchain(build_dir)
+    if tools is None:
+        print(f"{build_dir} is not a configured CMake build directory")
+        return 2
     got = digests(run_all(build_dir, "record"))
-    with open(path, "w", encoding="utf-8") as f:
+    with open(HASHES, "w", encoding="utf-8") as f:
+        f.write(f"{TOOLCHAIN}{tools}\n")
         for name, _ in RUNS:
             f.write(f"{name} {got[name][0]} {got[name][1]}\n")
-    print(f"recorded {len(RUNS)} runs in {path}")
+    print(f"recorded {len(RUNS)} runs ({tools}) in {HASHES}")
     return 0
 
 
-def check(build_dir, path):
-    """Name every run whose exit status or hash moved from @p path,
-    or that @p path lacks; return 1 if any."""
+def check(build_dir):
+    """Name every run whose exit status or hash moved from HASHES, or
+    that HASHES lacks; return 1 if any, 2 (running nothing) if the
+    build's toolchain is not the recorded one."""
+    recorded = None
     want = {}
-    with open(path, encoding="utf-8") as f:
+    with open(HASHES, encoding="utf-8") as f:
         for line in f:
+            if line.startswith(TOOLCHAIN):
+                recorded = line[len(TOOLCHAIN):].strip()
+                continue
             name, status, digest = line.split()
             want[name] = (int(status), digest)
+    tools = toolchain(build_dir)
+    if tools != recorded:
+        print(f"REFUSED: {HASHES} was recorded with {recorded}, "
+              f"{build_dir} has {tools}.\nA moved hash would not tell "
+              "a changed output from a changed libm; check with the "
+              "recorded toolchain, or re-record on purpose.")
+        return 2
     got = digests(run_all(build_dir, "check"))
     bad = 0
     for name, line in RUNS:
         if name not in want:
-            print(f"MISSING {name}: not in {path}")
+            print(f"MISSING {name}: not in {HASHES}")
             bad += 1
         elif got[name] != want[name]:
             print(f"MOVED {name}: {line}\n  exit {want[name][0]} "
                   f"sha256 {want[name][1]} recorded\n  exit "
                   f"{got[name][0]} sha256 {got[name][1]} now")
             bad += 1
-    print(f"{len(RUNS) - bad}/{len(RUNS)} runs match {path}")
+    print(f"{len(RUNS) - bad}/{len(RUNS)} runs match {HASHES} ({tools})")
     return 1 if bad else 0
 
 
 def main(argv):
-    if len(argv) in (2, 3) and argv[0] in ("--record", "--check"):
-        path = argv[2] if len(argv) == 3 else HASHES
-        return (record if argv[0] == "--record" else check)(argv[1], path)
+    if len(argv) == 2 and argv[0] in ("--record", "--check"):
+        return (record if argv[0] == "--record" else check)(argv[1])
     if len(argv) == 2 and argv[0] == "--twice":
         a = run_all(argv[1], "run 1")
         b = run_all(argv[1], "run 2")

@@ -5,13 +5,16 @@ fail.
 
 Each case builds a fake build directory of shell scripts, one per
 binary the runs name, each printing its name and arguments, records
-their hashes and runs the check as the CI determinism job does.
+their hashes and runs the check as the CI golden job does. It runs a
+copy of golden_runs.py in a temporary directory, so the hashes file
+the copy reads and writes is a temporary one.
 
 Usage: python3 tools/test_golden_runs.py
 """
 
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -28,11 +31,13 @@ class GoldenCase(unittest.TestCase):
 
     def setUp(self):
         self.tmp = tempfile.TemporaryDirectory()
+        self.script = shutil.copy(SCRIPT, self.tmp.name)
+        self.hashes = os.path.join(self.tmp.name, "golden_hashes.txt")
         self.build = os.path.join(self.tmp.name, "build")
         os.mkdir(self.build)
         for binary in {shlex.split(line)[0] for _, line in RUNS}:
             self.fake(binary)
-        self.hashes = os.path.join(self.tmp.name, "hashes.txt")
+        self.compiler("12.2.0")
         run = self.golden("--record")
         self.assertEqual(run.returncode, 0, run.stdout + run.stderr)
 
@@ -45,9 +50,19 @@ class GoldenCase(unittest.TestCase):
             f.write(f"#!/bin/sh\n{body}\n")
         os.chmod(path, 0o755)
 
+    def compiler(self, version):
+        """Configure the fake build as CMake does, with g++ @p version."""
+        path = os.path.join(self.build, "CMakeFiles", "3.25.1")
+        os.makedirs(path, exist_ok=True)
+        with open(os.path.join(path, "CMakeCXXCompiler.cmake"), "w",
+                  encoding="utf-8") as f:
+            f.write('set(CMAKE_CXX_COMPILER "/usr/bin/c++")\n'
+                    'set(CMAKE_CXX_COMPILER_ID "GNU")\n'
+                    f'set(CMAKE_CXX_COMPILER_VERSION "{version}")\n')
+
     def golden(self, mode):
         return subprocess.run(
-            [sys.executable, SCRIPT, mode, self.build, self.hashes],
+            [sys.executable, self.script, mode, self.build],
             capture_output=True, text=True, check=False)
 
 
@@ -57,10 +72,28 @@ class GoldenRunsTest(GoldenCase):
         self.assertEqual(run.returncode, 0, run.stdout + run.stderr)
         self.assertIn(f"{len(RUNS)}/{len(RUNS)} runs match", run.stdout)
 
-    def test_one_line_per_run(self):
+    def test_toolchain_then_one_line_per_run(self):
         with open(self.hashes, encoding="utf-8") as f:
-            names = [line.split()[0] for line in f]
-        self.assertEqual(names, [name for name, _ in RUNS])
+            lines = f.readlines()
+        self.assertTrue(lines[0].startswith("# toolchain GNU 12.2.0 "),
+                        lines[0])
+        self.assertEqual([line.split()[0] for line in lines[1:]],
+                         [name for name, _ in RUNS])
+
+    def test_other_compiler_is_refused(self):
+        self.compiler("12.3.0")
+        self.fake("bench_ablation", 'echo "bench_ablation $*."')
+        run = self.golden("--check")
+        self.assertEqual(run.returncode, 2)
+        self.assertIn("REFUSED", run.stdout)
+        self.assertIn("GNU 12.3.0", run.stdout)
+        self.assertNotIn("MOVED", run.stdout)
+
+    def test_record_needs_a_configured_build(self):
+        shutil.rmtree(os.path.join(self.build, "CMakeFiles"))
+        run = self.golden("--record")
+        self.assertEqual(run.returncode, 2)
+        self.assertIn("not a configured CMake build directory", run.stdout)
 
     def test_changed_byte_fails(self):
         self.fake("bench_ablation", 'echo "bench_ablation $*."')
